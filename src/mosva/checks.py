@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .halgebra import (
     CENTRAL,
@@ -23,6 +23,7 @@ from .halgebra import (
     HSpace,
     NegWord,
     add_into,
+    add_terms,
     basis_words,
     basis_words_up_to,
     derivative_elem,
@@ -92,6 +93,12 @@ class CheckReport:
         status = "pass" if self.passed else "FAIL"
         extra = f"  [{self.detail}]" if self.detail and not self.passed else ""
         return f"{status}  {self.name}{extra}"
+
+
+# the oracle's mode enumeration grows steeply with the sampled words' weight:
+# on dim 2 the default suite peaks at 236 MB with max_weight 5 and runs out of
+# a 2 GB address space with max_weight 6
+MAX_SUITE_WEIGHT = 5
 
 
 @dataclass(frozen=True)
@@ -438,8 +445,7 @@ def sym_vertex_coefficient(
                 current = sym_apply_mode(h, i, n, current)
                 if not current:
                     break
-            for key, val in current.items():
-                add_into(out, key, val)
+            add_terms(out, current.items())
     return out
 
 
@@ -597,172 +603,154 @@ def verify_sym_crosscheck(
 # -- the suite ---------------------------------------------------------------------------
 
 
-def run_suite(config: SuiteConfig) -> List[CheckReport]:
-    """Run every configured check over an exhaustive-plus-seeded sample grid."""
-    h, mod = config.h, config.module
-    rng = random.Random(config.seed)
-    reports: List[CheckReport] = []
-    wanted = set(config.checks) if config.checks is not None else None
+@dataclass
+class _Samples:
+    """The exhaustive-plus-seeded sample grid every check draws from."""
 
-    def want(name: str) -> bool:
-        return wanted is None or name in wanted
+    config: SuiteConfig
+    rng: random.Random
+    words: List[NegWord]
+    elems: List[FreeElem]
+    states: List[WElem]
+    pairs: List[Tuple[NegWord, NegWord]]
 
-    exhaustive = basis_words_up_to(h.dim, min(config.max_weight, 3))
-    extra = []
-    if config.max_weight > 3:
-        pool = basis_words(h.dim, config.max_weight)
-        extra = [rng.choice(pool) for _ in range(8)]
-    sample_words = exhaustive + extra
-    sample_elems = [word_elem(wd) for wd in sample_words]
-    sample_states: List[WElem] = [vacuum_state()]
-    for wd in sample_words[1:6]:
-        sample_states.append(state(wd))
-    for s in range(1, min(mod.dim, 3)):
-        sample_states.append(vacuum_state(s))
+    @classmethod
+    def draw(cls, config: SuiteConfig) -> "_Samples":
+        h, mod = config.h, config.module
+        rng = random.Random(config.seed)
+        words = basis_words_up_to(h.dim, min(config.max_weight, 3))
+        if config.max_weight > 3:
+            pool = basis_words(h.dim, config.max_weight)
+            words += [rng.choice(pool) for _ in range(8)]
+        states: List[WElem] = [vacuum_state()]
+        states += [state(wd) for wd in words[1:6]]
+        states += [vacuum_state(s) for s in range(1, min(mod.dim, 3))]
+        nonvac = [wd for wd in words if wd]
+        pairs = [(rng.choice(nonvac), rng.choice(nonvac)) for _ in range(config.sample_pairs)]
+        return cls(config, rng, words, [word_elem(wd) for wd in words], states, pairs)
 
-    module_problems = validate_module(mod)
-    reports.append(
-        CheckReport(
-            "module-invariants", {"dim": mod.dim}, not module_problems,
-            "; ".join(module_problems),
-        )
+
+def _first_failure(reports: Iterable[CheckReport]) -> Optional[CheckReport]:
+    """The first failed report; later samples are not drawn once one fails."""
+    return next((r for r in reports if not r.passed), None)
+
+
+def _module_invariants(s: _Samples) -> CheckReport:
+    problems = validate_module(s.config.module)
+    return CheckReport(
+        "module-invariants", {"dim": s.config.module.dim}, not problems, "; ".join(problems)
     )
 
-    if want("identity-creation"):
-        reports.append(
-            verify_identity_creation(h, mod, sample_elems, (config.window[0], config.window[1]))
+
+def _grading_bracket(s: _Samples) -> CheckReport:
+    c = s.config
+    return _first_failure(
+        verify_d_bracket(c.h, c.module, u, w, c.window) for u in s.elems for w in s.states[:4]
+    ) or CheckReport("grading-bracket", {"samples": len(s.elems), "window": c.window}, True)
+
+
+def _translation_properties(s: _Samples) -> CheckReport:
+    c = s.config
+    return _first_failure(
+        verify_D_properties(c.h, c.module, u, w, c.window) for u in s.elems for w in s.states[:3]
+    ) or CheckReport("translation-properties", {"samples": len(s.elems), "window": c.window}, True)
+
+
+def _rationality_product(s: _Samples) -> CheckReport:
+    c, rng = s.config, s.rng
+    return _first_failure(
+        verify_rationality_product(
+            c.h, c.module, [word_elem(w1), word_elem(w2)],
+            dual_term(rng.choice(s.words), rng.randrange(c.module.dim)),
+            rng.choice(s.states), c.window,
         )
+        for w1, w2 in s.pairs[: max(6, c.sample_pairs // 3)]
+    ) or CheckReport("rationality-product", {"pairs": len(s.pairs)}, True)
 
-    if want("grading-bracket"):
-        ok: Optional[CheckReport] = None
-        for u in sample_elems:
-            for w in sample_states[:4]:
-                r = verify_d_bracket(h, mod, u, w, config.window)
-                if not r.passed:
-                    ok = r
-                    break
-            if ok:
-                break
-        reports.append(ok or CheckReport(
-            "grading-bracket",
-            {"samples": len(sample_elems), "window": config.window}, True,
-        ))
 
-    if want("translation-properties"):
-        ok = None
-        for u in sample_elems:
-            for w in sample_states[:3]:
-                r = verify_D_properties(h, mod, u, w, config.window)
-                if not r.passed:
-                    ok = r
-                    break
-            if ok:
-                break
-        reports.append(ok or CheckReport(
-            "translation-properties",
-            {"samples": len(sample_elems), "window": config.window}, True,
-        ))
+def _associativity(s: _Samples) -> CheckReport:
+    c = s.config
+    checked = 0
 
-    pair_samples = []
-    nonvac = [wd for wd in sample_words if wd]
-    for _ in range(config.sample_pairs):
-        pair_samples.append((rng.choice(nonvac), rng.choice(nonvac)))
-
-    if want("rationality-product"):
-        ok = None
-        for w1, w2 in pair_samples[: max(6, config.sample_pairs // 3)]:
-            fword = rng.choice(sample_words)
-            r = verify_rationality_product(
-                h, mod, [word_elem(w1), word_elem(w2)],
-                dual_term(fword, rng.randrange(mod.dim)),
-                rng.choice(sample_states), config.window,
-            )
-            if not r.passed:
-                ok = r
-                break
-        reports.append(ok or CheckReport(
-            "rationality-product", {"pairs": len(pair_samples)}, True,
-        ))
-
-    if want("associativity"):
-        ok = None
-        checked = 0
-        for w1, w2 in pair_samples:
+    def mismatches():
+        nonlocal checked
+        for w1, w2 in s.pairs:
             u1, u2 = word_elem(w1), word_elem(w2)
-            for w in sample_states[:3]:
-                cap = Fraction(config.dual_weight_cap)
-                prod = product_table(h, mod, [u1, u2], w, cap)
-                it = iterate_table(h, mod, u1, u2, w, cap)
+            for w in s.states[:3]:
+                cap = Fraction(c.dual_weight_cap)
+                prod = product_table(c.h, c.module, [u1, u2], w, cap)
+                it = iterate_table(c.h, c.module, u1, u2, w, cap)
                 for key in set(prod) | set(it):
                     checked += 1
-                    if not ratfun_eq(
-                        prod.get(key, RatFun.zero()), it.get(key, RatFun.zero())
-                    ):
-                        ok = CheckReport(
-                            "associativity",
-                            {"u1": render_word(w1), "u2": render_word(w2)},
+                    if not ratfun_eq(prod.get(key, RatFun.zero()), it.get(key, RatFun.zero())):
+                        yield CheckReport(
+                            "associativity", {"u1": render_word(w1), "u2": render_word(w2)},
                             False, f"differs against dual {key}",
                         )
-                        break
-                if ok:
-                    break
-            if ok:
-                break
-        reports.append(ok or CheckReport(
-            "associativity", {"pairs": len(pair_samples), "coefficients": checked}, True,
-        ))
 
-    if want("rationality-iterate"):
-        ok = None
-        for w1, w2 in pair_samples[: max(4, config.sample_pairs // 4)]:
-            fword = rng.choice(sample_words)
-            r = verify_rationality_iterate(
-                h, mod, word_elem(w1), word_elem(w2),
-                dual_term(fword, rng.randrange(mod.dim)),
-                rng.choice(sample_states), config.window,
-            )
-            if not r.passed:
-                ok = r
-                break
-        reports.append(ok or CheckReport("rationality-iterate", {}, True))
+    return _first_failure(mismatches()) or CheckReport(
+        "associativity", {"pairs": len(s.pairs), "coefficients": checked}, True,
+    )
 
-    if want("pbw-confluence"):
-        reports.append(verify_pbw_confluence(h, config.pbw_words, 6, config.seed))
 
-    if want("graded-dimensions"):
-        reports.append(verify_graded_dimensions(h, min(config.max_weight + 3, 8)))
+def _rationality_iterate(s: _Samples) -> CheckReport:
+    c, rng = s.config, s.rng
+    return _first_failure(
+        verify_rationality_iterate(
+            c.h, c.module, word_elem(w1), word_elem(w2),
+            dual_term(rng.choice(s.words), rng.randrange(c.module.dim)),
+            rng.choice(s.states), c.window,
+        )
+        for w1, w2 in s.pairs[: max(4, c.sample_pairs // 4)]
+    ) or CheckReport("rationality-iterate", {}, True)
 
-    if want("lower-bound"):
-        reports.append(verify_lower_bound(h, mod, sample_states))
 
-    if want("quotient-homomorphism"):
-        ok = None
-        for uword in basis_words_up_to(h.dim, 3):
-            for vword in basis_words_up_to(h.dim, 2):
-                r = verify_quotient_homomorphism(h, uword, vword, (-4, 3))
-                if not r.passed:
-                    ok = r
-                    break
-            if ok:
-                break
-        reports.append(ok or CheckReport("quotient-homomorphism", {"max_weight": 3}, True))
+def _quotient_homomorphism(s: _Samples) -> CheckReport:
+    dim = s.config.h.dim
+    return _first_failure(
+        verify_quotient_homomorphism(s.config.h, uword, vword, (-4, 3))
+        for uword in basis_words_up_to(dim, 3)
+        for vword in basis_words_up_to(dim, 2)
+    ) or CheckReport("quotient-homomorphism", {"max_weight": 3}, True)
 
-    if want("sym-crosscheck"):
-        reports.append(verify_sym_crosscheck(h, 2, (-3, 3)))
 
-    if want("noncommutativity-witness"):
-        witness = noncommutativity_witness(h, mod, max_weight=2)
-        if witness is None:
-            detail = "no witness in the sampled range"
-            passed = h.dim == 1 and mod.dim == 1
-            reports.append(
-                CheckReport("noncommutativity-witness", {"max_weight": 2}, passed, detail)
-            )
-        else:
-            reports.append(
-                CheckReport(
-                    "noncommutativity-witness", {"max_weight": 2}, True,
-                    witness.describe(),
-                )
-            )
-    return reports
+def _noncommutativity_witness(s: _Samples) -> CheckReport:
+    h, mod = s.config.h, s.config.module
+    witness = noncommutativity_witness(h, mod, max_weight=2)
+    if witness is None:
+        passed = h.dim == 1 and mod.dim == 1
+        return CheckReport(
+            "noncommutativity-witness", {"max_weight": 2}, passed, "no witness in the sampled range"
+        )
+    return CheckReport("noncommutativity-witness", {"max_weight": 2}, True, witness.describe())
+
+
+# every check by name, in report order; module-invariants always runs
+CHECKS: Dict[str, Callable[[_Samples], CheckReport]] = {
+    "module-invariants": _module_invariants,
+    "identity-creation": lambda s: verify_identity_creation(
+        s.config.h, s.config.module, s.elems, tuple(s.config.window)
+    ),
+    "grading-bracket": _grading_bracket,
+    "translation-properties": _translation_properties,
+    "rationality-product": _rationality_product,
+    "associativity": _associativity,
+    "rationality-iterate": _rationality_iterate,
+    "pbw-confluence": lambda s: verify_pbw_confluence(
+        s.config.h, s.config.pbw_words, 6, s.config.seed
+    ),
+    "graded-dimensions": lambda s: verify_graded_dimensions(
+        s.config.h, min(s.config.max_weight + 3, 8)
+    ),
+    "lower-bound": lambda s: verify_lower_bound(s.config.h, s.config.module, s.states),
+    "quotient-homomorphism": _quotient_homomorphism,
+    "sym-crosscheck": lambda s: verify_sym_crosscheck(s.config.h, 2, (-3, 3)),
+    "noncommutativity-witness": _noncommutativity_witness,
+}
+
+
+def run_suite(config: SuiteConfig) -> List[CheckReport]:
+    """Run every configured check over an exhaustive-plus-seeded sample grid."""
+    samples = _Samples.draw(config)
+    wanted = CHECKS if config.checks is None else {"module-invariants", *config.checks}
+    return [check(samples) for name, check in CHECKS.items() if name in wanted]

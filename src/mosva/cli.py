@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +29,8 @@ from .halgebra import (
     FreeElem,
     HSpace,
     HatGen,
+    add_into,
+    add_terms,
     mode,
     pbw_normal_form,
     render_free_elem,
@@ -37,14 +39,14 @@ from .halgebra import (
     validate_hspace,
     word_sort_key,
 )
-from .checks import SuiteConfig, project_to_sym, run_suite
+from .checks import CHECKS, MAX_SUITE_WEIGHT, SuiteConfig, project_to_sym, run_suite
 from .fields import series_lower_bound, vertex_series
 from .modules import (
     ModulePresentation,
     free_to_state,
     validate_module,
 )
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_rational, render_signed_sum
 from .wick import matrix_coeff_iterate, matrix_coeff_product
 
 
@@ -130,8 +132,7 @@ def parse_elem(text: str, dim: int) -> FreeElem:
                 coeff = sign * parse_rational(rat)
                 sc.skip_ws()
             elif rat == "1":
-                word: Tuple = ()
-                _accumulate(out, word, coeff)
+                add_into(out, (), coeff)
                 sign = _next_sign(sc)
                 if sign is None:
                     return out
@@ -145,19 +146,10 @@ def parse_elem(text: str, dim: int) -> FreeElem:
         if sc.peek() != "1":
             raise ElemParseError(text, at, "word must end with '1'")
         sc.pos += 1
-        word = tuple((i, -n) for i, n in factors)
-        _accumulate(out, word, coeff)
+        add_into(out, tuple((i, -n) for i, n in factors), coeff)
         sign = _next_sign(sc)
         if sign is None:
             return out
-
-
-def _accumulate(out: FreeElem, word, coeff: Fraction):
-    got = out.get(word, Fraction(0)) + coeff
-    if got:
-        out[word] = got
-    elif word in out:
-        del out[word]
 
 
 def _next_sign(sc: _Scanner) -> Optional[Fraction]:
@@ -225,6 +217,33 @@ def _matrix_at(value, r: int, path: str):
     return rows
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_at(
+    raw: dict, name: str, default: int, lo: Optional[int], hi: Optional[int] = None
+) -> int:
+    value = raw.get(name, default)
+    if (
+        not _is_int(value)
+        or (lo is not None and value < lo)
+        or (hi is not None and value > hi)
+    ):
+        bound = "an integer" if lo is None else f"an integer >= {lo}"
+        if hi is not None:
+            bound += f" and <= {hi}"
+        raise ConfigError(f"suite.{name}", f"must be {bound}, got {value!r}")
+    return value
+
+
+def _flag_at(raw: dict, name: str) -> bool:
+    value = raw.get(name, False)
+    if not isinstance(value, bool):
+        raise ConfigError(name, f"must be true or false, got {value!r}")
+    return value
+
+
 def parse_config(source: str) -> Config:
     """Parse a JSON config from a path or literal text; validates everything."""
     text = source
@@ -241,7 +260,7 @@ def parse_config(source: str) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be an object")
     dim = raw.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ConfigError("dim", "must be a positive integer")
     form = raw.get("form")
     if form is None:
@@ -250,8 +269,8 @@ def parse_config(source: str) -> Config:
         h = HSpace.from_rows(_matrix_at(form, dim, "form"))
     problems = validate_hspace(
         h,
-        require_nondegenerate=bool(raw.get("require_nondegenerate", False)),
-        require_symmetric=bool(raw.get("require_symmetric", False)),
+        require_nondegenerate=_flag_at(raw, "require_nondegenerate"),
+        require_symmetric=_flag_at(raw, "require_symmetric"),
     )
     if problems:
         raise ConfigError("form", "; ".join(problems))
@@ -288,19 +307,27 @@ def parse_config(source: str) -> Config:
     if (
         not isinstance(window, list)
         or len(window) != 2
-        or not all(isinstance(x, int) for x in window)
+        or not all(_is_int(x) for x in window)
+        or window[0] > window[1]
     ):
-        raise ConfigError("suite.window", "must be [lo, hi] integers")
+        raise ConfigError("suite.window", "must be [lo, hi] integers with lo <= hi")
     checks = suite_raw.get("checks")
+    if checks is not None:
+        valid = f"valid names: {', '.join(CHECKS)}"
+        if not isinstance(checks, list):
+            raise ConfigError("suite.checks", f"expected a list, got {checks!r}; {valid}")
+        for name in checks:
+            if not isinstance(name, str) or name not in CHECKS:
+                raise ConfigError("suite.checks", f"unknown check {name!r}; {valid}")
     suite = SuiteConfig(
         h=h,
         module=module,
-        max_weight=int(suite_raw.get("max_weight", 3)),
-        dual_weight_cap=int(suite_raw.get("dual_weight_cap", 6)),
+        max_weight=_int_at(suite_raw, "max_weight", 3, 1, MAX_SUITE_WEIGHT),
+        dual_weight_cap=_int_at(suite_raw, "dual_weight_cap", 6, 0),
         window=(window[0], window[1]),
-        seed=int(suite_raw.get("seed", 0)),
-        pbw_words=int(suite_raw.get("pbw_words", 300)),
-        sample_pairs=int(suite_raw.get("sample_pairs", 25)),
+        seed=_int_at(suite_raw, "seed", 0, None),
+        pbw_words=_int_at(suite_raw, "pbw_words", 300, 0),
+        sample_pairs=_int_at(suite_raw, "sample_pairs", 25, 0),
         checks=tuple(checks) if checks is not None else None,
     )
     return Config(h=h, module=module, suite=suite)
@@ -313,23 +340,10 @@ DEFAULT_CONFIG = '{"dim": 2}'
 
 
 def render_state(welem, mod: ModulePresentation) -> str:
-    if not welem:
-        return "0"
-    pieces = []
-    for (word, s) in sorted(welem, key=lambda k: (word_sort_key(k[0]), k[1])):
-        c = welem[(word, s)]
-        body = render_word(word)
-        if mod.dim > 1:
-            body = f"{body}@{s + 1}"
-        mag = abs(c)
-        if mag != 1:
-            body = f"{format_rational(mag)}*{body}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return render_signed_sum(
+        (welem[(word, s)], render_word(word) + (f"@{s + 1}" if mod.dim > 1 else ""))
+        for (word, s) in sorted(welem, key=lambda k: (word_sort_key(k[0]), k[1]))
+    )
 
 
 def state_to_json(welem, mod: ModulePresentation):
@@ -399,18 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> Config:
     config = parse_config(args.config if args.config else DEFAULT_CONFIG)
     if getattr(args, "seed", None) is not None:
-        suite = SuiteConfig(
-            h=config.suite.h,
-            module=config.suite.module,
-            max_weight=config.suite.max_weight,
-            dual_weight_cap=config.suite.dual_weight_cap,
-            window=config.suite.window,
-            seed=args.seed,
-            pbw_words=config.suite.pbw_words,
-            sample_pairs=config.suite.sample_pairs,
-            checks=config.suite.checks,
-        )
-        config = Config(h=config.h, module=config.module, suite=suite)
+        config = replace(config, suite=replace(config.suite, seed=args.seed))
     return config
 
 
@@ -516,15 +519,9 @@ def cmd_quotient(args) -> int:
     config = _load_config(args)
     combined: Dict = {}
     for text in args.u:
-        for word, c in parse_elem(text, config.h.dim).items():
-            got = combined.get(word, Fraction(0)) + c
-            if got:
-                combined[word] = got
-            elif word in combined:
-                del combined[word]
+        add_terms(combined, parse_elem(text, config.h.dim).items())
     projected = project_to_sym(combined)
-    as_elem = {word: c for word, c in projected.items()}
-    text = render_free_elem(as_elem)
+    text = render_free_elem(projected)
     payload = [
         {"word": [[i + 1, m] for i, m in word], "coeff": format_rational(c)}
         for word, c in sorted(projected.items(), key=lambda kv: word_sort_key(kv[0]))

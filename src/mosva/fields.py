@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import ceil, comb
 from typing import Dict, Sequence, Tuple
 
-from .halgebra import FreeElem, HSpace, NegWord, add_into, word_weight
+from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, word_weight
 from .laurent import LaurentPoly, Window
 from .modules import (
     DualFunctional,
@@ -176,8 +176,7 @@ def vertex_coefficient(
             base = ucoeff * wcoeff
             for mono, c, _tot in _word_monomials(uword, total, total, budget, allow_zero):
                 applied = apply_monomial(h, mod, mono, word, idx, c if base == 1 else base * c)
-                for key, val in applied.items():
-                    add_into(out, key, val)
+                add_terms(out, applied.items())
     return out
 
 
@@ -207,8 +206,7 @@ def vertex_series(
                 slot = out.get(e)
                 if slot is None:
                     slot = out[e] = {}
-                for key, val in applied.items():
-                    add_into(slot, key, val)
+                add_terms(slot, applied.items())
     return {e: elem for e, elem in out.items() if elem}
 
 
@@ -272,9 +270,7 @@ def product_series_bruteforce(
                 }
                 if not kept:
                     continue
-                slot = nxt.setdefault((e,) + tail, {})
-                for key, c in kept.items():
-                    add_into(slot, key, c)
+                add_terms(nxt.setdefault((e,) + tail, {}), kept.items())
         states = {k: v for k, v in nxt.items() if v}
         if not states:
             break

@@ -133,10 +133,31 @@ def add_into(acc: Dict, key, coeff) -> None:
             del acc[key]
 
 
+def add_terms(acc: Dict, terms: Iterable[Tuple], scale=1) -> None:
+    """add_into for every (key, coeff) of terms, each coeff times scale.
+
+    One call per polynomial or element keeps the per-term loop free of call
+    overhead on hot paths.
+    """
+    unit = scale == 1
+    for key, coeff in terms:
+        if not unit:
+            coeff = coeff * scale
+        got = acc.get(key)
+        if got is None:
+            if coeff:
+                acc[key] = coeff
+        else:
+            got = got + coeff
+            if got:
+                acc[key] = got
+            else:
+                del acc[key]
+
+
 def free_add(u: FreeElem, v: FreeElem) -> FreeElem:
     out = dict(u)
-    for w, c in v.items():
-        add_into(out, w, c)
+    add_terms(out, v.items())
     return out
 
 
@@ -164,13 +185,6 @@ def weight(u: FreeElem) -> Optional[int]:
     if len(weights) == 1:
         return weights.pop()
     return None
-
-
-def homogeneous_components(u: FreeElem) -> Dict[int, FreeElem]:
-    out: Dict[int, FreeElem] = {}
-    for w, c in u.items():
-        out.setdefault(word_weight(w), {})[w] = c
-    return out
 
 
 def derivative_elem(u: FreeElem) -> FreeElem:
@@ -291,23 +305,9 @@ def word_sort_key(word: NegWord):
 
 
 def render_free_elem(u: FreeElem) -> str:
-    from .scalars import format_rational
+    from .scalars import render_signed_sum
 
-    if not u:
-        return "0"
-    pieces = []
-    for word in sorted(u, key=word_sort_key):
-        c = u[word]
-        body = render_word(word)
-        mag = abs(c)
-        if mag != 1:
-            body = f"{format_rational(mag)}*{body}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return render_signed_sum((u[word], render_word(word)) for word in sorted(u, key=word_sort_key))
 
 
 def render_pbw_word(word: PBWWord) -> str:
@@ -323,21 +323,11 @@ def render_pbw_word(word: PBWWord) -> str:
 
 
 def render_pbw_elem(u: PBWElem) -> str:
-    from .scalars import format_rational
+    from .scalars import render_signed_sum
 
-    if not u:
-        return "0"
-    pieces = []
-    for word in sorted(u, key=lambda w: (w[3], w)):
-        c = u[word]
-        body = render_pbw_word(word)
-        mag = abs(c)
-        # scalar shown for pure central/identity words, so "k" reads as "1*k"
-        if mag != 1 or not (word[0] or word[1] or word[2]):
-            body = f"{format_rational(mag)}*{body}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    # scalar shown for pure central/identity words (no mode factor), so "k"
+    # reads as "1*k"
+    return render_signed_sum(
+        ((u[word], render_pbw_word(word)) for word in sorted(u, key=lambda w: (w[3], w))),
+        show_unit=lambda body: not body.startswith("a"),
+    )

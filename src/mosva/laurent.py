@@ -15,7 +15,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+
+from .halgebra import add_terms
 
 Exponents = Tuple[int, ...]
 Window = Mapping[str, Tuple[int, int]]
@@ -132,16 +135,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self._together(other)
         terms = dict(a.terms)
-        for e, c in b.terms.items():
-            s = terms.get(e)
-            if s is None:
-                terms[e] = c
-            else:
-                s = s + c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+        add_terms(terms, b.terms.items())
         return LaurentPoly._raw(a.vars, terms)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -151,17 +145,7 @@ class LaurentPoly:
         a, b = self._together(other)
         terms: Dict[Exponents, Fraction] = {}
         for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
+            add_terms(terms, ((tuple(map(add, e1, e2)), c2) for e2, c2 in b.terms.items()), c1)
         return LaurentPoly._raw(a.vars, terms)
 
     def scale(self, c) -> "LaurentPoly":
@@ -204,16 +188,6 @@ class LaurentPoly:
             if ok:
                 terms[e] = c
         return LaurentPoly(self.vars, terms)
-
-    def rename_vars(self, mapping: Mapping[str, str]) -> "LaurentPoly":
-        """Bijectively rename variables (exponents follow their variable)."""
-        new_names = [mapping.get(v, v) for v in self.vars]
-        if len(set(new_names)) != len(new_names):
-            raise ValueError("renaming is not injective")
-        svars = sort_vars(new_names)
-        perm = [new_names.index(v) for v in svars]
-        terms = {tuple(e[p] for p in perm): c for e, c in self.terms.items()}
-        return LaurentPoly(svars, terms)
 
     def substitute(self, assignments: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
         """Substitute a polynomial for every variable; exponents must be >= 0.
@@ -285,26 +259,14 @@ class LaurentPoly:
                 out[e2] = -sign * c
             return out
 
-        def add_into(acc: Dict[Exponents, Fraction], d: Dict[Exponents, Fraction]):
-            for e, c in d.items():
-                s = acc.get(e)
-                if s is None:
-                    acc[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-
         # self = (a + sign*b) * q + r with r = self evaluated at a = -sign*b
         q: Dict[int, Dict[Exponents, Fraction]] = {}
         carry: Dict[Exponents, Fraction] = {}
         for k in range(degree, 0, -1):
-            add_into(carry, coeffs.get(k, {}))
+            add_terms(carry, coeffs.get(k, {}).items())
             q[k - 1] = dict(carry)
             carry = shift_b(carry)
-        add_into(carry, coeffs.get(0, {}))
+        add_terms(carry, coeffs.get(0, {}).items())
         if carry:
             return None
         terms: Dict[Exponents, Fraction] = {}
@@ -330,28 +292,12 @@ class LaurentPoly:
         )
 
     def render(self) -> str:
-        from .scalars import format_rational
+        from .scalars import render_signed_sum
 
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                (v if k == 1 else f"{v}^{k}") for v, k in zip(self.vars, e) if k
-            )
-            mag = abs(c)
-            if not mono:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{format_rational(mag)}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_signed_sum(
+            (c, "*".join((v if k == 1 else f"{v}^{k}") for v, k in zip(self.vars, e) if k))
+            for e, c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"LaurentPoly({self.render()!r}, vars={self.vars})"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .halgebra import FreeElem, HSpace, NegWord, add_into, derivative_elem, word_weight
+from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, derivative_elem, word_weight
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 WKey = Tuple[NegWord, int]
@@ -121,8 +121,7 @@ def vacuum_state(index: int = 0) -> WElem:
 
 def welem_add(u: WElem, v: WElem) -> WElem:
     out = dict(u)
-    for k, c in v.items():
-        add_into(out, k, c)
+    add_terms(out, v.items())
     return out
 
 

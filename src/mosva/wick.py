@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
-from math import ceil, floor
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from math import ceil, floor, prod
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from .halgebra import FreeElem, HSpace
+from .halgebra import FreeElem, HSpace, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
 from .modules import (
     DualFunctional,
@@ -41,6 +41,10 @@ from .ratfun import PoleFactor, RatFun, pole_diff, pole_var
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
+# scalar * prod(pole factors)^(-exponent) * normal-ordered residual
+Term = Tuple[Fraction, Dict[PoleFactor, int], Tuple[TaggedFactor, ...]]
+# one pole signature's share of a matrix coefficient: (poles, numerator)
+Part = Tuple[Dict[PoleFactor, int], LaurentPoly]
 
 SHIFTED_VAR = "x2+x0"  # evaluation point of surviving left factors of an iterate
 INNER_VAR = "x2"
@@ -78,57 +82,48 @@ def commutator_pm(h: HSpace, a: int, m: int, b: int, n: int) -> Tuple[Fraction, 
     return n * h.pairing(a, b) * binomial(-n - 1, m - 1), m + n
 
 
-def _pattern_pairs(
-    k: int, l: int, restricted: bool = False
-) -> Iterator[Tuple[Tuple[int, int], ...]]:
+def _pattern_pairs(k: int, l: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """Index pairings between a k-factor and an l-factor group.
 
-    The correct combinatorics enumerates every pair of equal-size subsets and
-    every bijection between them, once each.  restricted=True keeps only the
-    order-reversing pairing per subset pair; it exists so tests can pin, via
-    the series oracle, that the extra bijections are really there.
+    Every pair of equal-size subsets and every bijection between them, once
+    each.
     """
     for i in range(min(k, l) + 1):
         for ps in combinations(range(k), i):
             for qs in combinations(range(l), i):
-                if restricted:
-                    yield tuple(zip(reversed(ps), qs))
-                else:
-                    for perm in permutations(ps):
-                        yield tuple(zip(perm, qs))
+                for perm in permutations(ps):
+                    yield tuple(zip(perm, qs))
 
 
 def _contract_tagged(
-    h: HSpace,
-    left: Sequence[TaggedFactor],
-    right: Sequence[TaggedFactor],
-    restricted: bool = False,
-) -> List[Tuple[Fraction, Dict[PoleFactor, int], Tuple[TaggedFactor, ...]]]:
+    h: HSpace, left: Sequence[TaggedFactor], right: Sequence[TaggedFactor]
+) -> List[Term]:
+    """Every nonvanishing contraction pattern of two tagged groups.
+
+    Each is (scalar, pole exponents, residual): a pair of left factor at x and
+    right factor at y contributes (x - y)^-(m+n), stored over its normalized
+    difference factor.
+    """
     out = []
-    for pairs in _pattern_pairs(len(left), len(right), restricted):
+    for pairs in _pattern_pairs(len(left), len(right)):
         scalar = Fraction(1)
         poles: Dict[PoleFactor, int] = {}
-        dead = False
         for p, q in pairs:
             lv, a, m = left[p]
             rv, b, n = right[q]
             c, exponent = commutator_pm(h, a, m, b, n)
             if not c:
-                dead = True
                 break
-            scalar *= c
             factor, sign = pole_diff(lv, rv)
-            if sign < 0 and exponent % 2:
-                scalar = -scalar
-            poles[factor] = poles.get(factor, 0) + exponent
-        if dead:
-            continue
-        used_p = {p for p, _ in pairs}
-        used_q = {q for _, q in pairs}
-        residual = tuple(f for t, f in enumerate(left) if t not in used_p) + tuple(
-            f for t, f in enumerate(right) if t not in used_q
-        )
-        out.append((scalar, poles, residual))
+            scalar *= -c if sign < 0 and exponent % 2 else c
+            add_into(poles, factor, exponent)
+        else:
+            used_p = {p for p, _ in pairs}
+            used_q = {q for _, q in pairs}
+            residual = tuple(f for t, f in enumerate(left) if t not in used_p) + tuple(
+                f for t, f in enumerate(right) if t not in used_q
+            )
+            out.append((scalar, poles, residual))
     return out
 
 
@@ -164,14 +159,61 @@ def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
                 h, term.residual, block.tagged()
             ):
                 merged = dict(term.poles)
-                for fct, k in poles.items():
-                    merged[fct] = merged.get(fct, 0) + k
+                add_terms(merged, poles.items())
                 nxt.append(ContractionTerm(term.scalar * scalar, merged, residual))
         terms = nxt
     return terms
 
 
-# -- matrix coefficients -------------------------------------------------------
+def blocks_for_words(words: Sequence) -> List[Block]:
+    return [Block(f"z{j + 1}", tuple(word)) for j, word in enumerate(words)]
+
+
+def iterate_closed_form(h: HSpace, u1: FreeElem, u2: FreeElem) -> List[ContractionTerm]:
+    """Contraction expansion of an iterate, over the variables (x0, x2).
+
+    Factors of u1 are tagged at the shifted point x2+x0 (kept symbolic),
+    factors of u2 at x2.  A pair between them contributes
+    ((x2+x0) - x2)^-(m+n) = x0^-(m+n); surviving u1 factors remain
+    derivative fields at the shifted point.
+    """
+    x0_factor, sign = pole_diff(SHIFTED_VAR, INNER_VAR)
+    out: List[ContractionTerm] = []
+    for (word1, c1), (word2, c2) in iproduct(u1.items(), u2.items()):
+        left = tuple((SHIFTED_VAR, i, m) for i, m in word1)
+        right = tuple((INNER_VAR, i, m) for i, m in word2)
+        for scalar, poles, residual in _contract_tagged(h, left, right):
+            k = poles.get(x0_factor, 0)
+            if sign < 0 and k % 2:
+                scalar = -scalar  # undo the normalization of the tag difference
+            out.append(
+                ContractionTerm(c1 * c2 * scalar, {pole_var("x0"): k} if k else {}, residual)
+            )
+    return out
+
+
+# -- term sources: (scalar, poles, residual) with element coefficients included --
+
+
+def _product_terms(h: HSpace, us: Sequence[FreeElem]) -> Iterator[Term]:
+    for combo in iproduct(*[u.items() for u in us]):
+        coeff = prod(c for _, c in combo)
+        for term in reduce_blocks(h, blocks_for_words([word for word, _ in combo])):
+            yield coeff * term.scalar, term.poles, term.residual
+
+
+def _iterate_terms(h: HSpace, u1: FreeElem, u2: FreeElem) -> Iterator[Term]:
+    """Iterate terms moved to (z1, z2): x2+x0 -> z1, x2 -> z2, x0 -> z1 - z2."""
+    diff12, _ = pole_diff("z1", "z2")
+    for term in iterate_closed_form(h, u1, u2):
+        residual = tuple(
+            ("z1" if v == SHIFTED_VAR else "z2", i, m) for v, i, m in term.residual
+        )
+        k = term.poles.get(pole_var("x0"), 0)
+        yield term.scalar, ({diff12: k} if k else {}), residual
+
+
+# -- the table builder ---------------------------------------------------------
 
 
 def _residual_pairing_table(
@@ -233,23 +275,89 @@ def _pairing_table_cached(
                     exps[vslot[v]] += -n - m
                 evec = tuple(exps)
                 for key, val in applied.items():
-                    slot = table.get(key)
-                    if slot is None:
-                        slot = table[key] = {}
-                    got = slot.get(evec)
-                    if got is None:
-                        slot[evec] = val
-                    else:
-                        got = got + val
-                        if got:
-                            slot[evec] = got
-                        else:
-                            del slot[evec]
+                    add_into(table.setdefault(key, {}), evec, val)
     return {
         key: LaurentPoly(variables, terms)
         for key, terms in table.items()
         if terms
     }
+
+
+def _merge_part(
+    acc: Dict, sig: Tuple, poles: Mapping[PoleFactor, int], poly: LaurentPoly, scale
+) -> None:
+    """Add scale * poly / poles into acc, one numerator per pole signature sig."""
+    slot = acc.get(sig)
+    if slot is None:
+        slot = acc[sig] = [poles, poly.vars, {}]
+    elif slot[1] != poly.vars:
+        union = sort_vars(slot[1] + poly.vars)
+        slot[2] = dict(LaurentPoly._raw(slot[1], slot[2]).align(union).terms)
+        slot[1] = union
+        poly = poly.align(union)
+    add_terms(slot[2], poly.terms.items(), scale)
+
+
+def _parts(acc: Dict) -> List[Part]:
+    return [(poles, LaurentPoly._raw(vs, terms)) for poles, vs, terms in acc.values() if terms]
+
+
+def _table_from_terms(
+    h: HSpace,
+    mod: ModulePresentation,
+    terms: Iterable[Term],
+    w: WElem,
+    totals: Iterable[int],
+    keep: Callable[[Tuple[Tuple, int]], object],
+) -> Dict[Tuple[Tuple, int], List[Part]]:
+    """The one builder behind every product and iterate entry point.
+
+    Pairs each term's residual with w over the given annihilation totals and
+    returns, for every resulting basis pair that `keep` accepts, its raw
+    parts: one (poles, numerator) per pole signature, zero numerators
+    dropped.
+    """
+    # terms with equal poles and residual differ only in scalar; summing them
+    # first pairs each residual with w once (it halves criterion 3's terms)
+    merged: Dict[Tuple, list] = {}
+    for scalar, poles, residual in terms:
+        slot = merged.setdefault((tuple(sorted(poles.items())), residual), [0, poles])
+        slot[0] += scalar
+    accs: Dict[Tuple[Tuple, int], Dict] = {}
+    for (sig, residual), (scalar, poles) in merged.items():
+        if not scalar:
+            continue
+        for key, poly in _residual_pairing_table(h, mod, residual, w, totals).items():
+            if keep(key):
+                _merge_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
+    return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
+
+
+def _ratfun_sum(parts: Iterable[Part]) -> RatFun:
+    total = RatFun.zero()
+    for poles, poly in parts:
+        total = total + RatFun(poly, poles)
+    return total
+
+
+# -- matrix coefficients: the table over f's support, paired with f ----------------
+
+
+def _paired(
+    h: HSpace, mod: ModulePresentation, terms: Iterable[Term], f: DualFunctional, w: WElem
+) -> List[Part]:
+    """Raw parts of <f, (sum of terms) w>: the table's entries weighted by f."""
+    totals = set()
+    for key_w in w:
+        for key_f in f:
+            t = key_weight(mod, key_w) - key_weight(mod, key_f)
+            if t.denominator == 1:
+                totals.add(int(t))
+    acc: Dict = {}
+    for key, parts in _table_from_terms(h, mod, terms, w, totals, f.get).items():
+        for poles, poly in parts:
+            _merge_part(acc, tuple(sorted(poles.items())), poles, poly, f[key])
+    return _parts(acc)
 
 
 def matrix_coeff_normal_ordered(
@@ -265,43 +373,8 @@ def matrix_coeff_normal_ordered(
     by the callers.  Finite because creation must land in f's support while
     annihilation is capped by w's height above the module weight floor.
     """
-    variables = sort_vars([v for v, _, _ in term.residual])
-    totals = set()
-    for key_w in w:
-        for key_f in f:
-            t = key_weight(mod, key_w) - key_weight(mod, key_f)
-            if t.denominator == 1:
-                totals.add(int(t))
-    table = _residual_pairing_table(h, mod, term.residual, w, totals)
-    out = LaurentPoly.zero(variables)
-    for key, poly in table.items():
-        c = f.get(key)
-        if c:
-            out = out + poly.scale(c)
-    return out
-
-
-def _accumulate_ratfun(
-    acc: Dict[Tuple, Tuple[Dict, LaurentPoly]], poles: Mapping, poly: LaurentPoly
-):
-    key = tuple(sorted(poles.items()))
-    got = acc.get(key)
-    if got is None:
-        acc[key] = (dict(poles), poly)
-    else:
-        acc[key] = (got[0], got[1] + poly)
-
-
-def _assemble_ratfun(acc: Dict) -> RatFun:
-    total = RatFun.zero()
-    for poles, poly in acc.values():
-        if not poly.is_zero():
-            total = total + RatFun(poly, poles)
-    return total
-
-
-def blocks_for_words(words: Sequence) -> List[Block]:
-    return [Block(f"z{j + 1}", tuple(word)) for j, word in enumerate(words)]
+    parts = _paired(h, mod, [(1, {}, term.residual)], f, w)
+    return parts[0][1] if parts else LaurentPoly.zero([v for v, _, _ in term.residual])
 
 
 def matrix_coeff_product(
@@ -316,53 +389,7 @@ def matrix_coeff_product(
     The region expansion of the result in |z1| > ... > |zn| > 0 agrees with
     the series-level evaluation; poles sit only at z_i = 0 and z_i = z_j.
     """
-    acc: Dict = {}
-    for combo in iproduct(*[u.items() for u in us]):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
-        blocks = blocks_for_words([word for word, _ in combo])
-        for term in reduce_blocks(h, blocks):
-            poly = matrix_coeff_normal_ordered(h, mod, term, f, w)
-            if not poly.is_zero():
-                _accumulate_ratfun(acc, term.poles, poly.scale(coeff * term.scalar))
-    return _assemble_ratfun(acc)
-
-
-def iterate_closed_form(h: HSpace, u1: FreeElem, u2: FreeElem) -> List[ContractionTerm]:
-    """Contraction expansion of an iterate, over the variables (x0, x2).
-
-    Pairs between a factor of u1 and a factor of u2 contribute x0^-(m+n);
-    surviving u1 factors are derivative fields at the shifted point x2+x0
-    (tagged symbolically), surviving u2 factors sit at x2.
-    """
-    out: List[ContractionTerm] = []
-    for (word1, c1), (word2, c2) in iproduct(u1.items(), u2.items()):
-        left = tuple((SHIFTED_VAR, i, m) for i, m in word1)
-        right = tuple((INNER_VAR, i, m) for i, m in word2)
-        for pairs in _pattern_pairs(len(left), len(right)):
-            scalar = c1 * c2
-            exponent = 0
-            dead = False
-            for p, q in pairs:
-                _, a, m = left[p]
-                _, b, n = right[q]
-                c, e = commutator_pm(h, a, m, b, n)
-                if not c:
-                    dead = True
-                    break
-                scalar *= c
-                exponent += e
-            if dead or not scalar:
-                continue
-            used_p = {p for p, _ in pairs}
-            used_q = {q for _, q in pairs}
-            residual = tuple(
-                fct for t, fct in enumerate(left) if t not in used_p
-            ) + tuple(fct for t, fct in enumerate(right) if t not in used_q)
-            poles = {pole_var("x0"): exponent} if exponent else {}
-            out.append(ContractionTerm(scalar, poles, residual))
-    return out
+    return _ratfun_sum(_paired(h, mod, _product_terms(h, us), f, w))
 
 
 def matrix_coeff_iterate(
@@ -379,24 +406,36 @@ def matrix_coeff_iterate(
     x2+x0, which the final change of variables sends to z1; x2 goes to z2 and
     each x0 pole becomes the (z1 - z2) pole of the same order.
     """
-    diff12, _ = pole_diff("z1", "z2")
-    acc: Dict = {}
-    for term in iterate_closed_form(h, u1, u2):
-        renamed = tuple(
-            ("z1" if v == SHIFTED_VAR else "z2", i, m) for v, i, m in term.residual
-        )
-        poly = matrix_coeff_normal_ordered(
-            h, mod, ContractionTerm(term.scalar, {}, renamed), f, w
-        )
-        if poly.is_zero():
-            continue
-        k = term.poles.get(pole_var("x0"), 0)
-        poles = {diff12: k} if k else {}
-        _accumulate_ratfun(acc, poles, poly.scale(term.scalar))
-    return _assemble_ratfun(acc)
+    return _ratfun_sum(_paired(h, mod, _iterate_terms(h, u1, u2), f, w))
 
 
 # -- bulk tables: one pass for every dual word up to a weight cap ----------------
+
+
+def _capped_table(
+    h: HSpace, mod: ModulePresentation, terms: Iterable[Term], w: WElem, weight_cap
+) -> Dict[Tuple[Tuple, int], List[Part]]:
+    cap = Fraction(weight_cap)
+    totals = set()
+    for key_w in w:
+        ww = key_weight(mod, key_w)
+        totals.update(range(ceil(ww - cap), floor(ww - mod.min_weight) + 1))
+    return _table_from_terms(h, mod, terms, w, totals, lambda key: key_weight(mod, key) <= cap)
+
+
+def product_table_raw(
+    h: HSpace,
+    mod: ModulePresentation,
+    us: Sequence[FreeElem],
+    w: WElem,
+    weight_cap: Fraction,
+) -> Dict[Tuple[Tuple, int], List[Part]]:
+    """product_table without canonicalization: per key, (poles, numerator) parts.
+
+    Meant for bulk expansion comparisons, where assembling canonical rational
+    functions per entry would dominate the cost.
+    """
+    return _capped_table(h, mod, _product_terms(h, us), w, weight_cap)
 
 
 def product_table(
@@ -412,18 +451,8 @@ def product_table(
     omitted.  Pairing a dual functional against the table reproduces
     matrix_coeff_product.
     """
-    return _table_from_terms(
-        h,
-        mod,
-        (
-            (term, coeff)
-            for combo in iproduct(*[u.items() for u in us])
-            for coeff in [_combo_coeff(combo)]
-            for term in reduce_blocks(h, blocks_for_words([wd for wd, _ in combo]))
-        ),
-        w,
-        weight_cap,
-    )
+    raw = product_table_raw(h, mod, us, w, weight_cap)
+    return {key: _ratfun_sum(parts) for key, parts in raw.items()}
 
 
 def iterate_table(
@@ -435,115 +464,5 @@ def iterate_table(
     weight_cap: Fraction,
 ) -> Dict[Tuple[Tuple, int], RatFun]:
     """Iterate-side analogue of product_table, already in (z1, z2) variables."""
-    diff12, _ = pole_diff("z1", "z2")
-
-    def terms():
-        for term in iterate_closed_form(h, u1, u2):
-            renamed = tuple(
-                ("z1" if v == SHIFTED_VAR else "z2", i, m) for v, i, m in term.residual
-            )
-            k = term.poles.get(pole_var("x0"), 0)
-            poles = {diff12: k} if k else {}
-            yield ContractionTerm(term.scalar, poles, renamed), Fraction(1)
-
-    return _table_from_terms(h, mod, terms(), w, weight_cap)
-
-
-def _combo_coeff(combo) -> Fraction:
-    coeff = Fraction(1)
-    for _, c in combo:
-        coeff *= c
-    return coeff
-
-
-def _table_from_terms(h, mod, terms_with_coeff, w, weight_cap, assemble=True):
-    weight_cap = Fraction(weight_cap)
-    accs: Dict[Tuple[Tuple, int], Dict] = {}
-    for term, coeff in terms_with_coeff:
-        totals = set()
-        for key_w in w:
-            ww = key_weight(mod, key_w)
-            totals.update(range(ceil(ww - weight_cap), floor(ww - mod.min_weight) + 1))
-        table = _residual_pairing_table(h, mod, term.residual, w, totals)
-        scalar = coeff * term.scalar
-        sig = tuple(sorted(term.poles.items()))
-        for key, poly in table.items():
-            if key_weight(mod, key) > weight_cap:
-                continue
-            acc = accs.setdefault(key, {})
-            slot = acc.get(sig)
-            if slot is None:
-                slot = acc[sig] = (dict(term.poles), poly.vars, {})
-            elif slot[1] != poly.vars:
-                union = sort_vars(slot[1] + poly.vars)
-                realigned = LaurentPoly._raw(slot[1], slot[2]).align(union)
-                slot = acc[sig] = (slot[0], union, dict(realigned.terms))
-                poly = poly.align(union)
-            target = slot[2]
-            if scalar == 1:
-                for e, v in poly.terms.items():
-                    got = target.get(e)
-                    if got is None:
-                        target[e] = v
-                    else:
-                        got = got + v
-                        if got:
-                            target[e] = got
-                        else:
-                            del target[e]
-            else:
-                for e, v in poly.terms.items():
-                    got = target.get(e)
-                    sv = scalar * v
-                    if got is None:
-                        target[e] = sv
-                    else:
-                        got = got + sv
-                        if got:
-                            target[e] = got
-                        else:
-                            del target[e]
-    out = {}
-    for key, acc in accs.items():
-        parts = [
-            (poles, LaurentPoly(variables, terms))
-            for poles, variables, terms in acc.values()
-            if terms
-        ]
-        if not parts:
-            continue
-        if assemble:
-            total = RatFun.zero()
-            for poles, poly in parts:
-                total = total + RatFun(poly, poles)
-            out[key] = total
-        else:
-            out[key] = parts
-    return out
-
-
-def product_table_raw(
-    h: HSpace,
-    mod: ModulePresentation,
-    us: Sequence[FreeElem],
-    w: WElem,
-    weight_cap: Fraction,
-) -> Dict[Tuple[Tuple, int], List[Tuple[Dict, LaurentPoly]]]:
-    """product_table without canonicalization: per key, (poles, numerator) parts.
-
-    Meant for bulk expansion comparisons, where assembling canonical rational
-    functions per entry would dominate the cost.
-    """
-    return _table_from_terms(
-        h,
-        mod,
-        (
-            (term, coeff)
-            for combo in iproduct(*[u.items() for u in us])
-            for coeff in [_combo_coeff(combo)]
-            for term in reduce_blocks(h, blocks_for_words([wd for wd, _ in combo]))
-        ),
-        w,
-        weight_cap,
-        assemble=False,
-    )
+    raw = _capped_table(h, mod, _iterate_terms(h, u1, u2), w, weight_cap)
+    return {key: _ratfun_sum(parts) for key, parts in raw.items()}

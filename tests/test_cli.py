@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mosva.checks import CHECKS
 from mosva.cli import (
     ConfigError,
     ElemParseError,
@@ -242,3 +243,39 @@ def test_bad_config_exit_code():
 def test_missing_config_file_exit_code():
     code = main(["check", "-c", "/nonexistent/cfg.json"])
     assert code == 2
+
+
+# each config carries one bad value; the error must name its field
+BAD_CONFIGS = {
+    "check-typo": ('{"dim": 2, "suite": {"checks": ["asociativity"]}}', "suite.checks"),
+    "checks-string": ('{"dim": 2, "suite": {"checks": "associativity"}}', "suite.checks"),
+    "checks-nested": ('{"dim": 2, "suite": {"checks": [["associativity"]]}}', "suite.checks"),
+    "checks-null": ('{"dim": 2, "suite": {"checks": [null]}}', "suite.checks"),
+    "flag-string": ('{"dim": 2, "require_nondegenerate": "false"}', "require_nondegenerate"),
+    "flag-int": ('{"dim": 2, "require_symmetric": 1}', "require_symmetric"),
+    "weight-negative": ('{"dim": 2, "suite": {"max_weight": -1}}', "suite.max_weight"),
+    "weight-float": ('{"dim": 2, "suite": {"max_weight": 2.9}}', "suite.max_weight"),
+    "weight-huge": ('{"dim": 2, "suite": {"max_weight": 25}}', "suite.max_weight"),
+    "cap-string": ('{"dim": 2, "suite": {"dual_weight_cap": "6"}}', "suite.dual_weight_cap"),
+    "pbw-negative": ('{"dim": 2, "suite": {"pbw_words": -5}}', "suite.pbw_words"),
+    "pairs-bool": ('{"dim": 2, "suite": {"sample_pairs": true}}', "suite.sample_pairs"),
+    "seed-string": ('{"dim": 2, "suite": {"seed": "7"}}', "suite.seed"),
+    "window-reversed": ('{"dim": 2, "suite": {"window": [2, -6]}}', "suite.window"),
+}
+
+
+@pytest.mark.parametrize("config, field", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+def test_bad_config_value_exits_2_naming_field(capsys, config, field):
+    code = main(["check", "-c", config])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {field}: ")
+    assert "checks passed" not in captured.out
+
+
+def test_unknown_check_lists_valid_names(capsys):
+    code = main(["check", "-c", '{"dim": 2, "suite": {"checks": ["asociativity"]}}'])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "asociativity" in err
+    assert all(name in err for name in CHECKS)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -43,6 +44,16 @@ H2 = HSpace.identity(2)
 TRIV1 = ModulePresentation.trivial(1)
 TRIV2 = ModulePresentation.trivial(2)
 DIFF12 = pole_diff("z1", "z2")[0]
+RATIONAL_FORM = HSpace.from_rows([[1, Fraction(1, 2)], [Fraction(1, 3), 2]])
+# criterion 5's module: two weights, noncommuting zero modes, nonzero Dm
+NONCOMMUTING4 = ModulePresentation.build(
+    [0, 0, 1, 1],
+    [
+        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+    ],
+    [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+)
 
 
 # -- single contractions ---------------------------------------------------------
@@ -284,13 +295,35 @@ def test_pole_locus_containment():
         assert all(fct[0] in allowed_kinds for fct in rf2.poles)
 
 
+def restricted_contract(h, left, right):
+    """_contract_tagged over the undercounting pattern set: only the
+    order-reversing pairing per pair of equal-size subsets."""
+    out = []
+    for i in range(min(len(left), len(right)) + 1):
+        for ps in combinations(range(len(left)), i):
+            for qs in combinations(range(len(right)), i):
+                pairs = tuple(zip(reversed(ps), qs))
+                scalar, poles = Fraction(1), {}
+                for p, q in pairs:
+                    (lv, a, m), (rv, b, n) = left[p], right[q]
+                    c, exponent = commutator_pm(h, a, m, b, n)
+                    factor, sign = pole_diff(lv, rv)
+                    scalar *= c * sign**exponent
+                    poles[factor] = poles.get(factor, 0) + exponent
+                residual = tuple(
+                    f for t, f in enumerate(left) if t not in ps
+                ) + tuple(f for t, f in enumerate(right) if t not in qs)
+                out.append((scalar, poles, residual))
+    return out
+
+
 def test_pattern_set_pinned_by_oracle():
     # the full contraction of :a a: x :a a: carries both bijections; keeping
     # only one order-reversing pairing per subset pair breaks the value
     left = tuple(("z1", 0, 1) for _ in range(2))
     right = tuple(("z2", 0, 1) for _ in range(2))
     good = _contract_tagged(H1, left, right)
-    bad = _contract_tagged(H1, left, right, restricted=True)
+    bad = restricted_contract(H1, left, right)
     full_good = sum(s for s, _, r in good if not r)
     full_bad = sum(s for s, _, r in bad if not r)
     assert full_good == 2 and full_bad == 1
@@ -337,22 +370,45 @@ def test_fold_order_confluence():
 
 def test_asymmetric_form_full_pipeline():
     # nonsymmetric forms are legal; contraction scalars read (left, right)
-    h = HSpace.from_rows([[1, 2], [0, 1]])
-    mod = ModulePresentation.trivial(2)
-    rng = random.Random(35)
-    words = basis_words_up_to(2, 2)
-    window = uniform_window(("z1", "z2"), -5, 1)
-    for _ in range(12):
-        u1, u2 = word_elem(rng.choice(words)), word_elem(rng.choice(words))
-        f = dual_term(rng.choice(words))
-        prod = matrix_coeff_product(h, mod, [u1, u2], f, vacuum_state())
-        iter_ = matrix_coeff_iterate(h, mod, u1, u2, f, vacuum_state())
-        assert ratfun_eq(prod, iter_)
-        oracle = product_series_bruteforce(h, mod, [u1, u2], vacuum_state(), f, window)
-        assert expand_in_region(prod, ("z1", "z2"), window) == oracle.align(("z1", "z2"))
+    inputs = [
+        (HSpace.from_rows([[1, 2], [0, 1]]), ModulePresentation.trivial(2), vacuum_state()),
+        # non-integral form and module legs of both weights in w
+        (RATIONAL_FORM, NONCOMMUTING4, {((), 2): Fraction(1), (((1, 1),), 0): Fraction(-3, 2)}),
+    ]
+    inhomogeneous = {((0, 1),): Fraction(1), ((1, 2), (0, 1)): Fraction(-2, 3)}
+    for h, mod, w in inputs:
+        rng = random.Random(35)
+        words = basis_words_up_to(2, 2)
+        window = uniform_window(("z1", "z2"), -5, 1)
+        pairs = []
+        for _ in range(12):
+            u1, u2 = word_elem(rng.choice(words)), word_elem(rng.choice(words))
+            f = dual_term(rng.choice(words))
+            prod = matrix_coeff_product(h, mod, [u1, u2], f, w)
+            iter_ = matrix_coeff_iterate(h, mod, u1, u2, f, w)
+            assert ratfun_eq(prod, iter_)
+            oracle = product_series_bruteforce(h, mod, [u1, u2], w, f, window)
+            assert expand_in_region(prod, ("z1", "z2"), window) == oracle.align(("z1", "z2"))
+            pairs.append((u1, u2))
+        # matrix coefficients are the tables paired with a multi-term dual
+        for u1, u2 in pairs[:4] + [(inhomogeneous, word_elem(((1, 1),)))]:
+            prod_table_ = product_table(h, mod, [u1, u2], w, 5)
+            iter_table_ = iterate_table(h, mod, u1, u2, w, 5)
+            keys = sorted(prod_table_)
+            keys = sorted({keys[0], keys[len(keys) // 2], keys[-1]})
+            f = {key: Fraction((-1) ** j * (j + 2), 3) for j, key in enumerate(keys)}
+            assert len(f) == 3
+            for rf, table in (
+                (matrix_coeff_product(h, mod, [u1, u2], f, w), prod_table_),
+                (matrix_coeff_iterate(h, mod, u1, u2, f, w), iter_table_),
+            ):
+                paired = RatFun.zero()
+                for key, c in f.items():
+                    paired = paired + table.get(key, RatFun.zero()).scale(c)
+                assert ratfun_eq(rf, paired), (h, u1, u2, f)
     # the asymmetry is visible: (a1, a2) = 2 but (a2, a1) = 0
-    c12, _ = commutator_pm(h, 0, 1, 1, 1)
-    c21, _ = commutator_pm(h, 1, 1, 0, 1)
+    c12, _ = commutator_pm(inputs[0][0], 0, 1, 1, 1)
+    c21, _ = commutator_pm(inputs[0][0], 1, 1, 0, 1)
     assert (c12, c21) == (2, 0)
 
 
