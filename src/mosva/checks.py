@@ -101,8 +101,34 @@ class CheckReport:
 MAX_SUITE_WEIGHT = 5
 
 
+class ConfigError(ValueError):
+    """A configuration value out of its domain; `path` names the field."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (lowest, highest) value of each integer field, None where unbounded; a
+# count of 0 would let its checks pass without checking anything
+_INT_BOUNDS = {
+    "max_weight": (1, MAX_SUITE_WEIGHT),
+    "dual_weight_cap": (0, None),
+    "seed": (None, None),
+    "pbw_words": (1, None),
+    "sample_pairs": (1, None),
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Everything a suite run reads; raises ConfigError naming a bad field."""
+
     h: HSpace
     module: ModulePresentation
     max_weight: int = 3
@@ -112,6 +138,32 @@ class SuiteConfig:
     pbw_words: int = 300
     sample_pairs: int = 25
     checks: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self):
+        for name, (lo, hi) in _INT_BOUNDS.items():
+            value = getattr(self, name)
+            if not _is_int(value) or (lo is not None and value < lo) or (hi is not None and value > hi):
+                bound = "an integer" if lo is None else f"an integer >= {lo}"
+                if hi is not None:
+                    bound += f" and <= {hi}"
+                raise ConfigError(name, f"must be {bound}, got {value!r}")
+        window = self.window
+        if (
+            not isinstance(window, (list, tuple))
+            or len(window) != 2
+            or not all(_is_int(x) for x in window)
+            or window[0] > window[1]
+        ):
+            raise ConfigError("window", "must be [lo, hi] integers with lo <= hi")
+        object.__setattr__(self, "window", tuple(window))
+        if self.checks is not None:
+            valid = f"valid names: {', '.join(CHECKS)}"
+            if not isinstance(self.checks, (list, tuple)):
+                raise ConfigError("checks", f"expected a list, got {self.checks!r}; {valid}")
+            for name in self.checks:
+                if not isinstance(name, str) or name not in CHECKS:
+                    raise ConfigError("checks", f"unknown check {name!r}; {valid}")
+            object.__setattr__(self, "checks", tuple(self.checks))
 
 
 # -- vacuum properties ----------------------------------------------------------

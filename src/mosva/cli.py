@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +39,7 @@ from .halgebra import (
     validate_hspace,
     word_sort_key,
 )
-from .checks import CHECKS, MAX_SUITE_WEIGHT, SuiteConfig, project_to_sym, run_suite
+from .checks import ConfigError, SuiteConfig, _is_int, project_to_sym, run_suite
 from .fields import series_lower_bound, vertex_series
 from .modules import (
     ModulePresentation,
@@ -48,12 +48,6 @@ from .modules import (
 )
 from .scalars import format_rational, parse_rational, render_signed_sum
 from .wick import matrix_coeff_iterate, matrix_coeff_product
-
-
-class ConfigError(ValueError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 class ElemParseError(ValueError):
@@ -90,7 +84,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise ElemParseError(self.text, start, "expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ElemParseError(self.text, start, "integer too long") from None
 
     def scan_rational_text(self) -> str:
         start = self.pos
@@ -129,7 +126,10 @@ def parse_elem(text: str, dim: int) -> FreeElem:
             sc.skip_ws()
             if sc.peek() == "*":
                 sc.pos += 1
-                coeff = sign * parse_rational(rat)
+                try:
+                    coeff = sign * parse_rational(rat)
+                except ValueError as exc:  # zero denominator
+                    raise ElemParseError(text, at, str(exc)) from None
                 sc.skip_ws()
             elif rat == "1":
                 add_into(out, (), coeff)
@@ -190,13 +190,6 @@ def parse_hat_word(text: str, dim: int) -> List[HatGen]:
 # -- config ingestion -------------------------------------------------------------
 
 
-@dataclass
-class Config:
-    h: HSpace
-    module: ModulePresentation
-    suite: SuiteConfig
-
-
 def _rational_at(value, path: str) -> Fraction:
     if not isinstance(value, str) and not isinstance(value, int):
         raise ConfigError(path, f"expected a rational string, got {type(value).__name__}")
@@ -217,24 +210,10 @@ def _matrix_at(value, r: int, path: str):
     return rows
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_at(
-    raw: dict, name: str, default: int, lo: Optional[int], hi: Optional[int] = None
-) -> int:
-    value = raw.get(name, default)
-    if (
-        not _is_int(value)
-        or (lo is not None and value < lo)
-        or (hi is not None and value > hi)
-    ):
-        bound = "an integer" if lo is None else f"an integer >= {lo}"
-        if hi is not None:
-            bound += f" and <= {hi}"
-        raise ConfigError(f"suite.{name}", f"must be {bound}, got {value!r}")
-    return value
+def _reject_unknown(raw: dict, valid: Sequence[str], prefix: str = "") -> None:
+    for key in raw:
+        if key not in valid:
+            raise ConfigError(prefix + key, f"unknown key; valid keys: {', '.join(valid)}")
 
 
 def _flag_at(raw: dict, name: str) -> bool:
@@ -244,21 +223,27 @@ def _flag_at(raw: dict, name: str) -> bool:
     return value
 
 
-def parse_config(source: str) -> Config:
+TOP_KEYS = ("dim", "form", "require_nondegenerate", "require_symmetric", "module", "suite")
+MODULE_KEYS = ("weights", "action", "Dm")
+SUITE_KEYS = tuple(f.name for f in fields(SuiteConfig) if f.name not in ("h", "module"))
+
+
+def parse_config(source: str) -> SuiteConfig:
     """Parse a JSON config from a path or literal text; validates everything."""
     text = source
     if not source.lstrip().startswith("{"):
         try:
             with open(source, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: NUL in path, undecodable file
             raise ConfigError("<path>", str(exc)) from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep nesting
         raise ConfigError("<json>", str(exc)) from None
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be an object")
+    _reject_unknown(raw, TOP_KEYS)
     dim = raw.get("dim")
     if not _is_int(dim) or dim < 1:
         raise ConfigError("dim", "must be a positive integer")
@@ -281,6 +266,7 @@ def parse_config(source: str) -> Config:
     else:
         if not isinstance(module_raw, dict):
             raise ConfigError("module", "must be an object")
+        _reject_unknown(module_raw, MODULE_KEYS, "module.")
         weights = module_raw.get("weights")
         if not isinstance(weights, list) or not weights:
             raise ConfigError("module.weights", "must be a nonempty list")
@@ -303,34 +289,11 @@ def parse_config(source: str) -> Config:
     suite_raw = raw.get("suite", {})
     if not isinstance(suite_raw, dict):
         raise ConfigError("suite", "must be an object")
-    window = suite_raw.get("window", [-6, 2])
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or not all(_is_int(x) for x in window)
-        or window[0] > window[1]
-    ):
-        raise ConfigError("suite.window", "must be [lo, hi] integers with lo <= hi")
-    checks = suite_raw.get("checks")
-    if checks is not None:
-        valid = f"valid names: {', '.join(CHECKS)}"
-        if not isinstance(checks, list):
-            raise ConfigError("suite.checks", f"expected a list, got {checks!r}; {valid}")
-        for name in checks:
-            if not isinstance(name, str) or name not in CHECKS:
-                raise ConfigError("suite.checks", f"unknown check {name!r}; {valid}")
-    suite = SuiteConfig(
-        h=h,
-        module=module,
-        max_weight=_int_at(suite_raw, "max_weight", 3, 1, MAX_SUITE_WEIGHT),
-        dual_weight_cap=_int_at(suite_raw, "dual_weight_cap", 6, 0),
-        window=(window[0], window[1]),
-        seed=_int_at(suite_raw, "seed", 0, None),
-        pbw_words=_int_at(suite_raw, "pbw_words", 300, 0),
-        sample_pairs=_int_at(suite_raw, "sample_pairs", 25, 0),
-        checks=tuple(checks) if checks is not None else None,
-    )
-    return Config(h=h, module=module, suite=suite)
+    _reject_unknown(suite_raw, SUITE_KEYS, "suite.")
+    try:
+        return SuiteConfig(h=h, module=module, **suite_raw)
+    except ConfigError as exc:
+        raise ConfigError(f"suite.{exc.path}", exc.message) from None
 
 
 DEFAULT_CONFIG = '{"dim": 2}'
@@ -357,7 +320,7 @@ def state_to_json(welem, mod: ModulePresentation):
     ]
 
 
-def _parse_state_arg(text: Optional[str], config: Config):
+def _parse_state_arg(text: Optional[str], config: SuiteConfig):
     elem = parse_elem(text, config.h.dim) if text else {(): Fraction(1)}
     return free_to_state(elem)
 
@@ -365,10 +328,10 @@ def _parse_state_arg(text: Optional[str], config: Config):
 # -- commands ------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, need_config=True):
+def _add_common(p: argparse.ArgumentParser, run) -> None:
+    p.set_defaults(run=run)
     p.add_argument("-c", "--config", default=None, help="JSON config path or literal")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,42 +342,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the verification suite")
-    _add_common(p)
+    _add_common(p, cmd_check)
+    p.add_argument("--seed", type=int, default=None, help="overrides suite.seed")
 
     p = sub.add_parser("product", help="matrix coefficient of a product of operators")
-    _add_common(p)
+    _add_common(p, cmd_product)
     p.add_argument("-u", action="append", required=True, help="operator element, outermost first")
     p.add_argument("--dual", default=None, help="dual-basis combination")
     p.add_argument("--state", default=None, help="starting state")
 
     p = sub.add_parser("iterate", help="matrix coefficient of an iterate of two operators")
-    _add_common(p)
+    _add_common(p, cmd_iterate)
     p.add_argument("-u", action="append", required=True)
     p.add_argument("--dual", default=None)
     p.add_argument("--state", default=None)
 
     p = sub.add_parser("series", help="coefficients of one vertex operator series")
-    _add_common(p)
+    _add_common(p, cmd_series)
     p.add_argument("-u", action="append", required=True)
     p.add_argument("--state", default=None)
-    p.add_argument("--window", action="append", default=None, help="lo:hi exponent range")
+    p.add_argument("--window", default=None, help="lo:hi exponent range")
 
     p = sub.add_parser("normalform", help="block normal form of a generator word")
-    _add_common(p)
+    _add_common(p, cmd_normalform)
     p.add_argument("expr", help="generator word, e.g. 'a1(1)a1(-1)'")
 
     p = sub.add_parser("quotient", help="projection onto the symmetric algebra")
-    _add_common(p)
+    _add_common(p, cmd_quotient)
     p.add_argument("-u", action="append", required=True)
 
     return parser
-
-
-def _load_config(args) -> Config:
-    config = parse_config(args.config if args.config else DEFAULT_CONFIG)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, suite=replace(config.suite, seed=args.seed))
-    return config
 
 
 def _emit(args, text_value: str, json_value) -> None:
@@ -424,30 +381,26 @@ def _emit(args, text_value: str, json_value) -> None:
         print(text_value)
 
 
-def cmd_check(args) -> int:
-    config = _load_config(args)
-    reports = run_suite(config.suite)
-    if args.format == "json":
-        payload = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "params": {k: str(v) for k, v in r.params.items()},
-            }
-            for r in reports
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in reports:
-            print(r.line())
-        passed = sum(1 for r in reports if r.passed)
-        print(f"{passed}/{len(reports)} checks passed")
-    return 0 if all(r.passed for r in reports) else 1
+def cmd_check(args, config: SuiteConfig) -> int:
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    reports = run_suite(config)
+    passed = sum(1 for r in reports if r.passed)
+    lines = [r.line() for r in reports] + [f"{passed}/{len(reports)} checks passed"]
+    payload = [
+        {
+            "name": r.name,
+            "passed": r.passed,
+            "detail": r.detail,
+            "params": {k: str(v) for k, v in r.params.items()},
+        }
+        for r in reports
+    ]
+    _emit(args, "\n".join(lines), payload)
+    return 0 if passed == len(reports) else 1
 
 
-def cmd_product(args) -> int:
-    config = _load_config(args)
+def cmd_product(args, config: SuiteConfig) -> int:
     us = [parse_elem(text, config.h.dim) for text in args.u]
     f = _parse_state_arg(args.dual, config)
     w = _parse_state_arg(args.state, config)
@@ -456,8 +409,7 @@ def cmd_product(args) -> int:
     return 0
 
 
-def cmd_iterate(args) -> int:
-    config = _load_config(args)
+def cmd_iterate(args, config: SuiteConfig) -> int:
     if len(args.u) != 2:
         print("iterate needs exactly two -u elements", file=sys.stderr)
         return 2
@@ -469,8 +421,7 @@ def cmd_iterate(args) -> int:
     return 0
 
 
-def cmd_series(args) -> int:
-    config = _load_config(args)
+def cmd_series(args, config: SuiteConfig) -> int:
     if len(args.u) != 1:
         print("series takes exactly one -u element", file=sys.stderr)
         return 2
@@ -478,12 +429,12 @@ def cmd_series(args) -> int:
     w = _parse_state_arg(args.state, config)
     if args.window:
         try:
-            lo, hi = (int(x) for x in args.window[0].split(":"))
+            lo, hi = (int(x) for x in args.window.split(":"))
         except ValueError:
             print("--window must be lo:hi", file=sys.stderr)
             return 2
     else:
-        lo, hi = config.suite.window
+        lo, hi = config.window
     series = vertex_series(config.h, config.module, u, w, lo, hi)
     bound = series_lower_bound(config.h, config.module, u, w)
     lines = [f"x^{e}: {render_state(series[e], config.module)}" for e in sorted(series)]
@@ -496,8 +447,7 @@ def cmd_series(args) -> int:
     return 0
 
 
-def cmd_normalform(args) -> int:
-    config = _load_config(args)
+def cmd_normalform(args, config: SuiteConfig) -> int:
     gens = parse_hat_word(args.expr, config.h.dim)
     out = pbw_normal_form(gens, config.h)
     text = render_pbw_elem(out)
@@ -515,8 +465,7 @@ def cmd_normalform(args) -> int:
     return 0
 
 
-def cmd_quotient(args) -> int:
-    config = _load_config(args)
+def cmd_quotient(args, config: SuiteConfig) -> int:
     combined: Dict = {}
     for text in args.u:
         add_terms(combined, parse_elem(text, config.h.dim).items())
@@ -530,16 +479,6 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "product": cmd_product,
-    "iterate": cmd_iterate,
-    "series": cmd_series,
-    "normalform": cmd_normalform,
-    "quotient": cmd_quotient,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -547,7 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args, parse_config(args.config or DEFAULT_CONFIG))
     except (ConfigError, ElemParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

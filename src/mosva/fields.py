@@ -164,20 +164,10 @@ def vertex_coefficient(
 ) -> WElem:
     """The mode u_s applied to w, where Y(u, x) = sum_s u_s x^{-s-1}.
 
-    For each creation word of u, contributing mode tuples satisfy
-    sum (n_j + m_j) = s + 1; the x-exponent of the result is -s-1.
+    This is the x^{-s-1} coefficient of vertex_series: for each creation word
+    of u, contributing mode tuples satisfy sum (n_j + m_j) = s + 1.
     """
-    out: WElem = {}
-    allow_zero = mod.has_zero_mode_action()
-    for uword, ucoeff in u.items():
-        total = s + 1 - word_weight(uword)
-        for (word, idx), wcoeff in w.items():
-            budget = _budget(mod, key_weight(mod, (word, idx)))
-            base = ucoeff * wcoeff
-            for mono, c, _tot in _word_monomials(uword, total, total, budget, allow_zero):
-                applied = apply_monomial(h, mod, mono, word, idx, c if base == 1 else base * c)
-                add_terms(out, applied.items())
-    return out
+    return vertex_series(h, mod, u, w, -s - 1, -s - 1).get(-s - 1, {})
 
 
 def vertex_series(

@@ -275,14 +275,6 @@ class LaurentPoly:
                 terms[e[:ia] + (k,) + e[ia + 1:]] = c
         return LaurentPoly(self.vars, terms)
 
-    def div_diff(self, a: str, b: str) -> Optional["LaurentPoly"]:
-        """Exact quotient by (a - b), or None."""
-        return self._div_linear(a, b, -1)
-
-    def div_sum(self, a: str, b: str) -> Optional["LaurentPoly"]:
-        """Exact quotient by (a + b), or None."""
-        return self._div_linear(a, b, +1)
-
     # -- rendering -------------------------------------------------------
 
     def sorted_terms(self):

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, derivative_elem, word_weight
+from .halgebra import (
+    FreeElem, HSpace, NegWord, add_into, derivative_elem, free_add, free_scale, word_weight,
+)
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 WKey = Tuple[NegWord, int]
@@ -119,17 +121,9 @@ def vacuum_state(index: int = 0) -> WElem:
     return state((), index)
 
 
-def welem_add(u: WElem, v: WElem) -> WElem:
-    out = dict(u)
-    add_terms(out, v.items())
-    return out
-
-
-def welem_scale(u: WElem, c) -> WElem:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * x for k, x in u.items()}
+# module elements add and scale exactly like free-algebra elements
+welem_add = free_add
+welem_scale = free_scale
 
 
 def free_to_state(u: FreeElem, index: int = 0) -> WElem:

@@ -115,10 +115,6 @@ class RatFun:
     def const(cls, c) -> "RatFun":
         return cls(LaurentPoly.const(c), {}, _canonical=True)
 
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RatFun":
-        return cls(p, {})
-
     def is_zero(self) -> bool:
         return self.numer.is_zero()
 
@@ -180,9 +176,7 @@ class RatFun:
 def _divide_once(p: LaurentPoly, f: PoleFactor) -> Optional[LaurentPoly]:
     if f[0] == "var":
         return p.div_var(f[1])
-    if f[0] == "diff":
-        return p.div_diff(f[1], f[2])
-    return p.div_sum(f[1], f[2])
+    return p._div_linear(f[1], f[2], -1 if f[0] == "diff" else 1)
 
 
 def _reduce(numer: LaurentPoly, poles: Dict[PoleFactor, int]):
@@ -464,10 +458,6 @@ def substitute_vars(r: RatFun, mapping: Mapping[str, Affine]) -> RatFun:
 ITERATE_SUBSTITUTION = {"z1": {"x2": 1, "x0": 1}, "z2": {"x2": 1}}
 ITERATE_SUBSTITUTION_INVERSE = {"x0": {"z1": 1, "z2": -1}, "x2": {"z2": 1}}
 ITERATE_REGION = ("x2", "x0")
-
-
-def product_region(n: int) -> Tuple[str, ...]:
-    return tuple(f"z{i}" for i in range(1, n + 1))
 
 
 def uniform_window(variables: Iterable[str], lo: int, hi: int) -> Dict[str, Tuple[int, int]]:

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from math import ceil, floor, prod
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -41,8 +42,6 @@ from .ratfun import PoleFactor, RatFun, pole_diff, pole_var
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
-# scalar * prod(pole factors)^(-exponent) * normal-ordered residual
-Term = Tuple[Fraction, Dict[PoleFactor, int], Tuple[TaggedFactor, ...]]
 # one pole signature's share of a matrix coefficient: (poles, numerator)
 Part = Tuple[Dict[PoleFactor, int], LaurentPoly]
 
@@ -61,8 +60,7 @@ class Block:
         return tuple((self.var, i, m) for i, m in self.factors)
 
 
-@dataclass
-class ContractionTerm:
+class ContractionTerm(NamedTuple):
     """scalar * prod(pole factors)^(-exponent) * normal-ordered residual."""
 
     scalar: Fraction
@@ -96,18 +94,22 @@ def _pattern_pairs(k: int, l: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
 
 
 def _contract_tagged(
-    h: HSpace, left: Sequence[TaggedFactor], right: Sequence[TaggedFactor]
-) -> List[Term]:
+    h: HSpace,
+    left: Sequence[TaggedFactor],
+    right: Sequence[TaggedFactor],
+    scalar: Fraction = Fraction(1),
+    poles: Mapping[PoleFactor, int] = MappingProxyType({}),
+) -> List[ContractionTerm]:
     """Every nonvanishing contraction pattern of two tagged groups.
 
-    Each is (scalar, pole exponents, residual): a pair of left factor at x and
-    right factor at y contributes (x - y)^-(m+n), stored over its normalized
-    difference factor.
+    A pair of left factor at x and right factor at y contributes
+    (x - y)^-(m+n), stored over its normalized difference factor.  Each
+    term carries the given scalar and poles times its own.
     """
     out = []
     for pairs in _pattern_pairs(len(left), len(right)):
-        scalar = Fraction(1)
-        poles: Dict[PoleFactor, int] = {}
+        term_scalar = scalar
+        term_poles = dict(poles)
         for p, q in pairs:
             lv, a, m = left[p]
             rv, b, n = right[q]
@@ -115,15 +117,15 @@ def _contract_tagged(
             if not c:
                 break
             factor, sign = pole_diff(lv, rv)
-            scalar *= -c if sign < 0 and exponent % 2 else c
-            add_into(poles, factor, exponent)
+            term_scalar *= -c if sign < 0 and exponent % 2 else c
+            add_into(term_poles, factor, exponent)
         else:
             used_p = {p for p, _ in pairs}
             used_q = {q for _, q in pairs}
             residual = tuple(f for t, f in enumerate(left) if t not in used_p) + tuple(
                 f for t, f in enumerate(right) if t not in used_q
             )
-            out.append((scalar, poles, residual))
+            out.append(ContractionTerm(term_scalar, term_poles, residual))
     return out
 
 
@@ -131,10 +133,7 @@ def contract_two_blocks(h: HSpace, left: Block, right: Block) -> List[Contractio
     """Complete contraction expansion of a product of two normal-ordered groups."""
     if left.var == right.var:
         raise ValueError("blocks must carry distinct variables")
-    return [
-        ContractionTerm(scalar, poles, residual)
-        for scalar, poles, residual in _contract_tagged(h, left.tagged(), right.tagged())
-    ]
+    return _contract_tagged(h, left.tagged(), right.tagged())
 
 
 def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
@@ -153,15 +152,10 @@ def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
         return [ContractionTerm(Fraction(1), {}, ())]
     terms = [ContractionTerm(Fraction(1), {}, blocks[0].tagged())]
     for block in blocks[1:]:
-        nxt: List[ContractionTerm] = []
-        for term in terms:
-            for scalar, poles, residual in _contract_tagged(
-                h, term.residual, block.tagged()
-            ):
-                merged = dict(term.poles)
-                add_terms(merged, poles.items())
-                nxt.append(ContractionTerm(term.scalar * scalar, merged, residual))
-        terms = nxt
+        right = block.tagged()
+        terms = [
+            new for t in terms for new in _contract_tagged(h, t.residual, right, t.scalar, t.poles)
+        ]
     return terms
 
 
@@ -180,29 +174,26 @@ def iterate_closed_form(h: HSpace, u1: FreeElem, u2: FreeElem) -> List[Contracti
     x0_factor, sign = pole_diff(SHIFTED_VAR, INNER_VAR)
     out: List[ContractionTerm] = []
     for (word1, c1), (word2, c2) in iproduct(u1.items(), u2.items()):
-        left = tuple((SHIFTED_VAR, i, m) for i, m in word1)
-        right = tuple((INNER_VAR, i, m) for i, m in word2)
-        for scalar, poles, residual in _contract_tagged(h, left, right):
+        left, right = Block(SHIFTED_VAR, word1).tagged(), Block(INNER_VAR, word2).tagged()
+        for scalar, poles, residual in _contract_tagged(h, left, right, c1 * c2):
             k = poles.get(x0_factor, 0)
             if sign < 0 and k % 2:
                 scalar = -scalar  # undo the normalization of the tag difference
-            out.append(
-                ContractionTerm(c1 * c2 * scalar, {pole_var("x0"): k} if k else {}, residual)
-            )
+            out.append(ContractionTerm(scalar, {pole_var("x0"): k} if k else {}, residual))
     return out
 
 
-# -- term sources: (scalar, poles, residual) with element coefficients included --
+# -- term sources: contraction terms with element coefficients included ----------
 
 
-def _product_terms(h: HSpace, us: Sequence[FreeElem]) -> Iterator[Term]:
+def _product_terms(h: HSpace, us: Sequence[FreeElem]) -> Iterator[ContractionTerm]:
     for combo in iproduct(*[u.items() for u in us]):
         coeff = prod(c for _, c in combo)
-        for term in reduce_blocks(h, blocks_for_words([word for word, _ in combo])):
-            yield coeff * term.scalar, term.poles, term.residual
+        for scalar, poles, residual in reduce_blocks(h, blocks_for_words([w for w, _ in combo])):
+            yield ContractionTerm(coeff * scalar, poles, residual)
 
 
-def _iterate_terms(h: HSpace, u1: FreeElem, u2: FreeElem) -> Iterator[Term]:
+def _iterate_terms(h: HSpace, u1: FreeElem, u2: FreeElem) -> Iterator[ContractionTerm]:
     """Iterate terms moved to (z1, z2): x2+x0 -> z1, x2 -> z2, x0 -> z1 - z2."""
     diff12, _ = pole_diff("z1", "z2")
     for term in iterate_closed_form(h, u1, u2):
@@ -210,7 +201,7 @@ def _iterate_terms(h: HSpace, u1: FreeElem, u2: FreeElem) -> Iterator[Term]:
             ("z1" if v == SHIFTED_VAR else "z2", i, m) for v, i, m in term.residual
         )
         k = term.poles.get(pole_var("x0"), 0)
-        yield term.scalar, ({diff12: k} if k else {}), residual
+        yield ContractionTerm(term.scalar, {diff12: k} if k else {}, residual)
 
 
 # -- the table builder ---------------------------------------------------------
@@ -305,7 +296,7 @@ def _parts(acc: Dict) -> List[Part]:
 def _table_from_terms(
     h: HSpace,
     mod: ModulePresentation,
-    terms: Iterable[Term],
+    terms: Iterable[ContractionTerm],
     w: WElem,
     totals: Iterable[int],
     keep: Callable[[Tuple[Tuple, int]], object],
@@ -344,7 +335,7 @@ def _ratfun_sum(parts: Iterable[Part]) -> RatFun:
 
 
 def _paired(
-    h: HSpace, mod: ModulePresentation, terms: Iterable[Term], f: DualFunctional, w: WElem
+    h: HSpace, mod: ModulePresentation, terms: Iterable[ContractionTerm], f: DualFunctional, w: WElem
 ) -> List[Part]:
     """Raw parts of <f, (sum of terms) w>: the table's entries weighted by f."""
     totals = set()
@@ -373,7 +364,7 @@ def matrix_coeff_normal_ordered(
     by the callers.  Finite because creation must land in f's support while
     annihilation is capped by w's height above the module weight floor.
     """
-    parts = _paired(h, mod, [(1, {}, term.residual)], f, w)
+    parts = _paired(h, mod, [ContractionTerm(1, {}, term.residual)], f, w)
     return parts[0][1] if parts else LaurentPoly.zero([v for v, _, _ in term.residual])
 
 
@@ -413,7 +404,7 @@ def matrix_coeff_iterate(
 
 
 def _capped_table(
-    h: HSpace, mod: ModulePresentation, terms: Iterable[Term], w: WElem, weight_cap
+    h: HSpace, mod: ModulePresentation, terms: Iterable[ContractionTerm], w: WElem, weight_cap
 ) -> Dict[Tuple[Tuple, int], List[Part]]:
     cap = Fraction(weight_cap)
     totals = set()

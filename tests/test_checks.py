@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
 from mosva.halgebra import HSpace, basis_words_up_to, vacuum_elem, word_elem
 from mosva.checks import (
+    ConfigError,
     SuiteConfig,
     noncommutativity_witness,
     project_to_sym,
@@ -230,3 +233,21 @@ def test_run_suite_symmetric_form_cross_check():
     config = SuiteConfig(h=form, module=TRIV2, max_weight=2, sample_pairs=6, pbw_words=80)
     failing = [r.name for r in run_suite(config) if not r.passed]
     assert not failing, failing
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_weight", 6), ("max_weight", 0), ("sample_pairs", 0), ("pbw_words", 0),
+     ("seed", 1.5), ("window", (3, 1)), ("checks", ("asociativity",))],
+)
+def test_suite_config_rejects_out_of_domain_values(field, value):
+    # library callers get the same bounds as the CLI: max_weight 6 would
+    # exhaust memory in the oracle, and a count of 0 checks nothing
+    with pytest.raises(ConfigError) as err:
+        SuiteConfig(h=H2, module=TRIV2, **{field: value})
+    assert err.value.path == field
+
+
+def test_suite_config_normalizes_lists():
+    config = SuiteConfig(h=H2, module=TRIV2, window=[-3, 1], checks=["associativity"])
+    assert config.window == (-3, 1) and config.checks == ("associativity",)

@@ -4,9 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mosva.checks import CHECKS
 from mosva.cli import (
+    MODULE_KEYS,
+    SUITE_KEYS,
+    TOP_KEYS,
     ConfigError,
     ElemParseError,
     main,
@@ -261,6 +265,15 @@ BAD_CONFIGS = {
     "pairs-bool": ('{"dim": 2, "suite": {"sample_pairs": true}}', "suite.sample_pairs"),
     "seed-string": ('{"dim": 2, "suite": {"seed": "7"}}', "suite.seed"),
     "window-reversed": ('{"dim": 2, "suite": {"window": [2, -6]}}', "suite.window"),
+    "json-too-deep": ('{"dim": ' + "[" * 50000, "<json>"),
+    "unknown-top-key": ('{"dim": 2, "sute": {}}', "sute"),
+    "unknown-module-key": (
+        '{"dim": 2, "module": {"weights": ["0"], "action": [[["0"]], [["0"]]], "extra": 1}}',
+        "module.extra",
+    ),
+    "unknown-suite-key": ('{"dim": 2, "suite": {"max_wieght": 1}}', "suite.max_wieght"),
+    "pairs-zero": ('{"dim": 2, "suite": {"sample_pairs": 0}}', "suite.sample_pairs"),
+    "pbw-zero": ('{"dim": 2, "suite": {"pbw_words": 0}}', "suite.pbw_words"),
 }
 
 
@@ -270,6 +283,7 @@ def test_bad_config_value_exits_2_naming_field(capsys, config, field):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: {field}: ")
+    assert "Traceback" not in captured.err
     assert "checks passed" not in captured.out
 
 
@@ -279,3 +293,90 @@ def test_unknown_check_lists_valid_names(capsys):
     assert code == 2
     assert "asociativity" in err
     assert all(name in err for name in CHECKS)
+
+
+def test_unknown_key_lists_valid_keys(capsys):
+    for config, valid in [
+        ('{"dim": 2, "sute": {}}', TOP_KEYS),
+        ('{"dim": 2, "module": {"extra": 1}}', MODULE_KEYS),
+        ('{"dim": 2, "suite": {"max_wieght": 1}}', SUITE_KEYS),
+    ]:
+        assert main(["check", "-c", config]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in valid)
+
+
+# per subcommand: a valid invocation (exit 0) and a malformed one (exit 2)
+DIM1 = ["-c", '{"dim": 1}']
+SUBCOMMANDS = {
+    "check": (
+        ["check", "-c", '{"dim": 1, "suite": {"checks": ["graded-dimensions"]}}', "--seed", "3"],
+        ["check", "-c", '{"dim": 1, "suite": {"checks": ["graded-dimensions"], "seed": 1.5}}'],
+    ),
+    "product": (
+        ["product", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1"],
+        ["product", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "--seed", "1"],
+    ),
+    "iterate": (
+        ["iterate", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1"],
+        ["iterate", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "-u", "a1(-1)1"],
+    ),
+    "series": (
+        ["series", *DIM1, "-u", "a1(-2)1", "--window=-1:1"],
+        ["series", *DIM1, "-u", "a1(-2)1", "--window", "-1"],
+    ),
+    "normalform": (
+        ["normalform", *DIM1, "a1(1)a1(-1)"],
+        ["normalform", *DIM1, "a1(1)b"],
+    ),
+    "quotient": (
+        ["quotient", *DIM1, "-u", "a1(-1)1"],
+        ["quotient", *DIM1, "-u", "1/0*a1(-1)1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_subcommand_exit_codes(capsys, name):
+    good, bad = SUBCOMMANDS[name]
+    assert main(good) == 0
+    assert main(bad) == 2
+    if name != "check":  # the seed only steers the suite's samples
+        assert main(good + ["--seed", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(TOP_KEYS + MODULE_KEYS + SUITE_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+# near-grammatical element strings: indices and modes out of range, zero
+# denominators, missing '1' terminators
+ELEM_TERMS = st.builds(
+    lambda coeff, gens, end: coeff + "".join(gens) + end,
+    st.just("") | st.builds("{}/{}*".format, st.integers(-2, 3), st.integers(-1, 3)),
+    st.lists(st.builds("a{}({})".format, st.integers(0, 3), st.integers(-3, 1)), max_size=3),
+    st.sampled_from(["1", "", "1)"]),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.text()
+    | st.text(alphabet="a1234567890()-+/*k {}[],:\"").map(lambda t: "{" + t)
+    | st.lists(ELEM_TERMS, min_size=1, max_size=3).map(" - ".join)
+    | st.dictionaries(st.sampled_from(TOP_KEYS), JSON_VALUES, max_size=4).map(json.dumps)
+)
+def test_parsers_raise_only_their_own_errors(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+    try:
+        parse_elem(text, 2)
+    except ElemParseError:
+        pass
