@@ -99,6 +99,9 @@ class CheckReport:
 # on dim 2 the default suite peaks at 236 MB with max_weight 5 and runs out of
 # a 2 GB address space with max_weight 6
 MAX_SUITE_WEIGHT = 5
+# a config's dim x dim form is built before anything else is checked; a dim
+# of 1,200 alone takes 2.7 s and 93 MB
+MAX_DIM = 100
 
 
 class ConfigError(ValueError):

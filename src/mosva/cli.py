@@ -39,7 +39,7 @@ from .halgebra import (
     validate_hspace,
     word_sort_key,
 )
-from .checks import ConfigError, SuiteConfig, _is_int, project_to_sym, run_suite
+from .checks import MAX_DIM, ConfigError, SuiteConfig, _is_int, project_to_sym, run_suite
 from .fields import series_lower_bound, vertex_series
 from .modules import (
     ModulePresentation,
@@ -245,8 +245,8 @@ def parse_config(source: str) -> SuiteConfig:
         raise ConfigError("<root>", "config must be an object")
     _reject_unknown(raw, TOP_KEYS)
     dim = raw.get("dim")
-    if not _is_int(dim) or dim < 1:
-        raise ConfigError("dim", "must be a positive integer")
+    if not _is_int(dim) or not 1 <= dim <= MAX_DIM:
+        raise ConfigError("dim", f"must be an integer from 1 to {MAX_DIM}, got {dim!r}")
     form = raw.get("form")
     if form is None:
         h = HSpace.identity(dim)
@@ -411,8 +411,7 @@ def cmd_product(args, config: SuiteConfig) -> int:
 
 def cmd_iterate(args, config: SuiteConfig) -> int:
     if len(args.u) != 2:
-        print("iterate needs exactly two -u elements", file=sys.stderr)
-        return 2
+        raise ConfigError("-u", "iterate needs exactly two elements")
     u1, u2 = (parse_elem(text, config.h.dim) for text in args.u)
     f = _parse_state_arg(args.dual, config)
     w = _parse_state_arg(args.state, config)
@@ -423,18 +422,17 @@ def cmd_iterate(args, config: SuiteConfig) -> int:
 
 def cmd_series(args, config: SuiteConfig) -> int:
     if len(args.u) != 1:
-        print("series takes exactly one -u element", file=sys.stderr)
-        return 2
+        raise ConfigError("-u", "series takes exactly one element")
     u = parse_elem(args.u[0], config.h.dim)
     w = _parse_state_arg(args.state, config)
+    lo, hi = config.window
     if args.window:
         try:
             lo, hi = (int(x) for x in args.window.split(":"))
         except ValueError:
-            print("--window must be lo:hi", file=sys.stderr)
-            return 2
-    else:
-        lo, hi = config.window
+            raise ConfigError("--window", "must be lo:hi integers") from None
+        if lo > hi:
+            raise ConfigError("--window", f"must be lo:hi with lo <= hi, got {args.window}")
     series = vertex_series(config.h, config.module, u, w, lo, hi)
     bound = series_lower_bound(config.h, config.module, u, w)
     lines = [f"x^{e}: {render_state(series[e], config.module)}" for e in sorted(series)]

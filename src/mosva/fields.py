@@ -146,19 +146,6 @@ def _budget(mod: ModulePresentation, w_weight: Fraction) -> int:
     return int(slack)  # slack >= 0 and annihilation totals are integers
 
 
-@lru_cache(maxsize=120000)
-def _word_monomials(
-    uword: NegWord, t_lo: int, t_hi: int, budget: int, allow_zero: bool
-) -> Tuple[Tuple[ModeMonomial, int, int], ...]:
-    """Contributing monomials of one creation word: (monomial, coeff, mode total)."""
-    orders = tuple(m for _, m in uword)
-    indices = tuple(i for i, _ in uword)
-    return tuple(
-        (tuple(zip(indices, modes)), c, sum(modes))
-        for modes, c in _mode_tuples(orders, t_lo, t_hi, budget, allow_zero)
-    )
-
-
 def vertex_coefficient(
     h: HSpace, mod: ModulePresentation, u: FreeElem, s: int, w: WElem
 ) -> WElem:
@@ -184,15 +171,18 @@ def vertex_series(
     allow_zero = mod.has_zero_mode_action()
     for uword, ucoeff in u.items():
         wt_u = word_weight(uword)
+        orders = tuple(m for _, m in uword)
+        indices = tuple(i for i, _ in uword)
         t_lo, t_hi = -hi - wt_u, -lo - wt_u
         for (word, idx), wcoeff in w.items():
             budget = _budget(mod, key_weight(mod, (word, idx)))
             base = ucoeff * wcoeff
-            for mono, c, total in _word_monomials(uword, t_lo, t_hi, budget, allow_zero):
+            for modes, c in _mode_tuples(orders, t_lo, t_hi, budget, allow_zero):
+                mono = tuple(zip(indices, modes))
                 applied = apply_monomial(h, mod, mono, word, idx, c if base == 1 else base * c)
                 if not applied:
                     continue
-                e = -(total + wt_u)
+                e = -(sum(modes) + wt_u)
                 slot = out.get(e)
                 if slot is None:
                     slot = out[e] = {}

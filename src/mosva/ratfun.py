@@ -26,6 +26,8 @@ from .laurent import LaurentPoly, Window, sort_vars, var_sort_key
 
 # ("var", v) | ("diff", a, b) | ("sum", a, b), names ordered a < b canonically
 PoleFactor = Tuple[str, ...]
+# one term of a sum of rational functions: (poles, numerator)
+Part = Tuple[Mapping[PoleFactor, int], LaurentPoly]
 
 _KIND_ORDER = {"var": 0, "diff": 1, "sum": 2}
 
@@ -222,28 +224,39 @@ def ratfun_arith(lhs: RatFun, rhs: RatFun, op: str) -> RatFun:
         return RatFun(lhs.numer * rhs.numer, poles)
     if op not in ("add", "sub"):
         raise ValueError(f"unknown op {op!r}")
-    universe = sort_vars(lhs.vars + rhs.vars)
-    common: Dict[PoleFactor, int] = dict(lhs.poles)
-    for f, k in rhs.poles.items():
-        common[f] = max(common.get(f, 0), k)
-    lnum = lhs.numer.align(universe)
-    rnum = rhs.numer.align(universe)
-    for f, k in common.items():
-        dl = k - lhs.poles.get(f, 0)
-        dr = k - rhs.poles.get(f, 0)
-        if dl:
-            lnum = lnum * pole_poly(f, dl, universe)
-        if dr:
-            rnum = rnum * pole_poly(f, dr, universe)
-    num = lnum + rnum if op == "add" else lnum - rnum
-    return RatFun(num, common)
+    rnum = rhs.numer if op == "add" else -rhs.numer
+    return ratfun_sum([(lhs.poles, lhs.numer), (rhs.poles, rnum)])
+
+
+def _over_common(parts: Iterable[Part]) -> Tuple[LaurentPoly, Dict[PoleFactor, int]]:
+    """sum(numer / poles) as one numerator over the least common pole monomial."""
+    parts = list(parts)
+    common: Dict[PoleFactor, int] = {}
+    names = []
+    for poles, numer in parts:
+        names += numer.vars
+        for f, k in poles.items():
+            if k > common.get(f, 0):
+                common[f] = k
+    universe = sort_vars(names + [v for f in common for v in pole_vars(f)])
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for poles, numer in parts:
+        numer = numer.align(universe)
+        for f, k in common.items():
+            if k > poles.get(f, 0):
+                numer = numer * pole_poly(f, k - poles.get(f, 0), universe)
+        add_terms(terms, numer.terms.items())
+    return LaurentPoly._raw(universe, terms), common
+
+
+def ratfun_sum(parts: Iterable[Part]) -> RatFun:
+    """The canonical sum of (poles, numerator) parts, canonicalized once."""
+    return RatFun(*_over_common(parts))
 
 
 def ratfun_eq(lhs: RatFun, rhs: RatFun) -> bool:
-    """Exact equality as rational functions (no tolerance)."""
-    if lhs.poles == rhs.poles:
-        return lhs.numer == rhs.numer
-    return ratfun_arith(lhs, rhs, "sub").is_zero()
+    """Exact equality: lhs - rhs has a zero numerator over the common denominator."""
+    return _over_common([(lhs.poles, lhs.numer), (rhs.poles, -rhs.numer)])[0].is_zero()
 
 
 # -- region expansion ------------------------------------------------------

@@ -38,12 +38,10 @@ from .modules import (
     key_weight,
 )
 from .fields import _mode_tuples, apply_monomial, binomial
-from .ratfun import PoleFactor, RatFun, pole_diff, pole_var
+from .ratfun import Part, PoleFactor, RatFun, pole_diff, pole_var, ratfun_sum
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
-# one pole signature's share of a matrix coefficient: (poles, numerator)
-Part = Tuple[Dict[PoleFactor, int], LaurentPoly]
 
 SHIFTED_VAR = "x2+x0"  # evaluation point of surviving left factors of an iterate
 INNER_VAR = "x2"
@@ -213,7 +211,7 @@ def _residual_pairing_table(
     residual: Sequence[TaggedFactor],
     w: WElem,
     totals: Iterable[int],
-) -> Dict[Tuple[Tuple, int], LaurentPoly]:
+) -> Mapping[Tuple[Tuple, int], LaurentPoly]:
     """Apply a normal-ordered residual to w, keyed by resulting basis pair.
 
     `totals` lists the admissible annihilation totals (each fixes one target
@@ -237,9 +235,9 @@ def _pairing_table_cached(
     residual: Tuple[TaggedFactor, ...],
     w_items: Tuple[Tuple[Tuple[Tuple, int], Fraction], ...],
     totals: Tuple[int, ...],
-) -> Dict[Tuple[Tuple, int], LaurentPoly]:
-    # residual signatures recur heavily across operator pairs; callers must
-    # not mutate the returned tables
+) -> Mapping[Tuple[Tuple, int], LaurentPoly]:
+    # residual signatures recur heavily across operator pairs, so the shared
+    # tables are read-only views
     variables = sort_vars([v for v, _, _ in residual])
     orders = tuple(m for _, _, m in residual)
     indices = [i for _, i, _ in residual]
@@ -249,29 +247,21 @@ def _pairing_table_cached(
     for (word, idx), wcoeff in w_items:
         wt = key_weight(mod, (word, idx))
         budget = int(wt - mod.min_weight)
-        creation_only = budget == 0 and not allow_zero
         for total in totals:
             for modes, c in _mode_tuples(orders, total, total, budget, allow_zero):
                 val0 = c if wcoeff == 1 else wcoeff * c
-                if creation_only:
-                    prefix = tuple(zip(indices, (-n for n in modes)))
-                    applied = {(prefix + word, idx): val0}
-                else:
-                    mono = tuple(zip(indices, modes))
-                    applied = apply_monomial(h, mod, mono, word, idx, val0)
-                    if not applied:
-                        continue
+                applied = apply_monomial(h, mod, tuple(zip(indices, modes)), word, idx, val0)
+                if not applied:
+                    continue
                 exps = [0] * len(variables)
                 for (v, _i, m), n in zip(residual, modes):
                     exps[vslot[v]] += -n - m
                 evec = tuple(exps)
                 for key, val in applied.items():
                     add_into(table.setdefault(key, {}), evec, val)
-    return {
-        key: LaurentPoly(variables, terms)
-        for key, terms in table.items()
-        if terms
-    }
+    return MappingProxyType(
+        {key: LaurentPoly(variables, terms) for key, terms in table.items() if terms}
+    )
 
 
 def _merge_part(
@@ -324,13 +314,6 @@ def _table_from_terms(
     return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
 
 
-def _ratfun_sum(parts: Iterable[Part]) -> RatFun:
-    total = RatFun.zero()
-    for poles, poly in parts:
-        total = total + RatFun(poly, poles)
-    return total
-
-
 # -- matrix coefficients: the table over f's support, paired with f ----------------
 
 
@@ -380,7 +363,7 @@ def matrix_coeff_product(
     The region expansion of the result in |z1| > ... > |zn| > 0 agrees with
     the series-level evaluation; poles sit only at z_i = 0 and z_i = z_j.
     """
-    return _ratfun_sum(_paired(h, mod, _product_terms(h, us), f, w))
+    return ratfun_sum(_paired(h, mod, _product_terms(h, us), f, w))
 
 
 def matrix_coeff_iterate(
@@ -397,7 +380,7 @@ def matrix_coeff_iterate(
     x2+x0, which the final change of variables sends to z1; x2 goes to z2 and
     each x0 pole becomes the (z1 - z2) pole of the same order.
     """
-    return _ratfun_sum(_paired(h, mod, _iterate_terms(h, u1, u2), f, w))
+    return ratfun_sum(_paired(h, mod, _iterate_terms(h, u1, u2), f, w))
 
 
 # -- bulk tables: one pass for every dual word up to a weight cap ----------------
@@ -443,7 +426,7 @@ def product_table(
     matrix_coeff_product.
     """
     raw = product_table_raw(h, mod, us, w, weight_cap)
-    return {key: _ratfun_sum(parts) for key, parts in raw.items()}
+    return {key: ratfun_sum(parts) for key, parts in raw.items()}
 
 
 def iterate_table(
@@ -456,4 +439,4 @@ def iterate_table(
 ) -> Dict[Tuple[Tuple, int], RatFun]:
     """Iterate-side analogue of product_table, already in (z1, z2) variables."""
     raw = _capped_table(h, mod, _iterate_terms(h, u1, u2), w, weight_cap)
-    return {key: _ratfun_sum(parts) for key, parts in raw.items()}
+    return {key: ratfun_sum(parts) for key, parts in raw.items()}

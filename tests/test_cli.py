@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mosva.checks import CHECKS
+from mosva.checks import CHECKS, MAX_DIM
 from mosva.cli import (
     MODULE_KEYS,
     SUITE_KEYS,
@@ -274,6 +274,7 @@ BAD_CONFIGS = {
     "unknown-suite-key": ('{"dim": 2, "suite": {"max_wieght": 1}}', "suite.max_wieght"),
     "pairs-zero": ('{"dim": 2, "suite": {"sample_pairs": 0}}', "suite.sample_pairs"),
     "pbw-zero": ('{"dim": 2, "suite": {"pbw_words": 0}}', "suite.pbw_words"),
+    "dim-above-bound": (f'{{"dim": {MAX_DIM + 1}}}', "dim"),
 }
 
 
@@ -285,6 +286,10 @@ def test_bad_config_value_exits_2_naming_field(capsys, config, field):
     assert captured.err.startswith(f"error: {field}: ")
     assert "Traceback" not in captured.err
     assert "checks passed" not in captured.out
+
+
+def test_dim_bound_is_inclusive():
+    assert parse_config(f'{{"dim": {MAX_DIM}}}').h.dim == MAX_DIM
 
 
 def test_unknown_check_lists_valid_names(capsys):
@@ -344,6 +349,24 @@ def test_subcommand_exit_codes(capsys, name):
     if name != "check":  # the seed only steers the suite's samples
         assert main(good + ["--seed", "1"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# a subcommand flag out of its domain: exit 2, and the message names the flag
+FLAG_ERRORS = {
+    "window-reversed": (["series", *DIM1, "-u", "a1(-2)1", "--window=5:1"], "--window"),
+    "window-malformed": (["series", *DIM1, "-u", "a1(-2)1", "--window", "-1"], "--window"),
+    "iterate-three-u": (["iterate", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "-u", "1"], "-u"),
+    "series-two-u": (["series", *DIM1, "-u", "a1(-1)1", "-u", "a1(-2)1"], "-u"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", list(FLAG_ERRORS.values()), ids=list(FLAG_ERRORS))
+def test_flag_error_exits_2_naming_flag(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert captured.out == ""
 
 
 JSON_VALUES = st.recursive(

@@ -12,6 +12,7 @@ from mosva.ratfun import (
     ITERATE_SUBSTITUTION_INVERSE,
     RatFun,
     expand_in_region,
+    expand_raw,
     pole_diff,
     pole_poly,
     pole_sum,
@@ -19,6 +20,7 @@ from mosva.ratfun import (
     ratfun_arith,
     ratfun_canonicalize,
     ratfun_eq,
+    ratfun_sum,
     substitute_vars,
     uniform_window,
 )
@@ -299,3 +301,37 @@ def test_property_canonicalize_idempotent(r):
     c1 = ratfun_canonicalize(r)
     c2 = ratfun_canonicalize(c1)
     assert c1.numer == c2.numer and c1.poles == c2.poles
+
+
+@st.composite
+def parts(draw):
+    """A (poles, numerator) part as the table builder makes them: not canonical.
+
+    The numerator may carry negative exponents and share a factor with the
+    poles.
+    """
+    r = draw(ratfuns())
+    numer = r.numer.shift("z1", draw(st.integers(-1, 1)))
+    poles = dict(r.poles)
+    f = draw(st.sampled_from([pole_var("z1"), DIFF12]))
+    if draw(st.booleans()):
+        numer = numer * pole_poly(f, 1, r.vars)
+        poles[f] = poles.get(f, 0) + 1
+    return poles, numer
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(parts(), max_size=4))
+def test_property_sum_agrees_with_expansion(ps):
+    window = uniform_window(VARS3, -5, 5)
+    total = ratfun_sum(ps)
+    # expansion is linear, so the parts' own expansions add up to the sum's
+    expected = LaurentPoly.zero(VARS3)
+    for poles, numer in ps:
+        expected = expected + expand_raw(numer, poles, VARS3, window)
+    assert expand_in_region(total, VARS3, window) == expected
+    for order in (ps[::-1], ps[1:] + ps[:1]):
+        again = ratfun_sum(order)
+        assert (again.vars, again.numer.terms, again.poles) == (
+            total.vars, total.numer.terms, total.poles,
+        )
