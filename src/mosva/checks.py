@@ -40,7 +40,6 @@ from .laurent import LaurentPoly
 from .fields import (
     _mode_tuples,
     product_series_bruteforce,
-    vertex_coefficient,
     vertex_series,
 )
 from .modules import (
@@ -76,9 +75,6 @@ from .wick import (
     matrix_coeff_product,
     product_table,
 )
-
-CoeffFn = Callable[..., WElem]
-
 
 @dataclass
 class CheckReport:
@@ -172,38 +168,41 @@ class SuiteConfig:
 # -- vacuum properties ----------------------------------------------------------
 
 
+def _first_mismatch(
+    lhs: Dict[int, WElem], rhs: Dict[int, WElem], span: Tuple[int, int]
+) -> Optional[int]:
+    """The lowest exponent in span where two series differ, None if none."""
+    return next(
+        (e for e in range(span[0], span[1] + 1) if lhs.get(e, {}) != rhs.get(e, {})), None
+    )
+
+
 def verify_identity_creation(
     h: HSpace,
     mod: ModulePresentation,
     samples: Sequence[FreeElem],
     span: Tuple[int, int] = (-6, 4),
-    coefficient_fn: CoeffFn = vertex_coefficient,
 ) -> CheckReport:
     """Identity property on the module, creation property on the algebra."""
     params = {"samples": len(samples), "span": span}
     triv = ModulePresentation.trivial(h.dim)
     for s in range(min(mod.dim, 3)):
         w = vacuum_state(s)
-        for e in range(span[0], span[1] + 1):
-            out = coefficient_fn(h, mod, vacuum_elem(), -e - 1, w)
-            expect = w if e == 0 else {}
-            if out != expect:
-                return CheckReport(
-                    "identity-creation", params, False,
-                    f"identity fails at exponent {e} on basis state {s}",
-                )
-    for u in samples:
-        for e in range(span[0], -1):
-            if coefficient_fn(h, triv, u, -e - 1, vacuum_state()) != {}:
-                return CheckReport(
-                    "identity-creation", params, False,
-                    f"creation has negative power {e} for {render_free_elem(u)}",
-                )
-        const = coefficient_fn(h, triv, u, -1, vacuum_state())
-        if const != free_to_state(u):
+        e = _first_mismatch(vertex_series(h, mod, vacuum_elem(), w, *span), {0: w}, span)
+        if e is not None:
             return CheckReport(
                 "identity-creation", params, False,
-                f"creation constant term differs for {render_free_elem(u)}",
+                f"identity fails at exponent {e} on basis state {s}",
+            )
+    # Y(u, x)1 has no negative powers and u as its constant term
+    creation = (min(span[0], 0), 0)
+    for u in samples:
+        series = vertex_series(h, triv, u, vacuum_state(), *creation)
+        e = _first_mismatch(series, {0: free_to_state(u)}, creation)
+        if e is not None:
+            return CheckReport(
+                "identity-creation", params, False,
+                f"creation fails at exponent {e} for {render_free_elem(u)}",
             )
     return CheckReport("identity-creation", params, True)
 
@@ -217,7 +216,6 @@ def verify_d_bracket(
     u: FreeElem,
     w: WElem,
     span: Tuple[int, int],
-    coefficient_fn: CoeffFn = vertex_coefficient,
 ) -> CheckReport:
     """[grading, Y(u, x)] = Y(grading u, x) + x d/dx Y(u, x), coefficientwise."""
     params = {"u": render_free_elem(u), "span": span}
@@ -225,14 +223,12 @@ def verify_d_bracket(
     if len(weights) != 1:
         return CheckReport("grading-bracket", params, False, "u is inhomogeneous")
     wt_u = weights.pop()
+    on_w = vertex_series(h, mod, u, w, *span)
+    on_dw = vertex_series(h, mod, u, apply_d(mod, w), *span)
     for e in range(span[0], span[1] + 1):
-        uw = coefficient_fn(h, mod, u, -e - 1, w)
-        lhs = welem_add(
-            apply_d(mod, uw),
-            welem_scale(coefficient_fn(h, mod, u, -e - 1, apply_d(mod, w)), -1),
-        )
-        rhs = welem_scale(uw, wt_u + e)
-        if lhs != rhs:
+        uw = on_w.get(e, {})
+        lhs = welem_add(apply_d(mod, uw), welem_scale(on_dw.get(e, {}), -1))
+        if lhs != welem_scale(uw, wt_u + e):
             return CheckReport(
                 "grading-bracket", params, False, f"mismatch at exponent {e}"
             )
@@ -256,20 +252,20 @@ def verify_D_properties(
     """
     name = "translation-properties" if include_commutator else "translation-derivative"
     params = {"u": render_free_elem(u), "span": span}
-    du = derivative_elem(u)
-    for e in range(span[0], span[1] + 1):
-        derivative = welem_scale(vertex_coefficient(h, mod, u, -e - 2, w), e + 1)
-        translated = vertex_coefficient(h, mod, du, -e - 1, w)
-        if derivative != translated:
+    lo, hi = span
+    on_w = vertex_series(h, mod, u, w, lo, hi + 1)
+    translated = vertex_series(h, mod, derivative_elem(u), w, lo, hi)
+    on_Dw = vertex_series(h, mod, u, apply_D(mod, w), lo, hi) if include_commutator else {}
+    for e in range(lo, hi + 1):
+        derivative = welem_scale(on_w.get(e + 1, {}), e + 1)
+        if derivative != translated.get(e, {}):
             return CheckReport(
                 name, params, False, f"derivative vs translation at exponent {e}"
             )
         if not include_commutator:
             continue
-        uw = vertex_coefficient(h, mod, u, -e - 1, w)
         commutator = welem_add(
-            apply_D(mod, uw),
-            welem_scale(vertex_coefficient(h, mod, u, -e - 1, apply_D(mod, w)), -1),
+            apply_D(mod, on_w.get(e, {})), welem_scale(on_Dw.get(e, {}), -1)
         )
         if derivative != commutator:
             return CheckReport(
@@ -373,38 +369,6 @@ def verify_rationality_iterate(
     return CheckReport("rationality-iterate", params, True)
 
 
-def verify_associativity(
-    h: HSpace,
-    mod: ModulePresentation,
-    u1: FreeElem,
-    u2: FreeElem,
-    f: DualFunctional,
-    w: WElem,
-    window: Optional[Tuple[int, int]] = None,
-) -> CheckReport:
-    """Product and iterate matrix coefficients are the same rational function.
-
-    When a window is given, both closed forms are additionally cross-checked
-    against their own series expansions.
-    """
-    params = {"u1": render_free_elem(u1), "u2": render_free_elem(u2)}
-    prod = matrix_coeff_product(h, mod, [u1, u2], f, w)
-    iter_ = matrix_coeff_iterate(h, mod, u1, u2, f, w)
-    if not ratfun_eq(prod, iter_):
-        return CheckReport(
-            "associativity", params, False,
-            f"product {prod.render()} vs iterate {iter_.render()}",
-        )
-    if window is not None:
-        r1 = verify_rationality_product(h, mod, [u1, u2], f, w, window)
-        if not r1.passed:
-            return CheckReport("associativity", params, False, r1.detail)
-        r2 = verify_rationality_iterate(h, mod, u1, u2, f, w, window)
-        if not r2.passed:
-            return CheckReport("associativity", params, False, r2.detail)
-    return CheckReport("associativity", params, True)
-
-
 # -- symmetric-algebra projection ----------------------------------------------------
 
 SymWord = Tuple[Tuple[int, int], ...]  # (i, m) pairs sorted by (m, i)
@@ -420,10 +384,6 @@ def project_to_sym(u: FreeElem) -> Dict[SymWord, Fraction]:
     for word, c in u.items():
         add_into(out, sym_word(word), c)
     return out
-
-
-def project_state_to_sym(w: WElem) -> Dict[SymWord, Fraction]:
-    return project_to_sym(state_to_free(w))
 
 
 def _word_permutations(word: NegWord) -> List[NegWord]:
@@ -448,7 +408,7 @@ def verify_quotient_homomorphism(
             series = vertex_series(
                 h, triv, word_elem(u2), free_to_state(word_elem(v2)), span[0], span[1]
             )
-            projected = {e: project_state_to_sym(el) for e, el in series.items()}
+            projected = {e: project_to_sym(state_to_free(el)) for e, el in series.items()}
             projected = {e: p for e, p in projected.items() if p}
             if reference is None:
                 reference = projected
@@ -573,15 +533,13 @@ def noncommutativity_witness(
 # -- structural checks -----------------------------------------------------------------
 
 
-def verify_pbw_confluence(
-    h: HSpace, count: int, max_len: int, seed: int
-) -> CheckReport:
-    """Seeded random generator words rewrite identically under both strategies."""
+def verify_pbw_confluence(h: HSpace, count: int, seed: int) -> CheckReport:
+    """Seeded random words of up to 6 generators rewrite the same under both strategies."""
     rng = random.Random(seed)
-    params = {"count": count, "max_len": max_len, "seed": seed}
+    params = {"count": count, "max_len": 6, "seed": seed}
     for trial in range(count):
         gens = []
-        for _ in range(rng.randint(0, max_len)):
+        for _ in range(rng.randint(0, 6)):
             if rng.random() < 0.1:
                 gens.append(CENTRAL)
             else:
@@ -623,20 +581,18 @@ def verify_lower_bound(
     return CheckReport("lower-bound", params, True)
 
 
-def verify_sym_crosscheck(
-    h: HSpace, max_weight: int, span: Tuple[int, int], min_samples: int = 20
-) -> CheckReport:
+def verify_sym_crosscheck(h: HSpace, max_weight: int, span: Tuple[int, int]) -> CheckReport:
     """Projected tensor-side coefficients match the symmetric-side evaluation."""
     params = {"max_weight": max_weight, "span": span}
     triv = ModulePresentation.trivial(h.dim)
     checked = 0
     for uword in basis_words_up_to(h.dim, max_weight):
         for vword in basis_words_up_to(h.dim, max_weight - 1):
-            u, v = word_elem(uword), word_elem(vword)
+            series = vertex_series(
+                h, triv, word_elem(uword), free_to_state(word_elem(vword)), *span
+            )
             for e in range(span[0], span[1] + 1):
-                tensor_side = project_state_to_sym(
-                    vertex_coefficient(h, triv, u, -e - 1, free_to_state(v))
-                )
+                tensor_side = project_to_sym(state_to_free(series.get(e, {})))
                 sym_side = sym_vertex_coefficient(
                     h, sym_word(uword), -e - 1, {sym_word(vword): Fraction(1)}
                 )
@@ -648,7 +604,7 @@ def verify_sym_crosscheck(
                     )
                 if tensor_side:
                     checked += 1
-    if checked < min_samples:
+    if checked < 20:
         return CheckReport(
             "sym-crosscheck", params, False, f"only {checked} nonzero coefficients"
         )
@@ -761,11 +717,12 @@ def _rationality_iterate(s: _Samples) -> CheckReport:
 
 
 def _quotient_homomorphism(s: _Samples) -> CheckReport:
+    # one call per permutation class: each call runs over every reordering
     dim = s.config.h.dim
     return _first_failure(
         verify_quotient_homomorphism(s.config.h, uword, vword, (-4, 3))
-        for uword in basis_words_up_to(dim, 3)
-        for vword in basis_words_up_to(dim, 2)
+        for uword in basis_words_up_to(dim, 3) if uword == sym_word(uword)
+        for vword in basis_words_up_to(dim, 2) if vword == sym_word(vword)
     ) or CheckReport("quotient-homomorphism", {"max_weight": 3}, True)
 
 
@@ -792,7 +749,7 @@ CHECKS: Dict[str, Callable[[_Samples], CheckReport]] = {
     "associativity": _associativity,
     "rationality-iterate": _rationality_iterate,
     "pbw-confluence": lambda s: verify_pbw_confluence(
-        s.config.h, s.config.pbw_words, 6, s.config.seed
+        s.config.h, s.config.pbw_words, s.config.seed
     ),
     "graded-dimensions": lambda s: verify_graded_dimensions(
         s.config.h, min(s.config.max_weight + 3, 8)

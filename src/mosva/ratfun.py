@@ -469,7 +469,6 @@ def substitute_vars(r: RatFun, mapping: Mapping[str, Affine]) -> RatFun:
 
 
 ITERATE_SUBSTITUTION = {"z1": {"x2": 1, "x0": 1}, "z2": {"x2": 1}}
-ITERATE_SUBSTITUTION_INVERSE = {"x0": {"z1": 1, "z2": -1}, "x2": {"z2": 1}}
 ITERATE_REGION = ("x2", "x0")
 
 

@@ -12,7 +12,6 @@ from mosva.checks import (
     project_to_sym,
     run_suite,
     verify_D_properties,
-    verify_associativity,
     verify_d_bracket,
     verify_graded_dimensions,
     verify_identity_creation,
@@ -22,7 +21,7 @@ from mosva.checks import (
     verify_rationality_product,
     verify_sym_crosscheck,
 )
-from mosva.fields import vertex_coefficient
+from mosva.fields import vertex_series
 from mosva.modules import (
     ModulePresentation,
     dual_term,
@@ -30,6 +29,7 @@ from mosva.modules import (
     vacuum_state,
 )
 from mosva.ratfun import ratfun_eq
+from mosva.wick import matrix_coeff_iterate, matrix_coeff_product
 
 H1 = HSpace.identity(1)
 H2 = HSpace.identity(2)
@@ -37,13 +37,27 @@ TRIV1 = ModulePresentation.trivial(1)
 TRIV2 = ModulePresentation.trivial(2)
 
 
-def corrupted_coefficient(h, mod, u, s, w):
-    out = vertex_coefficient(h, mod, u, s, w)
-    if s == 2:  # inject a wrong coefficient deep in the series
-        out = dict(out)
-        key = (((0, 1),), 0)
-        out[key] = out.get(key, Fraction(0)) + 1
-    return out
+FAULT = (((0, 1),), 0)  # the basis pair a1(-1)1 on module state 0
+
+
+@pytest.fixture
+def corrupt_series(monkeypatch):
+    """corrupt(exponent, only=None): from then on the checks read Y(u, x)w with
+    1 added to its a1(-1)1 coefficient at x^exponent, for every u or only
+    for u == only."""
+
+    def corrupt(exponent, only=None):
+        def series(h, mod, u, w, lo, hi):
+            out = vertex_series(h, mod, u, w, lo, hi)
+            if lo <= exponent <= hi and (only is None or u == only):
+                coeff = dict(out.get(exponent, {}))
+                coeff[FAULT] = coeff.get(FAULT, Fraction(0)) + 1
+                out = {**out, exponent: coeff}
+            return out
+
+        monkeypatch.setattr("mosva.checks.vertex_series", series)
+
+    return corrupt
 
 
 def test_identity_creation_passes():
@@ -52,13 +66,20 @@ def test_identity_creation_passes():
     assert report.passed
 
 
-def test_identity_creation_fault_injection():
+def test_identity_creation_fault_injection(corrupt_series):
     samples = [word_elem(((0, 1), (1, 3)))]
-    report = verify_identity_creation(
-        H2, TRIV2, samples, coefficient_fn=corrupted_coefficient
-    )
+    corrupt_series(-3)  # a wrong coefficient deep in the series
+    report = verify_identity_creation(H2, TRIV2, samples)
     assert not report.passed
     assert "exponent" in report.detail  # the offending coefficient is located
+
+
+def test_creation_checks_the_x_inverse_coefficient(corrupt_series):
+    u = word_elem(((0, 1), (1, 3)))
+    corrupt_series(-1, only=u)
+    report = verify_identity_creation(H2, TRIV2, [u])
+    assert not report.passed
+    assert report.detail == "creation fails at exponent -1 for a1(-1)a2(-3)1"
 
 
 def test_d_bracket_passes():
@@ -72,11 +93,9 @@ def test_d_bracket_passes():
     assert r2.passed
 
 
-def test_d_bracket_fault_injection():
-    r = verify_d_bracket(
-        H2, TRIV2, word_elem(((0, 1),)), vacuum_state(), (-5, 3),
-        coefficient_fn=corrupted_coefficient,
-    )
+def test_d_bracket_fault_injection(corrupt_series):
+    corrupt_series(-3)
+    r = verify_d_bracket(H2, TRIV2, word_elem(((0, 1),)), vacuum_state(), (-5, 3))
     assert not r.passed and "exponent" in r.detail
 
 
@@ -86,18 +105,33 @@ def test_D_properties_pass():
         assert r.passed, r.detail
 
 
+def test_D_properties_fault_injection(corrupt_series):
+    corrupt_series(-3)
+    r = verify_D_properties(H2, TRIV2, word_elem(((0, 1),)), vacuum_state(), (-5, 3))
+    assert not r.passed
+    assert r.detail == "derivative vs translation at exponent -4"
+
+
+def assert_associative(h, mod, u1, u2, f, w, window):
+    """Product equals iterate, and both closed forms expand to their series."""
+    prod = matrix_coeff_product(h, mod, [u1, u2], f, w)
+    assert ratfun_eq(prod, matrix_coeff_iterate(h, mod, u1, u2, f, w)), prod.render()
+    r = verify_rationality_product(h, mod, [u1, u2], f, w, window)
+    assert r.passed, r.detail
+    r = verify_rationality_iterate(h, mod, u1, u2, f, w, window)
+    assert r.passed, r.detail
+
+
 def test_associativity_vacuum_pair():
     u = word_elem(((0, 1),))
-    r = verify_associativity(H1, TRIV1, u, u, dual_term(), vacuum_state(), (-6, 2))
-    assert r.passed
+    assert_associative(H1, TRIV1, u, u, dual_term(), vacuum_state(), (-6, 2))
 
 
 def test_associativity_deep_pipeline():
     u1 = word_elem(((0, 1), (1, 1)))
     u2 = word_elem(((1, 2),))
     f = dual_term(((0, 1), (1, 1), (1, 2)))
-    r = verify_associativity(H2, TRIV2, u1, u2, f, vacuum_state(), (-8, 2))
-    assert r.passed, r.detail
+    assert_associative(H2, TRIV2, u1, u2, f, vacuum_state(), (-8, 2))
 
 
 def test_associativity_nontrivial_module_with_zero_modes():
@@ -109,8 +143,7 @@ def test_associativity_nontrivial_module_with_zero_modes():
     u1 = word_elem(((0, 1),))
     u2 = word_elem(((1, 1),))
     f = dual_term(((1, 1),), 1)
-    r = verify_associativity(H2, mod, u1, u2, f, vacuum_state(0), (-6, 2))
-    assert r.passed, r.detail
+    assert_associative(H2, mod, u1, u2, f, vacuum_state(0), (-6, 2))
 
 
 def test_rationality_product_and_iterate():
@@ -154,6 +187,16 @@ def test_quotient_homomorphism_examples():
     assert r2.passed
 
 
+def test_quotient_sweep_reads_every_ordering(corrupt_series):
+    # a2(-1)a1(-1)1 is not its class's representative a1(-1)a2(-1)1, so only
+    # the representative's sweep over orderings can read the fault
+    corrupt_series(-2, only=word_elem(((1, 1), (0, 1))))
+    config = SuiteConfig(h=H2, module=TRIV2, checks=("quotient-homomorphism",))
+    report = run_suite(config)[-1]
+    assert report.name == "quotient-homomorphism" and not report.passed
+    assert report.detail == "projection differs for a2(-1)a1(-1)1 / 1"
+
+
 def test_projection_is_genuinely_a_quotient():
     # raw outputs differ for reordered inputs even though projections agree
     from mosva.fields import vertex_series
@@ -170,6 +213,13 @@ def test_projection_is_genuinely_a_quotient():
 def test_sym_vertex_coefficient_matches_projection():
     r = verify_sym_crosscheck(H1, 3, (-4, 3))
     assert r.passed, r.detail
+
+
+def test_sym_crosscheck_fault_injection(corrupt_series):
+    corrupt_series(-3)
+    r = verify_sym_crosscheck(H1, 3, (-4, 3))
+    assert not r.passed
+    assert r.detail == "1 on 1 at x^-3"
 
 
 # -- witnesses ----------------------------------------------------------------------
@@ -206,7 +256,7 @@ def test_witness_zero_mode_route():
 
 
 def test_pbw_confluence_check():
-    assert verify_pbw_confluence(H2, 200, 6, seed=5).passed
+    assert verify_pbw_confluence(H2, 200, seed=5).passed
 
 
 def test_graded_dimension_check():

@@ -1,6 +1,8 @@
 """Config parsing, the element grammar, and command outputs."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -403,3 +405,104 @@ def test_parsers_raise_only_their_own_errors(text):
         parse_elem(text, 2)
     except ElemParseError:
         pass
+
+
+# -- whole-CLI fuzz -----------------------------------------------------------------
+
+# small integers only: a series window costs time in proportion to its width
+SMALL = st.integers(-8, 8)
+
+
+def _faulty(valid, faults):
+    """Mostly the valid value, sometimes one of the faults applied to it."""
+    return st.builds(lambda v, fault: fault(v), valid, st.sampled_from([lambda v: v] * 4 + faults))
+
+
+FUZZ_ELEMS = _faulty(
+    st.lists(
+        st.builds(
+            lambda coeff, gens: coeff + "".join(gens) + "1",
+            st.sampled_from(["", "2*", "1/2*", "-1/2*"]),
+            st.lists(st.builds("a{}({})".format, st.integers(1, 2), st.integers(-8, -1)), max_size=2),
+        ),
+        min_size=1, max_size=2,
+    ).map(" + ".join),
+    [lambda e: e + ")", lambda e: e[:-1], lambda e: e.replace("a2", "a9"),
+     lambda e: "1/0*" + e, lambda e: e.replace("(-", "("), lambda e: ""],
+)
+FUZZ_HAT_WORDS = _faulty(
+    st.lists(st.sampled_from(["k"]) | st.builds("a{}({})".format, st.integers(1, 2), SMALL), max_size=4)
+    .map("".join),
+    [lambda e: e + "b", lambda e: e + "1", lambda e: e.replace("a1", "a0")],
+)
+FUZZ_WINDOWS = _faulty(
+    st.lists(SMALL, min_size=2, max_size=2).map(lambda ends: "{}:{}".format(*sorted(ends))),
+    [lambda w: w[::-1], lambda w: w.replace(":", ""), lambda w: w + ":1", lambda w: "a:b"],
+)
+
+
+def _tiny_config(dim, rational_form, checks, max_weight, window, counts, seed):
+    config = {"dim": dim, "suite": {
+        "checks": checks, "max_weight": max_weight, "window": sorted(window),
+        "sample_pairs": counts[0], "pbw_words": counts[1], "seed": seed,
+    }}
+    if dim == 2 and rational_form:
+        config["form"] = [["1", "1/2"], ["1/3", "2"]]
+    return config
+
+
+def _suite_fault(key, value):
+    return lambda c: {**c, "suite": {**c["suite"], key: value}}
+
+
+# every config is tiny: dim at most 3, max_weight at most 2, at most two checks
+FUZZ_CONFIGS = _faulty(
+    st.builds(
+        _tiny_config, st.integers(1, 3), st.booleans(),
+        st.lists(st.sampled_from(list(CHECKS)), max_size=2), st.integers(1, 2),
+        st.lists(SMALL, min_size=2, max_size=2), st.tuples(st.integers(1, 2), st.integers(1, 20)), SMALL,
+    ).map(json.dumps),
+    [lambda c: c.replace('"dim": ', '"dim": -'), lambda c: c.replace('"suite"', '"sute"'),
+     lambda c: c.replace('"form": [', '"form": [[], '), lambda c: c[:-1], lambda c: "[" + c + "]",
+     lambda c: json.dumps(_suite_fault("max_weight", 0)(json.loads(c))),
+     lambda c: json.dumps(_suite_fault("window", [1, 0])(json.loads(c))),
+     lambda c: json.dumps(_suite_fault("checks", ["asociativity"])(json.loads(c))),
+     lambda c: "no-such-config.json"],
+)
+STRAY = st.sampled_from([
+    ["--format", "json"], ["--format", "xml"], ["--seed", "1"], ["--seed", "x"],
+    ["--bogus"], ["-u"], ["stray"], ["--window"],
+])
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One command line of a subcommand, near its grammar, with stray flags."""
+    command = draw(st.sampled_from(["check", "product", "iterate", "series", "normalform", "quotient"]))
+    argv = [command]
+    uses = {"product": draw(st.integers(1, 3)), "iterate": 2, "series": 1, "quotient": draw(st.integers(1, 2))}
+    for _ in range(uses.get(command, 0)):
+        argv.append("-u" + draw(FUZZ_ELEMS))
+    flags = {"product": ["--dual", "--state"], "iterate": ["--dual", "--state"], "series": ["--state"]}
+    for flag in flags.get(command, []):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(FUZZ_ELEMS)}")
+    if command == "series" and draw(st.booleans()):
+        argv.append("--window=" + draw(FUZZ_WINDOWS))
+    if command == "normalform":
+        argv.append(draw(FUZZ_HAT_WORDS))
+    if command == "check" or draw(st.booleans()):  # check never runs the default suite
+        argv += ["-c", draw(FUZZ_CONFIGS)]
+    for stray in draw(st.lists(STRAY, max_size=1)):
+        argv += stray
+    return argv
+
+
+@settings(max_examples=500)
+@given(fuzz_argv())
+def test_whole_cli_runs_end_in_an_exit_code(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -9,7 +9,6 @@ from mosva.laurent import LaurentPoly
 from mosva.ratfun import (
     ITERATE_REGION,
     ITERATE_SUBSTITUTION,
-    ITERATE_SUBSTITUTION_INVERSE,
     RatFun,
     expand_in_region,
     expand_raw,
@@ -26,6 +25,8 @@ from mosva.ratfun import (
 )
 
 Z = ("z1", "z2")
+# the inverse of ITERATE_SUBSTITUTION: x0 = z1 - z2, x2 = z2
+ITERATE_SUBSTITUTION_INVERSE = {"x0": {"z1": 1, "z2": -1}, "x2": {"z2": 1}}
 DIFF12 = pole_diff("z1", "z2")[0]
 
 
