@@ -332,18 +332,24 @@ def iterate_series_bruteforce(
     """Series of the iterate in the inner/outer variables (x2, x0), truncated.
 
     Inner coefficients Y(u1, x0)u2 live in the algebra; each is fed to an
-    outer operator on the module state and paired with f.
+    outer operator on the module state and paired with f.  The x2^e2
+    coefficient of Y(v, x2)w has weight wt(v) + wt(w) + e2, so the outer
+    series is asked only for the exponents that land on a weight of f.
     """
     triv = ModulePresentation.trivial(h.dim)
     lo0, hi0 = window["x0"]
     lo2, hi2 = window["x2"]
     inner = vertex_series(h, triv, u1, free_to_state(u2), lo0, hi0)
+    f_weights = {key_weight(mod, key) for key in f}
+    w_weights = {key_weight(mod, key) for key in w}
     terms = {}
     for e0, velem in inner.items():
         v = state_to_free(velem)
-        outer = vertex_series(h, mod, v, w, lo2, hi2)
-        for e2, coeff_elem in outer.items():
-            val = pairing(f, coeff_elem)
+        pinned = {
+            fw - word_weight(word) - ww for fw in f_weights for word in v for ww in w_weights
+        }
+        for e2 in sorted(int(e) for e in pinned if e.denominator == 1 and lo2 <= e <= hi2):
+            val = pairing(f, vertex_series(h, mod, v, w, e2, e2).get(e2, {}))
             if val:
                 terms[(e0, e2)] = val
     return LaurentPoly(("x0", "x2"), terms)
@@ -454,7 +460,7 @@ def sym_vertex_coefficient(
     for word, wc in w.items():
         budget = word_weight(word)
         total = s + 1 - sum(orders)
-        for modes, c in _mode_tuples(orders, total, total, budget, False):
+        for modes, c in _mode_tuples(orders, total, total, budget):
             current = {word: wc * c}
             for i, n in sorted(zip(indices, modes), key=lambda x: -x[1]):
                 current = sym_apply_mode(h, i, n, current)

@@ -9,9 +9,12 @@ total of n_j + m_j.
 
 Enumeration of contributing mode tuples terminates because creation totals
 are fixed by the requested power while annihilation totals are capped by how
-far the target state sits above the module's minimum weight.  Everything here
-is the direct, series-level evaluation; the closed-form contraction engine is
-checked against it.
+far the target state sits above the module's minimum weight.  It runs
+pattern-first: each split of the factors into annihilating modes and creation
+slots is applied once, and since creation modes only prepend letters to a
+word, every way of filling the slots is one prepend and one scaling of that
+result.  Everything here is the direct, series-level evaluation; the
+closed-form contraction engine is checked against it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, word_weight
 from .laurent import LaurentPoly, Window
@@ -76,24 +79,13 @@ def apply_monomial(
     index: int,
     coeff: Fraction,
 ) -> WElem:
-    """Apply a normal-ordered mode monomial to one basis pair, rightmost first.
+    """Apply the normal-ordered form of a mode monomial to one basis pair.
 
-    Zero and positive modes are walked individually; the creation block is a
-    single prepend, which keeps the common creation-heavy case cheap.
+    The rightmost factor acts first, so zero modes act before positive ones
+    and creation modes prepend last.
     """
-    ordered = normal_order_monomial(mono)
-    split = 0
-    for split, (_, n) in enumerate(ordered):
-        if n >= 0:
-            break
-    else:
-        split = len(ordered)
-    creations = ordered[:split]
-    if split == len(ordered):
-        prefix = tuple((i, -n) for i, n in creations)
-        return {(prefix + word, index): coeff}
     current: WElem = {(word, index): coeff}
-    for i, n in reversed(ordered[split:]):
+    for i, n in reversed(normal_order_monomial(mono)):
         nxt: WElem = {}
         for (w2, s2), c2 in current.items():
             for w3, s3, c3 in apply_mode_term(h, mod, i, n, w2, s2):
@@ -101,22 +93,20 @@ def apply_monomial(
         if not nxt:
             return {}
         current = nxt
-    if creations:
-        prefix = tuple((i, -n) for i, n in creations)
-        current = {(prefix + w2, s2): c2 for (w2, s2), c2 in current.items()}
     return current
 
 
 @lru_cache(maxsize=120000)
 def _mode_tuples(
-    orders: Tuple[int, ...], lo: int, hi: int, budget: int, allow_zero: bool
+    orders: Tuple[int, ...], lo: int, hi: int, budget: int
 ) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Mode tuples with total in [lo, hi] and positive part at most budget.
+    """Mode tuples free of zero modes, total in [lo, hi], positive part <= budget.
 
     Returns (modes, integer coefficient prod binom(-n_j-1, m_j-1)) pairs,
     skipping tuples with a vanishing factor.  Positive totals beyond `budget`
     cannot act without dropping below the module's weight floor, so they are
-    pruned.  Memoized: the same order profiles recur across words and pairs.
+    pruned; zero modes are left to the annihilation patterns of apply_modes.
+    Memoized: the same order profiles recur across words and pairs.
     """
     if not orders:
         return (((), 1),) if lo <= 0 <= hi else ()
@@ -125,7 +115,7 @@ def _mode_tuples(
     n_lo, n_hi = (lo - budget, budget) if rest else (lo, hi)
     out = []
     for n in range(n_lo, n_hi + 1):
-        if n == 0 and not allow_zero:
+        if n == 0:
             continue
         if n > 0 and n > budget:
             continue
@@ -134,16 +124,85 @@ def _mode_tuples(
             continue
         if rest:
             sub_budget = budget - n if n > 0 else budget
-            for tail, tc in _mode_tuples(rest, lo - n, hi - n, sub_budget, allow_zero):
+            for tail, tc in _mode_tuples(rest, lo - n, hi - n, sub_budget):
                 out.append(((n,) + tail, c * tc))
         else:
             out.append(((n,), c))
     return tuple(out)
 
 
-def _budget(mod: ModulePresentation, w_weight: Fraction) -> int:
-    slack = w_weight - mod.min_weight
-    return int(slack)  # slack >= 0 and annihilation totals are integers
+@lru_cache(maxsize=256)
+def _annihilation_patterns(
+    orders: Tuple[int, ...], budget: int, allow_zero: bool
+) -> Tuple[Tuple[Tuple[Optional[int], ...], int, int, Tuple[int, ...]], ...]:
+    """Every split of the positions into annihilating modes and creation slots.
+
+    A pattern gives each position a mode n >= 0, or None for a creation slot;
+    its positive part is at most budget and zero modes appear only when
+    allowed.  Returns (pattern, annihilation total, prod binom(-n-1, m-1)
+    over the annihilating positions, orders of the slots) per pattern.
+    """
+    out = [((), 0, 1)]
+    for m in orders:
+        nxt = []
+        for pattern, total, c in out:
+            nxt.append((pattern + (None,), total, c))
+            for n in range(0 if allow_zero else 1, budget - total + 1):
+                nxt.append((pattern + (n,), total + n, c * field_coefficient(m, n)))
+        out = nxt
+    return tuple(
+        (pattern, total, c, tuple(m for m, n in zip(orders, pattern) if n is None))
+        for pattern, total, c in out
+    )
+
+
+def apply_modes(
+    h: HSpace,
+    mod: ModulePresentation,
+    factors: Sequence[Tuple[int, int]],
+    totals: Sequence[int],
+    allow_zero: bool,
+    word: NegWord,
+    index: int,
+) -> Iterator[Tuple[Tuple[int, ...], WElem]]:
+    """Every mode tuple of the fields `factors` with total in `totals`, applied.
+
+    `factors` lists (basis index, derivative order) per position and
+    `totals` is sorted ascending.  The tuples are those with no vanishing
+    field coefficient, positive part at most the pair's height above the
+    module's weight floor, and zero modes only when allow_zero.  Yields
+    (modes, element): the tuple's normal-ordered monomial applied to the
+    basis pair (word, index), times prod binom(-n_j-1, m_j-1); tuples that
+    kill the pair are skipped.
+
+    Enumeration is pattern-first: each annihilation pattern is applied once,
+    positive modes before zero modes, rightmost first, and a pattern that
+    kills the pair skips all its completions.  Creation modes n <= -m fill
+    the slots per admissible total, each completion a prepend and a scaling.
+    """
+    if not totals:
+        return
+    orders = tuple(m for _, m in factors)
+    # annihilation totals are integers, so the pair's height rounds down
+    budget = int(key_weight(mod, (word, index)) - mod.min_weight)
+    for pattern, p_total, c, slot_orders in _annihilation_patterns(orders, budget, allow_zero):
+        top = p_total - sum(slot_orders)  # largest total the slots can reach
+        if totals[0] > top or (not slot_orders and p_total not in totals):
+            continue
+        mono = tuple((i, n) for (i, _), n in zip(factors, pattern) if n is not None)
+        applied = apply_monomial(h, mod, mono, word, index, c)
+        if not applied:
+            continue
+        slots = [j for j, n in enumerate(pattern) if n is None]
+        for t in totals:
+            if t > top:
+                break
+            for fill, fc in _mode_tuples(slot_orders, t - p_total, t - p_total, 0):
+                modes = list(pattern)
+                for j, n in zip(slots, fill):
+                    modes[j] = n
+                prefix = tuple((factors[j][0], -n) for j, n in zip(slots, fill))
+                yield tuple(modes), {(prefix + w2, s2): v * fc for (w2, s2), v in applied.items()}
 
 
 def vertex_coefficient(
@@ -162,8 +221,10 @@ def vertex_series(
 ) -> Dict[int, WElem]:
     """Coefficients of Y(u, x)w for x-exponents in [lo, hi] (exact, possibly zero).
 
-    One enumeration pass per (word of u, term of w): the x-exponent of a mode
+    One apply_modes pass per (word of u, term of w): the x-exponent of a mode
     tuple is -(sum of n_j + m_j), so the range pins an interval of totals.
+    Each annihilation pattern acts on the term once; the creation modes of
+    every tuple sharing it are prepends to that result.
     """
     if lo > hi:
         raise ValueError("empty exponent range")
@@ -171,22 +232,15 @@ def vertex_series(
     allow_zero = mod.has_zero_mode_action()
     for uword, ucoeff in u.items():
         wt_u = word_weight(uword)
-        orders = tuple(m for _, m in uword)
-        indices = tuple(i for i, _ in uword)
-        t_lo, t_hi = -hi - wt_u, -lo - wt_u
+        totals = range(-hi - wt_u, -lo - wt_u + 1)
         for (word, idx), wcoeff in w.items():
-            budget = _budget(mod, key_weight(mod, (word, idx)))
             base = ucoeff * wcoeff
-            for modes, c in _mode_tuples(orders, t_lo, t_hi, budget, allow_zero):
-                mono = tuple(zip(indices, modes))
-                applied = apply_monomial(h, mod, mono, word, idx, c if base == 1 else base * c)
-                if not applied:
-                    continue
+            for modes, applied in apply_modes(h, mod, uword, totals, allow_zero, word, idx):
                 e = -(sum(modes) + wt_u)
                 slot = out.get(e)
                 if slot is None:
                     slot = out[e] = {}
-                add_terms(slot, applied.items())
+                add_terms(slot, applied.items(), base)
     return {e: elem for e, elem in out.items() if elem}
 
 

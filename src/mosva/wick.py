@@ -37,7 +37,7 @@ from .modules import (
     WElem,
     key_weight,
 )
-from .fields import _mode_tuples, apply_monomial, binomial
+from .fields import apply_modes, binomial
 from .ratfun import Part, PoleFactor, RatFun, pole_diff, pole_var, ratfun_sum
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
@@ -239,26 +239,18 @@ def _pairing_table_cached(
     # residual signatures recur heavily across operator pairs, so the shared
     # tables are read-only views
     variables = sort_vars([v for v, _, _ in residual])
-    orders = tuple(m for _, _, m in residual)
-    indices = [i for _, i, _ in residual]
+    factors = tuple((i, m) for _, i, m in residual)
     vslot = {v: t for t, v in enumerate(variables)}
     allow_zero = mod.has_zero_mode_action()
     table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
     for (word, idx), wcoeff in w_items:
-        wt = key_weight(mod, (word, idx))
-        budget = int(wt - mod.min_weight)
-        for total in totals:
-            for modes, c in _mode_tuples(orders, total, total, budget, allow_zero):
-                val0 = c if wcoeff == 1 else wcoeff * c
-                applied = apply_monomial(h, mod, tuple(zip(indices, modes)), word, idx, val0)
-                if not applied:
-                    continue
-                exps = [0] * len(variables)
-                for (v, _i, m), n in zip(residual, modes):
-                    exps[vslot[v]] += -n - m
-                evec = tuple(exps)
-                for key, val in applied.items():
-                    add_into(table.setdefault(key, {}), evec, val)
+        for modes, applied in apply_modes(h, mod, factors, totals, allow_zero, word, idx):
+            exps = [0] * len(variables)
+            for (v, _i, m), n in zip(residual, modes):
+                exps[vslot[v]] += -n - m
+            evec = tuple(exps)
+            for key, val in applied.items():
+                add_into(table.setdefault(key, {}), evec, val if wcoeff == 1 else wcoeff * val)
     return MappingProxyType(
         {key: LaurentPoly(variables, terms) for key, terms in table.items() if terms}
     )

@@ -15,10 +15,16 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mosva.checks import verify_rationality_iterate, verify_rationality_product
+from mosva.checks import (
+    iterate_series_bruteforce,
+    verify_rationality_iterate,
+    verify_rationality_product,
+)
+from mosva.fields import vertex_series
 from mosva.halgebra import HSpace, basis_words_up_to
-from mosva.modules import ModulePresentation, validate_module
-from mosva.ratfun import ratfun_eq
+from mosva.laurent import LaurentPoly
+from mosva.modules import ModulePresentation, free_to_state, pairing, state_to_free, validate_module
+from mosva.ratfun import ratfun_eq, uniform_window
 from mosva.wick import matrix_coeff_iterate, matrix_coeff_product
 
 RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -87,3 +93,25 @@ def test_closed_form_matches_oracle(case):
         assert report.passed, report.detail
         product = matrix_coeff_product(h, mod, us, f, w)
         assert ratfun_eq(product, matrix_coeff_iterate(h, mod, *us, f, w))
+
+
+def unpinned_iterate_series(h, mod, u1, u2, f, w, window):
+    """The iterate series with the outer series taken over the whole x2 window."""
+    triv = ModulePresentation.trivial(h.dim)
+    inner = vertex_series(h, triv, u1, free_to_state(u2), *window["x0"])
+    terms = {}
+    for e0, velem in inner.items():
+        for e2, elem in vertex_series(h, mod, state_to_free(velem), w, *window["x2"]).items():
+            val = pairing(f, elem)
+            if val:
+                terms[(e0, e2)] = val
+    return LaurentPoly(("x0", "x2"), terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cases())
+def test_weight_pinned_iterate_oracle_matches_unpinned(case):
+    h, mod, us, f, w = case
+    window = uniform_window(("x0", "x2"), -5, 1)
+    pinned = iterate_series_bruteforce(h, mod, us[0], us[1], f, w, window)
+    assert pinned == unpinned_iterate_series(h, mod, us[0], us[1], f, w, window)

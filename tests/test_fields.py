@@ -2,7 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
+from hypothesis import given, settings, strategies as st
+
+import mosva.fields
 from mosva.halgebra import (
     HSpace,
     basis_words_up_to,
@@ -13,6 +18,7 @@ from mosva.halgebra import (
 )
 from mosva.laurent import LaurentPoly
 from mosva.fields import (
+    apply_modes,
     field_coefficient,
     normal_order_monomial,
     product_series_bruteforce,
@@ -22,7 +28,9 @@ from mosva.fields import (
 )
 from mosva.modules import (
     ModulePresentation,
+    apply_mode,
     dual_term,
+    key_weight,
     pairing,
     state,
     vacuum_state,
@@ -34,6 +42,16 @@ H1 = HSpace.identity(1)
 H2 = HSpace.identity(2)
 TRIV1 = ModulePresentation.trivial(1)
 TRIV2 = ModulePresentation.trivial(2)
+RATIONAL_FORM = HSpace.from_rows([[1, Fraction(1, 2)], [Fraction(1, 3), 2]])
+# criterion 5's module: weights 0, 0, 1, 1, noncommuting zero modes, nonzero Dm
+DIM4 = ModulePresentation.build(
+    [0, 0, 1, 1],
+    [
+        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+    ],
+    [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+)
 
 
 def reference_field_coefficient(m, n):
@@ -73,6 +91,91 @@ def test_normal_order_stable_when_sorted():
 def test_normal_order_three_blocks():
     mono = [(0, 1), (1, 0), (2, -1), (3, 1)]
     assert normal_order_monomial(mono) == ((2, -1), (0, 1), (3, 1), (1, 0))
+
+
+# -- the shared mode-application pass -------------------------------------------
+
+
+def reference_mode_tuples(mod, factors, totals, allow_zero, word, index):
+    """Every mode tuple with a total in `totals` that may act on (word, index).
+
+    Its positive part is at most the pair's height above the weight floor,
+    so each mode lies in [min(totals) - height, height]; tuples with a
+    vanishing field coefficient, or with zero modes when they are not
+    allowed, are dropped.  Yields (modes, coefficient).
+    """
+    budget = int(key_weight(mod, (word, index)) - mod.min_weight)
+    for modes in product(range(min(totals) - budget, budget + 1), repeat=len(factors)):
+        if sum(modes) not in totals or sum(n for n in modes if n > 0) > budget:
+            continue
+        if 0 in modes and not allow_zero:
+            continue
+        c = prod(field_coefficient(m, n) for (_, m), n in zip(factors, modes))
+        if c:
+            yield modes, c
+
+
+def reference_apply_modes(h, mod, factors, totals, allow_zero, word, index):
+    """Mode tuple -> its normal-ordered monomial applied mode by mode."""
+    out = {}
+    for modes, c in reference_mode_tuples(mod, factors, totals, allow_zero, word, index):
+        elem = {(word, index): Fraction(c)}
+        mono = normal_order_monomial([(i, n) for (i, _), n in zip(factors, modes)])
+        for i, n in reversed(mono):
+            elem = apply_mode(h, mod, i, n, elem)
+        if elem:
+            out[modes] = elem
+    return out
+
+
+def per_total(applied):
+    out = {}
+    for modes, elem in applied.items():
+        out[sum(modes)] = welem_add(out.get(sum(modes), {}), elem)
+    return {t: elem for t, elem in out.items() if elem}
+
+
+@st.composite
+def mode_applications(draw):
+    mod = draw(st.sampled_from([TRIV2, DIM4]))
+    factors = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 3)), min_size=1, max_size=3))
+    word = draw(st.sampled_from(basis_words_up_to(2, 4)))
+    index = draw(st.integers(0, mod.dim - 1))
+    totals = sorted(draw(st.sets(st.integers(-6, 5), min_size=1, max_size=4)))
+    return mod, tuple(factors), totals, word, index
+
+
+@settings(max_examples=150)
+@given(mode_applications())
+def test_apply_modes_matches_tuple_by_tuple_reference(case):
+    mod, factors, totals, word, index = case
+    args = (RATIONAL_FORM, mod, factors, totals, mod.has_zero_mode_action(), word, index)
+    got = {}
+    for modes, elem in apply_modes(*args):
+        assert modes not in got and elem
+        got[modes] = elem
+    expected = reference_apply_modes(*args)
+    assert per_total(got) == per_total(expected)
+    assert got == expected
+
+
+def test_each_annihilation_pattern_applied_once(monkeypatch):
+    # a1(-1)a2(-1)a1(-1)1 on a1(-2)1 over x^-4 .. x^3: totals -6 .. 1, height 2
+    factors = ((0, 1), (1, 1), (0, 1))
+    word = ((0, 2),)
+    calls = []
+    real = mosva.fields.apply_monomial
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mosva.fields, "apply_monomial", counted)
+    series = vertex_series(H2, TRIV2, word_elem(factors), state(word), -4, 3)
+    tuples = [modes for modes, _ in reference_mode_tuples(TRIV2, factors, range(-6, 2), False, word, 0)]
+    patterns = {tuple(n if n >= 0 else None for n in modes) for modes in tuples}
+    assert series and len(tuples) > 4 * len(patterns)
+    assert len(calls) <= len(patterns)
 
 
 # -- single coefficients -----------------------------------------------------
