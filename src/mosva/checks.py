@@ -65,15 +65,16 @@ from .ratfun import (
     ITERATE_SUBSTITUTION,
     RatFun,
     expand_in_region,
-    ratfun_eq,
+    parts_eq,
+    ratfun_sum,
     substitute_vars,
     uniform_window,
 )
 from .wick import (
-    iterate_table,
+    iterate_table_raw,
     matrix_coeff_iterate,
     matrix_coeff_product,
-    product_table,
+    product_table_raw,
 )
 
 @dataclass
@@ -505,16 +506,13 @@ def noncommutativity_witness(
             u1, u2 = word_elem(w1), word_elem(w2)
             w = vacuum_state()
             cap = word_weight(w1) + word_weight(w2)
-            direct = product_table(h, mod, [u1, u2], w, cap)
-            swapped = product_table(h, mod, [u2, u1], w, cap)
-            for key in sorted(
-                set(direct) | set(swapped), key=lambda k: (k[0], k[1])
-            ):
-                lhs = direct.get(key, RatFun.zero())
-                rhs = swapped.get(key, RatFun.zero())
-                if not ratfun_eq(lhs, rhs):
+            direct = product_table_raw(h, mod, [u1, u2], w, cap)
+            swapped = product_table_raw(h, mod, [u2, u1], w, cap)
+            for key in sorted(set(direct) | set(swapped)):
+                lhs, rhs = direct.get(key, []), swapped.get(key, [])
+                if not parts_eq(lhs, rhs):
                     return Witness(
-                        u1, u2, {key: Fraction(1)}, w, lhs, rhs
+                        u1, u2, {key: Fraction(1)}, w, ratfun_sum(lhs), ratfun_sum(rhs)
                     )
     if mod.dim > 1:
         for i in range(h.dim):
@@ -695,11 +693,11 @@ def _associativity(s: _Samples) -> CheckReport:
             u1, u2 = word_elem(w1), word_elem(w2)
             for w in s.states[:3]:
                 cap = Fraction(c.dual_weight_cap)
-                prod = product_table(c.h, c.module, [u1, u2], w, cap)
-                it = iterate_table(c.h, c.module, u1, u2, w, cap)
+                prod = product_table_raw(c.h, c.module, [u1, u2], w, cap)
+                it = iterate_table_raw(c.h, c.module, u1, u2, w, cap)
                 for key in set(prod) | set(it):
                     checked += 1
-                    if not ratfun_eq(prod.get(key, RatFun.zero()), it.get(key, RatFun.zero())):
+                    if not parts_eq(prod.get(key, []), it.get(key, [])):
                         yield CheckReport(
                             "associativity", {"u1": render_word(w1), "u2": render_word(w2)},
                             False, f"differs against dual {key}",

@@ -254,9 +254,15 @@ def ratfun_sum(parts: Iterable[Part]) -> RatFun:
     return RatFun(*_over_common(parts))
 
 
+def parts_eq(lhs: Iterable[Part], rhs: Iterable[Part]) -> bool:
+    """Exact equality of two sums of parts, with no canonical form built:
+    lhs - rhs has a zero numerator over the least common pole monomial."""
+    return _over_common([*lhs, *((poles, -numer) for poles, numer in rhs)])[0].is_zero()
+
+
 def ratfun_eq(lhs: RatFun, rhs: RatFun) -> bool:
     """Exact equality: lhs - rhs has a zero numerator over the common denominator."""
-    return _over_common([(lhs.poles, lhs.numer), (rhs.poles, -rhs.numer)])[0].is_zero()
+    return parts_eq([(lhs.poles, lhs.numer)], [(rhs.poles, rhs.numer)])
 
 
 # -- region expansion ------------------------------------------------------

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from math import ceil, floor, prod
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -205,29 +205,6 @@ def _iterate_terms(h: HSpace, u1: FreeElem, u2: FreeElem) -> Iterator[Contractio
 # -- the table builder ---------------------------------------------------------
 
 
-def _residual_pairing_table(
-    h: HSpace,
-    mod: ModulePresentation,
-    residual: Sequence[TaggedFactor],
-    w: WElem,
-    totals: Iterable[int],
-) -> Mapping[Tuple[Tuple, int], LaurentPoly]:
-    """Apply a normal-ordered residual to w, keyed by resulting basis pair.
-
-    `totals` lists the admissible annihilation totals (each fixes one target
-    weight per w term); only mode tuples with those totals are enumerated.
-    Returns, per resulting basis pair, the Laurent polynomial in the
-    residual's variables that multiplies it.
-    """
-    return _pairing_table_cached(
-        h,
-        mod,
-        tuple(residual),
-        tuple(sorted(w.items())),
-        tuple(sorted(set(totals))),
-    )
-
-
 @lru_cache(maxsize=100000)
 def _pairing_table_cached(
     h: HSpace,
@@ -236,6 +213,14 @@ def _pairing_table_cached(
     w_items: Tuple[Tuple[Tuple[Tuple, int], Fraction], ...],
     totals: Tuple[int, ...],
 ) -> Mapping[Tuple[Tuple, int], LaurentPoly]:
+    """Apply a normal-ordered residual to w, keyed by resulting basis pair.
+
+    `w_items` is w's sorted items; `totals` lists, sorted, the admissible
+    annihilation totals (each fixes one target weight per w term), and only
+    mode tuples with those totals are enumerated.  Returns, per resulting
+    basis pair, the Laurent polynomial in the residual's variables that
+    multiplies it.
+    """
     # residual signatures recur heavily across operator pairs, so the shared
     # tables are read-only views
     variables = sort_vars([v for v, _, _ in residual])
@@ -281,14 +266,14 @@ def _table_from_terms(
     terms: Iterable[ContractionTerm],
     w: WElem,
     totals: Iterable[int],
-    keep: Callable[[Tuple[Tuple, int]], object],
+    keep: Optional[Callable[[Tuple[Tuple, int]], object]],
 ) -> Dict[Tuple[Tuple, int], List[Part]]:
     """The one builder behind every product and iterate entry point.
 
     Pairs each term's residual with w over the given annihilation totals and
-    returns, for every resulting basis pair that `keep` accepts, its raw
-    parts: one (poles, numerator) per pole signature, zero numerators
-    dropped.
+    returns, for every resulting basis pair that `keep` accepts (every pair
+    when `keep` is None), its raw parts: one (poles, numerator) per pole
+    signature, zero numerators dropped.
     """
     # terms with equal poles and residual differ only in scalar; summing them
     # first pairs each residual with w once (it halves criterion 3's terms)
@@ -296,12 +281,14 @@ def _table_from_terms(
     for scalar, poles, residual in terms:
         slot = merged.setdefault((tuple(sorted(poles.items())), residual), [0, poles])
         slot[0] += scalar
+    w_items = tuple(sorted(w.items()))
+    totals = tuple(sorted(set(totals)))
     accs: Dict[Tuple[Tuple, int], Dict] = {}
     for (sig, residual), (scalar, poles) in merged.items():
         if not scalar:
             continue
-        for key, poly in _residual_pairing_table(h, mod, residual, w, totals).items():
-            if keep(key):
+        for key, poly in _pairing_table_cached(h, mod, residual, w_items, totals).items():
+            if keep is None or keep(key):
                 _merge_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
     return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
 
@@ -382,11 +369,14 @@ def _capped_table(
     h: HSpace, mod: ModulePresentation, terms: Iterable[ContractionTerm], w: WElem, weight_cap
 ) -> Dict[Tuple[Tuple, int], List[Part]]:
     cap = Fraction(weight_cap)
+    weights = {key_weight(mod, key_w) for key_w in w}
     totals = set()
-    for key_w in w:
-        ww = key_weight(mod, key_w)
+    for ww in weights:
         totals.update(range(ceil(ww - cap), floor(ww - mod.min_weight) + 1))
-    return _table_from_terms(h, mod, terms, w, totals, lambda key: key_weight(mod, key) <= cap)
+    # a total t takes a w term of weight ww to weight ww - t, which the range
+    # keeps within the cap; only another term's totals can overshoot it
+    keep = None if len(weights) <= 1 else (lambda key: key_weight(mod, key) <= cap)
+    return _table_from_terms(h, mod, terms, w, totals, keep)
 
 
 def product_table_raw(
@@ -421,6 +411,18 @@ def product_table(
     return {key: ratfun_sum(parts) for key, parts in raw.items()}
 
 
+def iterate_table_raw(
+    h: HSpace,
+    mod: ModulePresentation,
+    u1: FreeElem,
+    u2: FreeElem,
+    w: WElem,
+    weight_cap: Fraction,
+) -> Dict[Tuple[Tuple, int], List[Part]]:
+    """iterate_table without canonicalization: per key, (poles, numerator) parts."""
+    return _capped_table(h, mod, _iterate_terms(h, u1, u2), w, weight_cap)
+
+
 def iterate_table(
     h: HSpace,
     mod: ModulePresentation,
@@ -430,5 +432,5 @@ def iterate_table(
     weight_cap: Fraction,
 ) -> Dict[Tuple[Tuple, int], RatFun]:
     """Iterate-side analogue of product_table, already in (z1, z2) variables."""
-    raw = _capped_table(h, mod, _iterate_terms(h, u1, u2), w, weight_cap)
+    raw = iterate_table_raw(h, mod, u1, u2, w, weight_cap)
     return {key: ratfun_sum(parts) for key, parts in raw.items()}

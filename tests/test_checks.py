@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import mosva.checks
+import mosva.ratfun
 from mosva.halgebra import HSpace, basis_words_up_to, vacuum_elem, word_elem
 from mosva.checks import (
     ConfigError,
@@ -28,7 +30,7 @@ from mosva.modules import (
     state,
     vacuum_state,
 )
-from mosva.ratfun import ratfun_eq
+from mosva.ratfun import ratfun_eq, ratfun_sum
 from mosva.wick import matrix_coeff_iterate, matrix_coeff_product
 
 H1 = HSpace.identity(1)
@@ -144,6 +146,51 @@ def test_associativity_nontrivial_module_with_zero_modes():
     u2 = word_elem(((1, 1),))
     f = dual_term(((1, 1),), 1)
     assert_associative(H2, mod, u1, u2, f, vacuum_state(0), (-6, 2))
+
+
+ASSOC_ONLY = SuiteConfig(h=H2, module=TRIV2, checks=("associativity",), sample_pairs=4)
+
+
+@pytest.mark.parametrize("fault", ["scaled", "dropped"])
+def test_associativity_fault_injection(monkeypatch, fault):
+    # one key of the first iterate table with a nonzero coefficient is
+    # scaled by 2 or dropped; every other table is left as it is
+    real = mosva.checks.iterate_table_raw
+    corrupted = []
+
+    def iterate_table_raw(*args):
+        table = real(*args)
+        key = next((k for k, p in table.items() if not ratfun_sum(p).is_zero()), None)
+        if corrupted or key is None:
+            return table
+        corrupted.append(key)
+        table = dict(table)
+        if fault == "scaled":
+            table[key] = [(poles, numer.scale(2)) for poles, numer in table[key]]
+        else:
+            del table[key]
+        return table
+
+    monkeypatch.setattr("mosva.checks.iterate_table_raw", iterate_table_raw)
+    report = run_suite(ASSOC_ONLY)[-1]
+    assert report.name == "associativity" and not report.passed
+    assert report.detail == f"differs against dual {corrupted[0]}"
+
+
+def test_associativity_builds_no_canonical_form(monkeypatch):
+    # the check decides equality on raw table parts: no RatFun is reduced
+    calls = []
+    real = mosva.ratfun._reduce
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mosva.ratfun, "_reduce", counted)
+    report = run_suite(ASSOC_ONLY)[-1]
+    assert report.name == "associativity" and report.passed
+    assert report.params["coefficients"] > 0
+    assert calls == []
 
 
 def test_rationality_product_and_iterate():

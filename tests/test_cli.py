@@ -357,6 +357,10 @@ def test_subcommand_exit_codes(capsys, name):
 FLAG_ERRORS = {
     "window-reversed": (["series", *DIM1, "-u", "a1(-2)1", "--window=5:1"], "--window"),
     "window-malformed": (["series", *DIM1, "-u", "a1(-2)1", "--window", "-1"], "--window"),
+    "window-above-bound": (["series", *DIM1, "-u", "a1(-2)1", "--window=0:65"], "--window"),
+    "config-window-above-bound": (
+        ["series", "-c", '{"dim": 1, "suite": {"window": [0, 65]}}', "-u", "a1(-2)1"], "suite.window",
+    ),
     "iterate-three-u": (["iterate", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "-u", "1"], "-u"),
     "series-two-u": (["series", *DIM1, "-u", "a1(-1)1", "-u", "a1(-2)1"], "-u"),
 }

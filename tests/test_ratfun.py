@@ -12,6 +12,7 @@ from mosva.ratfun import (
     RatFun,
     expand_in_region,
     expand_raw,
+    parts_eq,
     pole_diff,
     pole_poly,
     pole_sum,
@@ -120,6 +121,32 @@ def test_eq_sign_convention():
 def test_eq_factors_cancel():
     r = RatFun(lp(Z, {(2, 0): 1, (0, 2): -1}), {DIFF12: 1})
     assert ratfun_eq(r, RatFun(lp(Z, {(1, 0): 1, (0, 1): 1})))
+
+
+def test_parts_eq_ignores_how_poles_are_split():
+    # (z1 - z2) / (z1 - z2)^2 against 1 / (z1 - z2)
+    lhs = [({DIFF12: 2}, lp(Z, {(1, 0): 1, (0, 1): -1}))]
+    assert parts_eq(lhs, [({DIFF12: 1}, LaurentPoly.const(1, Z))])
+    assert parts_eq([({DIFF12: 1}, LaurentPoly.const(1, Z))], lhs)
+
+
+def test_parts_eq_sees_one_scalar():
+    base = [({DIFF12: 1}, LaurentPoly.const(1, Z)), ({pole_var("z1"): 2}, lp(Z, {(0, 1): 3}))]
+    off = [base[0], ({pole_var("z1"): 2}, lp(Z, {(0, 1): 4}))]
+    assert parts_eq(base, base[::-1])
+    assert not parts_eq(base, off)
+    assert not parts_eq(off, base)
+
+
+def test_parts_eq_empty_side_is_zero():
+    cancelling = [
+        ({DIFF12: 2}, lp(Z, {(1, 0): 1, (0, 1): -1})),
+        ({DIFF12: 1}, LaurentPoly.const(-1, Z)),
+    ]
+    assert parts_eq([], [])
+    assert parts_eq([], cancelling)
+    assert parts_eq(cancelling, [])
+    assert not parts_eq([], cancelling[:1])
 
 
 def test_diff_double_negation_round_trip():
@@ -336,3 +363,30 @@ def test_property_sum_agrees_with_expansion(ps):
         assert (again.vars, again.numer.terms, again.poles) == (
             total.vars, total.numer.terms, total.poles,
         )
+
+
+@st.composite
+def part_lists(draw):
+    """Two lists of parts: unrelated, or the same sum written differently
+    (reordered, each part with one more pole factor on both sides of its
+    fraction), possibly with one numerator scaled."""
+    lhs = draw(st.lists(parts(), max_size=3))
+    if draw(st.booleans()):
+        return lhs, draw(st.lists(parts(), max_size=3))
+    rhs = []
+    for poles, numer in lhs[::-1]:
+        f = draw(st.sampled_from([pole_var("z2"), DIFF12]))
+        rhs.append(({**poles, f: poles.get(f, 0) + 1}, numer * pole_poly(f, 1, numer.vars)))
+    if rhs and draw(st.booleans()):
+        rhs[0] = (rhs[0][0], rhs[0][1].scale(draw(st.sampled_from([-1, 2]))))
+    return lhs, rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(part_lists())
+def test_property_parts_eq_agrees_with_canonical_eq(pair):
+    lhs, rhs = pair
+    a, b = ratfun_sum(lhs), ratfun_sum(rhs)
+    assert parts_eq(lhs, rhs) == ratfun_eq(a, b)
+    # canonical data are unique, which pins both tests independently
+    assert parts_eq(lhs, rhs) == (a.poles == b.poles and a.numer == b.numer)

@@ -28,7 +28,7 @@ from mosva.wick import (
     ContractionTerm,
     SHIFTED_VAR,
     _contract_tagged,
-    _residual_pairing_table,
+    _pairing_table_cached,
     commutator_pm,
     contract_two_blocks,
     iterate_closed_form,
@@ -168,14 +168,15 @@ def test_residual_single_creation():
 def test_pairing_tables_are_read_only():
     # cached tables are shared by every later call with the same residual
     residual = (("z1", 0, 1),)
-    table = _residual_pairing_table(H1, TRIV1, residual, vacuum_state(), [-1])
+    w_items = tuple(sorted(vacuum_state().items()))
+    table = _pairing_table_cached(H1, TRIV1, residual, w_items, (-1,))
     key = (((0, 1),), 0)
     assert table[key] == LaurentPoly(("z1",), {(0,): Fraction(1)})
     with pytest.raises(TypeError):
         table[key] = LaurentPoly.zero()
     with pytest.raises(TypeError):
         del table[key]
-    again = _residual_pairing_table(H1, TRIV1, residual, vacuum_state(), [-1])
+    again = _pairing_table_cached(H1, TRIV1, residual, w_items, (-1,))
     assert dict(again) == {key: LaurentPoly(("z1",), {(0,): Fraction(1)})}
 
 
