@@ -37,9 +37,7 @@ from .ratfun import (
     pole_sum,
     pole_var,
     ratfun_arith,
-    ratfun_canonicalize,
     ratfun_eq,
-    substitute_vars,
 )
 from .modules import (
     DualFunctional,
@@ -59,17 +57,14 @@ from .fields import (
     normal_order_monomial,
     product_series_bruteforce,
     series_lower_bound,
-    vertex_coefficient,
     vertex_series,
 )
 from .wick import (
     Block,
     ContractionTerm,
     commutator_pm,
-    contract_two_blocks,
     iterate_closed_form,
     matrix_coeff_iterate,
-    matrix_coeff_normal_ordered,
     matrix_coeff_product,
     reduce_blocks,
 )

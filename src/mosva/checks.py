@@ -62,12 +62,11 @@ from .modules import (
 )
 from .ratfun import (
     ITERATE_REGION,
-    ITERATE_SUBSTITUTION,
     RatFun,
     expand_in_region,
     parts_eq,
     ratfun_sum,
-    substitute_vars,
+    to_iterate_vars,
     uniform_window,
 )
 from .wick import (
@@ -368,7 +367,7 @@ def verify_rationality_iterate(
     """The iterate's rational function expands to the iterate series."""
     params = {"window": window}
     rf = matrix_coeff_iterate(h, mod, u1, u2, f, w)
-    sub = substitute_vars(rf, ITERATE_SUBSTITUTION)
+    sub = to_iterate_vars(rf)
     win = uniform_window(("x0", "x2"), *window)
     series = iterate_series_bruteforce(h, mod, u1, u2, f, w, win)
     if expand_in_region(sub, ITERATE_REGION, win) != series.align(("x0", "x2")):

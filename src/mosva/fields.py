@@ -205,17 +205,6 @@ def apply_modes(
                 yield tuple(modes), {(prefix + w2, s2): v * fc for (w2, s2), v in applied.items()}
 
 
-def vertex_coefficient(
-    h: HSpace, mod: ModulePresentation, u: FreeElem, s: int, w: WElem
-) -> WElem:
-    """The mode u_s applied to w, where Y(u, x) = sum_s u_s x^{-s-1}.
-
-    This is the x^{-s-1} coefficient of vertex_series: for each creation word
-    of u, contributing mode tuples satisfy sum (n_j + m_j) = s + 1.
-    """
-    return vertex_series(h, mod, u, w, -s - 1, -s - 1).get(-s - 1, {})
-
-
 def vertex_series(
     h: HSpace, mod: ModulePresentation, u: FreeElem, w: WElem, lo: int, hi: int
 ) -> Dict[int, WElem]:

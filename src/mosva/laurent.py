@@ -50,6 +50,8 @@ class LaurentPoly:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction]):
         svars = sort_vars(variables)
+        if len(svars) != len(variables):
+            raise ValueError(f"repeated variable names in {tuple(variables)}")
         if svars != tuple(variables):
             perm = [list(variables).index(v) for v in svars]
             terms = {tuple(e[p] for p in perm): c for e, c in terms.items()}
@@ -125,7 +127,7 @@ class LaurentPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        raise TypeError("LaurentPoly is not hashable")
 
     # -- arithmetic -----------------------------------------------------
 
@@ -188,38 +190,6 @@ class LaurentPoly:
             if ok:
                 terms[e] = c
         return LaurentPoly(self.vars, terms)
-
-    def substitute(self, assignments: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
-        """Substitute a polynomial for every variable; exponents must be >= 0.
-
-        Used for affine changes of variables on polynomial numerators.
-        """
-        universe = sort_vars(
-            [v for p in assignments.values() for v in p.vars]
-        )
-        out = LaurentPoly.zero(universe)
-        powers: Dict[Tuple[str, int], LaurentPoly] = {}
-
-        def power(v: str, k: int) -> LaurentPoly:
-            key = (v, k)
-            got = powers.get(key)
-            if got is None:
-                if k == 0:
-                    got = LaurentPoly.const(1, universe)
-                else:
-                    got = power(v, k - 1) * assignments[v].align(universe)
-                powers[key] = got
-            return got
-
-        for e, c in self.terms.items():
-            term = LaurentPoly.const(c, universe)
-            for v, k in zip(self.vars, e):
-                if k < 0:
-                    raise ValueError("substitution requires nonnegative exponents")
-                if k:
-                    term = term * power(v, k)
-            out = out + term
-        return out
 
     # -- exact division by the linear pole factors ------------------------
 

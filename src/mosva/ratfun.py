@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .halgebra import add_into, add_terms, det
+from .halgebra import add_into, add_terms
 from .laurent import LaurentPoly, Window, sort_vars, var_sort_key
 
 # ("var", v) | ("diff", a, b) | ("sum", a, b), names ordered a < b canonically
@@ -129,15 +129,6 @@ class RatFun:
     def __mul__(self, other: "RatFun") -> "RatFun":
         return ratfun_arith(self, other, "mul")
 
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.numer, self.poles, _canonical=True)
-
-    def scale(self, c) -> "RatFun":
-        c = Fraction(c)
-        if not c:
-            return RatFun.zero()
-        return RatFun(self.numer.scale(c), self.poles, _canonical=True)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
             return NotImplemented
@@ -207,11 +198,6 @@ def _reduce(numer: LaurentPoly, poles: Dict[PoleFactor, int]):
         else:
             del poles[f]
     return numer, poles
-
-
-def ratfun_canonicalize(r: RatFun) -> RatFun:
-    """Recanonicalize (idempotent; constructors already canonicalize)."""
-    return RatFun(r.numer, r.poles)
 
 
 def ratfun_arith(lhs: RatFun, rhs: RatFun, op: str) -> RatFun:
@@ -393,88 +379,35 @@ def _expand_monomial(
     return tuple(LaurentPoly._raw(universe, terms).filter_window(window).terms.items())
 
 
-# -- affine change of variables ---------------------------------------------
+# -- the iterate's change of variables ----------------------------------------
 
-Affine = Mapping[str, object]  # {new_var: coeff, ..., "1": constant}
-
-
-def _affine_parts(spec: Affine):
-    coeffs = {}
-    const = Fraction(0)
-    for key, c in spec.items():
-        c = Fraction(c)
-        if key == "1":
-            const = c
-        elif c:
-            coeffs[key] = c
-    return coeffs, const
+# z1 = x2 + x0 and z2 = x2, so z1 - z2 = x0: each admissible pole's image
+_ITERATE_POLES = {
+    pole_var("z1"): pole_sum("x0", "x2"),
+    pole_var("z2"): pole_var("x2"),
+    pole_diff("z1", "z2")[0]: pole_var("x0"),
+}
 
 
-def substitute_vars(r: RatFun, mapping: Mapping[str, Affine]) -> RatFun:
-    """Apply an invertible affine change of variables.
+def to_iterate_vars(r: RatFun) -> RatFun:
+    """r(z1, z2) rewritten in the iterate's variables: z1 = x2 + x0, z2 = x2.
 
-    `mapping` sends each variable of r to an affine combination of new
-    variables, e.g. {"z1": {"x2": 1, "x0": 1}, "z2": {"x2": 1}}.  Pole factors
-    must stay within the admissible family (a scalar multiple of a new
-    variable, a difference, or a sum); otherwise ValueError is raised.
+    Poles at z1, z2 and z1 - z2 become (x0 + x2), x2 and x0; any other pole
+    factor raises ValueError.  Each numerator monomial z1^a z2^b expands
+    binomially to sum_t C(a, t) x0^t x2^(a - t + b).
     """
-    missing = set(r.vars) - set(mapping)
-    if missing:
-        raise ValueError(f"substitution missing variables {sorted(missing)}")
-    parsed = {v: _affine_parts(spec) for v, spec in mapping.items()}
-    new_vars = sort_vars([u for coeffs, _ in parsed.values() for u in coeffs])
-    if mapping:
-        if len(new_vars) != len(parsed):
-            raise ValueError("substitution is not invertible (variable counts differ)")
-        matrix = [
-            [coeffs.get(u, Fraction(0)) for u in new_vars]
-            for coeffs, _ in parsed.values()
-        ]
-        if not det(matrix):
-            raise ValueError("substitution is not invertible (singular linear part)")
-
-    assignments = {}
-    for v in r.vars:
-        coeffs, const = parsed[v]
-        poly = LaurentPoly.zero(new_vars)
-        for u, c in coeffs.items():
-            poly = poly + LaurentPoly.monomial(new_vars, {u: 1}, c)
-        if const:
-            poly = poly + LaurentPoly.const(const, new_vars)
-        assignments[v] = poly
-
-    numer = r.numer.substitute(assignments)
-    scale = Fraction(1)
-    poles: Dict[PoleFactor, int] = {}
+    poles = {}
     for f, k in r.poles.items():
-        signs = (1,) if f[0] == "var" else ((1, -1) if f[0] == "diff" else (1, 1))
-        form: Dict[str, Fraction] = {}
-        const = Fraction(0)
-        for v, s in zip(pole_vars(f), signs):
-            coeffs, c0 = parsed[v]
-            const += s * c0
-            add_terms(form, coeffs.items(), s)
-        if const or not form or len(form) > 2:
-            raise ValueError(f"pole factor {f} leaves the admissible family")
-        if len(form) == 1:
-            (u, c), = form.items()
-            add_into(poles, pole_var(u), k)
-            scale *= Fraction(1) / c ** k
-        else:
-            (u1, c1), (u2, c2) = sorted(form.items(), key=lambda kv: var_sort_key(kv[0]))
-            if c1 == -c2:
-                g, sign = pole_diff(u1, u2)
-                add_into(poles, g, k)
-                scale *= Fraction(1) / (sign * c1) ** k
-            elif c1 == c2:
-                add_into(poles, pole_sum(u1, u2), k)
-                scale *= Fraction(1) / c1 ** k
-            else:
-                raise ValueError(f"pole factor {f} leaves the admissible family")
-    return RatFun(numer.scale(scale), poles)
+        if f not in _ITERATE_POLES:
+            raise ValueError(f"pole factor {f} has no image in (x0, x2)")
+        poles[_ITERATE_POLES[f]] = k
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for (a, b), c in r.numer.align(("z1", "z2")).terms.items():
+        for t in range(a + 1):
+            add_into(terms, (t, a - t + b), c * comb(a, t))
+    return RatFun(LaurentPoly._raw(("x0", "x2"), terms), poles)
 
 
-ITERATE_SUBSTITUTION = {"z1": {"x2": 1, "x0": 1}, "z2": {"x2": 1}}
 ITERATE_REGION = ("x2", "x0")
 
 

@@ -127,13 +127,6 @@ def _contract_tagged(
     return out
 
 
-def contract_two_blocks(h: HSpace, left: Block, right: Block) -> List[ContractionTerm]:
-    """Complete contraction expansion of a product of two normal-ordered groups."""
-    if left.var == right.var:
-        raise ValueError("blocks must carry distinct variables")
-    return _contract_tagged(h, left.tagged(), right.tagged())
-
-
 def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
     """Left-to-right fold of the two-group contraction over n groups.
 
@@ -313,23 +306,6 @@ def _paired(
     return _parts(acc)
 
 
-def matrix_coeff_normal_ordered(
-    h: HSpace,
-    mod: ModulePresentation,
-    term: ContractionTerm,
-    f: DualFunctional,
-    w: WElem,
-) -> LaurentPoly:
-    """Exact Laurent polynomial <f, :residual: w> in the residual's variables.
-
-    The term's scalar and pole monomial are not included; they are assembled
-    by the callers.  Finite because creation must land in f's support while
-    annihilation is capped by w's height above the module weight floor.
-    """
-    parts = _paired(h, mod, [ContractionTerm(1, {}, term.residual)], f, w)
-    return parts[0][1] if parts else LaurentPoly.zero([v for v, _, _ in term.residual])
-
-
 def matrix_coeff_product(
     h: HSpace,
     mod: ModulePresentation,
@@ -386,29 +362,12 @@ def product_table_raw(
     w: WElem,
     weight_cap: Fraction,
 ) -> Dict[Tuple[Tuple, int], List[Part]]:
-    """product_table without canonicalization: per key, (poles, numerator) parts.
+    """A product's matrix coefficient at every basis pair up to weight_cap.
 
-    Meant for bulk expansion comparisons, where assembling canonical rational
-    functions per entry would dominate the cost.
+    Each pair maps to raw (poles, numerator) parts, never canonicalized; their
+    ratfun_sum is matrix_coeff_product against that pair's dual basis element.
     """
     return _capped_table(h, mod, _product_terms(h, us), w, weight_cap)
-
-
-def product_table(
-    h: HSpace,
-    mod: ModulePresentation,
-    us: Sequence[FreeElem],
-    w: WElem,
-    weight_cap: Fraction,
-) -> Dict[Tuple[Tuple, int], RatFun]:
-    """Matrix coefficients of a product against every dual basis pair at once.
-
-    Returns basis pair -> RatFun; pairs of weight above weight_cap are
-    omitted.  Pairing a dual functional against the table reproduces
-    matrix_coeff_product.
-    """
-    raw = product_table_raw(h, mod, us, w, weight_cap)
-    return {key: ratfun_sum(parts) for key, parts in raw.items()}
 
 
 def iterate_table_raw(
@@ -419,18 +378,5 @@ def iterate_table_raw(
     w: WElem,
     weight_cap: Fraction,
 ) -> Dict[Tuple[Tuple, int], List[Part]]:
-    """iterate_table without canonicalization: per key, (poles, numerator) parts."""
+    """Iterate-side analogue of product_table_raw, already in (z1, z2)."""
     return _capped_table(h, mod, _iterate_terms(h, u1, u2), w, weight_cap)
-
-
-def iterate_table(
-    h: HSpace,
-    mod: ModulePresentation,
-    u1: FreeElem,
-    u2: FreeElem,
-    w: WElem,
-    weight_cap: Fraction,
-) -> Dict[Tuple[Tuple, int], RatFun]:
-    """Iterate-side analogue of product_table, already in (z1, z2) variables."""
-    raw = iterate_table_raw(h, mod, u1, u2, w, weight_cap)
-    return {key: ratfun_sum(parts) for key, parts in raw.items()}

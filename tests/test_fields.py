@@ -23,7 +23,6 @@ from mosva.fields import (
     normal_order_monomial,
     product_series_bruteforce,
     series_lower_bound,
-    vertex_coefficient,
     vertex_series,
 )
 from mosva.modules import (
@@ -43,6 +42,11 @@ H2 = HSpace.identity(2)
 TRIV1 = ModulePresentation.trivial(1)
 TRIV2 = ModulePresentation.trivial(2)
 RATIONAL_FORM = HSpace.from_rows([[1, Fraction(1, 2)], [Fraction(1, 3), 2]])
+
+
+def vertex_coefficient(h, mod, u, s, w):
+    """The mode u_s applied to w, where Y(u, x) = sum_s u_s x^{-s-1}."""
+    return vertex_series(h, mod, u, w, -s - 1, -s - 1).get(-s - 1, {})
 # criterion 5's module: weights 0, 0, 1, 1, noncommuting zero modes, nonzero Dm
 DIM4 = ModulePresentation.build(
     [0, 0, 1, 1],

@@ -1,14 +1,15 @@
-"""Exact rational-function arithmetic, canonical form, and region expansion."""
+"""Laurent polynomials and exact rational functions: arithmetic, canonical form,
+region expansion and the iterate's change of variables."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mosva.laurent import LaurentPoly
 from mosva.ratfun import (
     ITERATE_REGION,
-    ITERATE_SUBSTITUTION,
     RatFun,
     expand_in_region,
     expand_raw,
@@ -18,16 +19,13 @@ from mosva.ratfun import (
     pole_sum,
     pole_var,
     ratfun_arith,
-    ratfun_canonicalize,
     ratfun_eq,
     ratfun_sum,
-    substitute_vars,
+    to_iterate_vars,
     uniform_window,
 )
 
 Z = ("z1", "z2")
-# the inverse of ITERATE_SUBSTITUTION: x0 = z1 - z2, x2 = z2
-ITERATE_SUBSTITUTION_INVERSE = {"x0": {"z1": 1, "z2": -1}, "x2": {"z2": 1}}
 DIFF12 = pole_diff("z1", "z2")[0]
 
 
@@ -37,6 +35,24 @@ def lp(variables, terms):
 
 def one_over_diff(k=1):
     return RatFun(LaurentPoly.const(1, Z), {DIFF12: k})
+
+
+# -- Laurent polynomials -----------------------------------------------------
+
+
+def test_laurent_equality_aligns_variables_and_refuses_hashing():
+    # equal across variable universes, so a hash of (vars, terms) would split them
+    short, wide = lp(("z1",), {(1,): 1}), lp(Z, {(1, 0): 1})
+    assert short == wide
+    with pytest.raises(TypeError):
+        {short, wide}
+
+
+def test_laurent_rejects_repeated_variables():
+    with pytest.raises(ValueError):
+        LaurentPoly(("z1", "z1"), {(1, 2): 1})
+    with pytest.raises(ValueError):
+        LaurentPoly.zero(("z2", "z1", "z2"))
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -92,7 +108,7 @@ def test_canonicalize_division_oracle():
 
 def test_canonicalize_idempotent():
     r = RatFun(lp(Z, {(2, 0): 1, (1, 1): -1}), {DIFF12: 1, pole_var("z1"): 2})
-    again = ratfun_canonicalize(r)
+    again = RatFun(r.numer, r.poles)
     assert again.numer == r.numer and again.poles == r.poles
 
 
@@ -115,7 +131,7 @@ def test_eq_sign_convention():
     assert factor == DIFF12 and sign == -1
     other = RatFun(LaurentPoly.const(sign, Z), {factor: 1})
     assert not ratfun_eq(one_over_diff(), other)
-    assert ratfun_eq(one_over_diff().scale(-1), other)
+    assert ratfun_eq(RatFun(LaurentPoly.const(-1, Z), {DIFF12: 1}), other)
 
 
 def test_eq_factors_cancel():
@@ -173,7 +189,7 @@ def test_expand_pure_var_pole():
 
 def test_expand_iterate_substitution_collapses_diff():
     # (z1-z2)^-1 becomes exactly x0^-1 after z1 -> x2+x0, z2 -> x2
-    s = substitute_vars(one_over_diff(), ITERATE_SUBSTITUTION)
+    s = to_iterate_vars(one_over_diff())
     assert s.poles == {pole_var("x0"): 1}
     out = expand_in_region(s, ITERATE_REGION, {"x0": (-2, 2), "x2": (-2, 2)})
     assert out == lp(("x0", "x2"), {(-1, 0): 1})
@@ -192,25 +208,12 @@ def test_expand_reversed_region_flips_expansion_variable():
     assert out == lp(Z, {(0, -1): -1, (1, -2): -1, (2, -3): -1})
 
 
-# -- substitution ------------------------------------------------------------
-
-
-def test_substitute_forward_and_back():
-    s = substitute_vars(one_over_diff(2), ITERATE_SUBSTITUTION)
-    assert s.poles == {pole_var("x0"): 2}
-    back = substitute_vars(s, ITERATE_SUBSTITUTION_INVERSE)
-    assert back == one_over_diff(2)
-
-
-def test_substitute_inverse_of_monomial():
-    r = RatFun(LaurentPoly.const(1, ("x0", "x2")), {pole_var("x0"): 1, pole_var("x2"): 1})
-    out = substitute_vars(r, ITERATE_SUBSTITUTION_INVERSE)
-    assert out.poles == {DIFF12: 1, pole_var("z2"): 1}
+# -- the iterate's change of variables -----------------------------------------
 
 
 def test_substitute_var_pole_to_sum_factor():
     r = RatFun(LaurentPoly.const(1, ("z1",)), {pole_var("z1"): 1})
-    s = substitute_vars(r, ITERATE_SUBSTITUTION)
+    s = to_iterate_vars(r)
     assert s.poles == {pole_sum("x0", "x2"): 1}
     # geometric-series oracle: (x2+x0)^-1 = sum (-1)^t x2^(-1-t) x0^t for |x2|>|x0|
     out = expand_in_region(s, ("x2", "x0"), {"x0": (0, 3), "x2": (-4, 0)})
@@ -223,9 +226,16 @@ def test_substitute_var_pole_to_sum_factor():
     )
 
 
-def test_substitute_rejects_singular_map():
+def test_iterate_vars_expands_numerator_binomially():
+    # z1^2 z2 = (x2 + x0)^2 x2
+    out = to_iterate_vars(RatFun(lp(Z, {(2, 1): 1})))
+    assert out.numer == lp(("x0", "x2"), {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+
+
+@pytest.mark.parametrize("pole", [pole_var("z3"), pole_diff("z1", "z3")[0], pole_sum("z1", "z2")])
+def test_iterate_vars_rejects_other_poles(pole):
     with pytest.raises(ValueError):
-        substitute_vars(one_over_diff(), {"z1": {"x0": 1}, "z2": {"x0": 1}})
+        to_iterate_vars(RatFun(LaurentPoly.const(1, Z), {pole: 1}))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -251,8 +261,8 @@ VARS3 = ("z1", "z2", "z3")
 
 
 @st.composite
-def ratfuns(draw):
-    nvars = draw(st.integers(2, 3))
+def ratfuns(draw, max_vars=3):
+    nvars = draw(st.integers(2, max_vars))
     names = VARS3[:nvars]
     nterms = draw(st.integers(1, 3))
     terms = {}
@@ -326,9 +336,33 @@ def test_property_expansion_multiplicative(r, s):
 @settings(max_examples=60, deadline=None)
 @given(ratfuns())
 def test_property_canonicalize_idempotent(r):
-    c1 = ratfun_canonicalize(r)
-    c2 = ratfun_canonicalize(c1)
+    c1 = RatFun(r.numer, r.poles)
+    c2 = RatFun(c1.numer, c1.poles)
     assert c1.numer == c2.numer and c1.poles == c2.poles
+
+
+def evaluate(r, point):
+    """Exact value of r at a point off its poles, given as {variable: value}."""
+    value = sum(
+        (c * prod(point[v] ** k for v, k in zip(r.numer.vars, e)) for e, c in r.numer.terms.items()),
+        Fraction(0),
+    )
+    for f, k in r.poles.items():
+        a = point[f[1]]
+        b = 0 if f[0] == "var" else point[f[2]] * (-1 if f[0] == "diff" else 1)
+        value /= (a + b) ** k
+    return value
+
+
+nonzero_rationals = st.fractions(-5, 5, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratfuns(max_vars=2), nonzero_rationals, nonzero_rationals)
+def test_property_iterate_vars_agrees_pointwise(r, a, b):
+    # z1 = x2 + x0, z2 = x2 at x2 = a, x0 = b; a, b and a + b keep off every pole
+    assume(a + b)
+    assert evaluate(r, {"z1": a + b, "z2": a}) == evaluate(to_iterate_vars(r), {"x0": b, "x2": a})
 
 
 @st.composite

@@ -1,0 +1,52 @@
+"""The public surface of the package, and no dead definitions behind it."""
+
+import ast
+import os
+
+import mosva
+
+SRC = os.path.dirname(mosva.__file__)
+
+# the names `from mosva import *` provides; change this list deliberately
+PUBLIC = [
+    "Block", "CENTRAL", "CheckReport", "ContractionTerm", "DualFunctional", "FreeElem",
+    "HSpace", "LaurentPoly", "ModulePresentation", "NegWord", "RatFun", "SuiteConfig",
+    "WElem", "apply_D", "apply_d", "apply_mode", "basis_words", "basis_words_up_to",
+    "checks", "commutator_pm", "dual_term", "expand_in_region", "field_coefficient",
+    "fields", "free_add", "free_mul", "free_scale", "graded_dimension", "halgebra",
+    "iterate_closed_form", "laurent", "matrix_coeff_iterate", "matrix_coeff_product",
+    "mode", "modules", "noncommutativity_witness", "normal_order_monomial", "pairing",
+    "pbw_normal_form", "pole_diff", "pole_sum", "pole_var", "product_series_bruteforce",
+    "project_to_sym", "ratfun", "ratfun_arith", "ratfun_eq", "reduce_blocks",
+    "render_free_elem", "render_pbw_elem", "run_suite", "series_lower_bound", "state",
+    "vacuum_elem", "vacuum_state", "validate_hspace", "validate_module", "vertex_series",
+    "weight", "wick", "word_elem",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(mosva.__all__) == PUBLIC
+
+
+def test_every_private_definition_has_a_use_in_the_package():
+    defined, used = {}, set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(open(os.path.join(SRC, name)).read())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    dead = {
+        name: path
+        for name, path in defined.items()
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in mosva.__all__
+        and name not in used
+    }
+    assert not dead, f"defined but never used inside the package: {dead}"
