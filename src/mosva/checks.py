@@ -36,9 +36,9 @@ from .halgebra import (
     word_elem,
     word_weight,
 )
-from .laurent import LaurentPoly
 from .fields import (
     _mode_tuples,
+    iterate_series_bruteforce,
     product_series_bruteforce,
     vertex_series,
 )
@@ -318,41 +318,6 @@ def verify_rationality_product(
             "rationality-product", params, False, f"pole outside locus: {bad}"
         )
     return CheckReport("rationality-product", params, True)
-
-
-def iterate_series_bruteforce(
-    h: HSpace,
-    mod: ModulePresentation,
-    u1: FreeElem,
-    u2: FreeElem,
-    f: DualFunctional,
-    w: WElem,
-    window,
-) -> LaurentPoly:
-    """Series of the iterate in the inner/outer variables (x2, x0), truncated.
-
-    Inner coefficients Y(u1, x0)u2 live in the algebra; each is fed to an
-    outer operator on the module state and paired with f.  The x2^e2
-    coefficient of Y(v, x2)w has weight wt(v) + wt(w) + e2, so the outer
-    series is asked only for the exponents that land on a weight of f.
-    """
-    triv = ModulePresentation.trivial(h.dim)
-    lo0, hi0 = window["x0"]
-    lo2, hi2 = window["x2"]
-    inner = vertex_series(h, triv, u1, free_to_state(u2), lo0, hi0)
-    f_weights = {key_weight(mod, key) for key in f}
-    w_weights = {key_weight(mod, key) for key in w}
-    terms = {}
-    for e0, velem in inner.items():
-        v = state_to_free(velem)
-        pinned = {
-            fw - word_weight(word) - ww for fw in f_weights for word in v for ww in w_weights
-        }
-        for e2 in sorted(int(e) for e in pinned if e.denominator == 1 and lo2 <= e <= hi2):
-            val = pairing(f, vertex_series(h, mod, v, w, e2, e2).get(e2, {}))
-            if val:
-                terms[(e0, e2)] = val
-    return LaurentPoly(("x0", "x2"), terms)
 
 
 def verify_rationality_iterate(

@@ -14,14 +14,16 @@ pattern-first: each split of the factors into annihilating modes and creation
 slots is applied once, and since creation modes only prepend letters to a
 word, every way of filling the slots is one prepend and one scaling of that
 result.  Everything here is the direct, series-level evaluation; the
-closed-form contraction engine is checked against it.
+closed-form contraction engine is checked against it.  The product and
+iterate series enumerate no exponent that cannot reach the dual's weights.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb
+from itertools import product
+from math import ceil, comb, floor
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, word_weight
@@ -31,8 +33,10 @@ from .modules import (
     ModulePresentation,
     WElem,
     apply_mode_term,
+    free_to_state,
     key_weight,
     pairing,
+    state_to_free,
 )
 
 ModeMonomial = Tuple[Tuple[int, int], ...]  # ordered (basis index, mode) factors
@@ -259,48 +263,64 @@ def product_series_bruteforce(
 ) -> LaurentPoly:
     """Window-truncated expansion of <f, Y(u_1, z1)...Y(u_n, zn) w>.
 
-    Valid in |z1| > ... > |zn| > 0.  Intermediate states are pruned exactly:
-    a term is dropped only when no remaining exponent choices can bring its
-    weight back to a weight present in f.
+    Valid in |z1| > ... > |zn| > 0.  The operators act right to left, and
+    each exponent is pinned by weight before it is asked for.  On a valid
+    module, whose zero modes preserve weight, the z^e coefficient of Y(u, z)
+    on a basis pair has weight wt(u word) + wt(pair) + e, and the operators
+    left of position j add a weight in [sum_t<j (lo_t + min wt u_t),
+    sum_t<j (hi_t + max wt u_t)].  So each (word of u_j, state key) is asked
+    only for the exponents from which a weight of f is still reachable: at
+    the leftmost operator, exactly the exponents that land on one.
     """
-    n = len(us)
-    names = [f"z{j + 1}" for j in range(n)]
+    names = [f"z{j + 1}" for j in range(len(us))]
     for v in names:
         if v not in window:
             raise ValueError(f"window missing bounds for {v}")
-    f_weights = {key_weight(mod, key) for key in f}
-    u_ranges = []
-    for u in us:
-        ws = [word_weight(word) for word in u] or [0]
-        u_ranges.append((min(ws), max(ws)))
-
+    f_weights = sorted({key_weight(mod, key) for key in f})
     states: Dict[Tuple[int, ...], WElem] = {(): dict(w)}
-    for j in range(n - 1, -1, -1):
+    for j in reversed(range(len(us))):
         lo, hi = window[names[j]]
-        rem_lo = sum(window[names[t]][0] + u_ranges[t][0] for t in range(j))
-        rem_hi = sum(window[names[t]][1] + u_ranges[t][1] for t in range(j))
+        s0 = sum(window[names[t]][0] + min(map(word_weight, us[t]), default=0) for t in range(j))
+        s1 = sum(window[names[t]][1] + max(map(word_weight, us[t]), default=0) for t in range(j))
+        targets = []  # disjoint intervals of weights from which f stays reachable
+        for fw in f_weights:
+            if targets and fw - s1 <= targets[-1][1]:
+                targets[-1][1] = fw - s0
+            else:
+                targets.append([fw - s1, fw - s0])
         nxt: Dict[Tuple[int, ...], WElem] = {}
         for tail, elem in states.items():
-            series = vertex_series(h, mod, us[j], elem, lo, hi)
-            for e, coeff_elem in series.items():
-                kept = {
-                    key: c
-                    for key, c in coeff_elem.items()
-                    if any(
-                        key_weight(mod, key) + rem_lo <= fw <= key_weight(mod, key) + rem_hi
-                        for fw in f_weights
-                    )
-                }
-                if not kept:
-                    continue
-                add_terms(nxt.setdefault((e,) + tail, {}), kept.items())
+            for (uword, uc), (key, c) in product(us[j].items(), elem.items()):
+                base = word_weight(uword) + key_weight(mod, key)
+                for a, b in targets:
+                    e_lo, e_hi = max(lo, ceil(a - base)), min(hi, floor(b - base))
+                    if e_lo <= e_hi:
+                        series = vertex_series(h, mod, {uword: uc}, {key: c}, e_lo, e_hi)
+                        for e, coeff in series.items():
+                            add_terms(nxt.setdefault((e,) + tail, {}), coeff.items())
         states = {k: v for k, v in nxt.items() if v}
-        if not states:
-            break
+    return LaurentPoly(names, {exps: pairing(f, elem) for exps, elem in states.items()})
 
+
+def iterate_series_bruteforce(
+    h: HSpace,
+    mod: ModulePresentation,
+    u1: FreeElem,
+    u2: FreeElem,
+    f: DualFunctional,
+    w: WElem,
+    window: Window,
+) -> LaurentPoly:
+    """Window-truncated expansion of <f, Y(Y(u1, x0)u2, x2)w> in (x0, x2).
+
+    The inner series Y(u1, x0)u2 is taken on the trivial module over the x0
+    window; each of its coefficients v then goes through the one-operator
+    product series <f, Y(v, x2)w>, which pins x2 by weight.
+    """
+    triv = ModulePresentation.trivial(h.dim)
+    inner = vertex_series(h, triv, u1, free_to_state(u2), *window["x0"])
     terms = {}
-    for exps, elem in states.items():
-        value = pairing(f, elem)
-        if value:
-            terms[exps] = value
-    return LaurentPoly(names, terms)
+    for e0, velem in inner.items():
+        outer = product_series_bruteforce(h, mod, [state_to_free(velem)], w, f, {"z1": window["x2"]})
+        terms.update(((e0, e2), c) for (e2,), c in outer.terms.items())
+    return LaurentPoly(("x0", "x2"), terms)

@@ -15,12 +15,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mosva.checks import (
-    iterate_series_bruteforce,
-    verify_rationality_iterate,
-    verify_rationality_product,
-)
-from mosva.fields import vertex_series
+from mosva.checks import verify_rationality_iterate, verify_rationality_product
+from mosva.fields import iterate_series_bruteforce, product_series_bruteforce, vertex_series
 from mosva.halgebra import HSpace, basis_words_up_to
 from mosva.laurent import LaurentPoly
 from mosva.modules import ModulePresentation, free_to_state, pairing, state_to_free, validate_module
@@ -115,3 +111,26 @@ def test_weight_pinned_iterate_oracle_matches_unpinned(case):
     window = uniform_window(("x0", "x2"), -5, 1)
     pinned = iterate_series_bruteforce(h, mod, us[0], us[1], f, w, window)
     assert pinned == unpinned_iterate_series(h, mod, us[0], us[1], f, w, window)
+
+
+def unpinned_product_series(h, mod, us, f, w, window):
+    """The product series with each operator taken over its whole window."""
+    names = [f"z{j + 1}" for j in range(len(us))]
+    states = {(): w}
+    for name, u in reversed(list(zip(names, us))):
+        states = {
+            (e,) + tail: elem
+            for tail, state in states.items()
+            for e, elem in vertex_series(h, mod, u, state, *window[name]).items()
+        }
+    return LaurentPoly(names, {exps: pairing(f, elem) for exps, elem in states.items()})
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cases())
+def test_weight_pinned_product_oracle_matches_unpinned(case):
+    h, mod, us, f, w = case
+    names = [f"z{j + 1}" for j in range(len(us))]
+    window = uniform_window(names, -5, 1)
+    pinned = product_series_bruteforce(h, mod, us, w, f, window)
+    assert pinned == unpinned_product_series(h, mod, us, f, w, window)

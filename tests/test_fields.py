@@ -20,6 +20,7 @@ from mosva.laurent import LaurentPoly
 from mosva.fields import (
     apply_modes,
     field_coefficient,
+    iterate_series_bruteforce,
     normal_order_monomial,
     product_series_bruteforce,
     series_lower_bound,
@@ -400,3 +401,32 @@ def test_bruteforce_noncommutativity_witness():
     swapped = product_series_bruteforce(H2, TRIV2, [a2, a1], w, f, win)
     assert direct == LaurentPoly(("z1", "z2"), {(0, 0): Fraction(1)})
     assert swapped.is_zero()
+
+
+def test_pruned_exponents_are_never_asked_for(monkeypatch):
+    # against a one-weight dual, grading pins the leftmost operator's exponent
+    # and the iterate's x2 exponent to one value per call
+    calls = []
+    real = mosva.fields.vertex_series
+
+    def spy(h, mod, u, w, lo, hi):
+        calls.append((mod, set(u), lo, hi))
+        return real(h, mod, u, w, lo, hi)
+
+    monkeypatch.setattr(mosva.fields, "vertex_series", spy)
+    u1, u2 = word_elem(((0, 1),)), word_elem(((1, 2),))
+    f = dual_term((), 2)  # pairs with the contraction of a1 and a2(-2)
+    w = vacuum_state(2)
+    product = product_series_bruteforce(
+        RATIONAL_FORM, DIM4, [u1, u2], w, f, {"z1": (-24, 12), "z2": (-24, 12)}
+    )
+    leftmost = [(lo, hi) for _, words, lo, hi in calls if words <= set(u1)]
+    assert not product.is_zero() and leftmost
+    assert all(lo == hi for lo, hi in leftmost)
+    calls.clear()
+    iterate = iterate_series_bruteforce(
+        RATIONAL_FORM, DIM4, u1, u2, f, w, {"x0": (-24, 12), "x2": (-24, 12)}
+    )
+    outer = [(lo, hi) for mod, _, lo, hi in calls if mod is DIM4]
+    assert not iterate.is_zero() and outer
+    assert all(lo == hi for lo, hi in outer)
