@@ -6,8 +6,8 @@ rationality of products and iterates against the closed-form engine,
 associativity of products versus iterates, pole-locus containment, block
 rewriting confluence, graded dimensions, the projection onto the symmetric
 algebra, and an explicit noncommutativity witness.  Checks draw their samples
-from an exhaustive low-weight grid plus a seeded random layer, so reports are
-reproducible from the configuration alone.
+from an exhaustive low-weight grid plus a seeded random layer, one stream per
+sampling check, so reports are reproducible from the configuration alone.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .halgebra import (
@@ -37,7 +39,7 @@ from .halgebra import (
     word_weight,
 )
 from .fields import (
-    _mode_tuples,
+    field_coefficient,
     iterate_series_bruteforce,
     product_series_bruteforce,
     vertex_series,
@@ -241,29 +243,25 @@ def verify_D_properties(
     u: FreeElem,
     w: WElem,
     span: Tuple[int, int],
-    include_commutator: bool = True,
 ) -> CheckReport:
     """The derivative, translation, and commutator forms of d/dx Y(u, x) agree.
 
     The commutator form provably fails on modules whose zero modes act by
-    nonzero matrices (the d/dx of the zero-mode term has no commutator
-    counterpart); include_commutator=False checks only the always-valid
-    derivative/translation pair, and the report is named accordingly.
+    nonzero matrices: the d/dx of the zero-mode term has no commutator
+    counterpart.
     """
-    name = "translation-properties" if include_commutator else "translation-derivative"
+    name = "translation-properties"
     params = {"u": render_free_elem(u), "span": span}
     lo, hi = span
     on_w = vertex_series(h, mod, u, w, lo, hi + 1)
     translated = vertex_series(h, mod, derivative_elem(u), w, lo, hi)
-    on_Dw = vertex_series(h, mod, u, apply_D(mod, w), lo, hi) if include_commutator else {}
+    on_Dw = vertex_series(h, mod, u, apply_D(mod, w), lo, hi)
     for e in range(lo, hi + 1):
         derivative = welem_scale(on_w.get(e + 1, {}), e + 1)
         if derivative != translated.get(e, {}):
             return CheckReport(
                 name, params, False, f"derivative vs translation at exponent {e}"
             )
-        if not include_commutator:
-            continue
         commutator = welem_add(
             apply_D(mod, on_w.get(e, {})), welem_scale(on_Dw.get(e, {}), -1)
         )
@@ -417,15 +415,20 @@ def sym_vertex_coefficient(
     """Vertex-operator coefficient computed purely on sorted words.
 
     Independent of the tensor-side machinery: the only shared ingredient is
-    the per-field binomial.
+    the per-field binomial.  The mode tuples are those free of zero modes,
+    with total s + 1 - sum of the orders and positive part at most the
+    word's weight, so every mode lies in [total - weight, weight].
     """
     orders = tuple(m for _, m in u_sym)
     indices = [i for i, _ in u_sym]
+    total = s + 1 - sum(orders)
     out: Dict[SymWord, Fraction] = {}
     for word, wc in w.items():
         budget = word_weight(word)
-        total = s + 1 - sum(orders)
-        for modes, c in _mode_tuples(orders, total, total, budget):
+        for modes in product(range(total - budget, budget + 1), repeat=len(orders)):
+            if sum(modes) != total or 0 in modes or sum(n for n in modes if n > 0) > budget:
+                continue
+            c = prod(field_coefficient(m, n) for m, n in zip(orders, modes))
             current = {word: wc * c}
             for i, n in sorted(zip(indices, modes), key=lambda x: -x[1]):
                 current = sym_apply_mode(h, i, n, current)
@@ -587,7 +590,6 @@ class _Samples:
     """The exhaustive-plus-seeded sample grid every check draws from."""
 
     config: SuiteConfig
-    rng: random.Random
     words: List[NegWord]
     elems: List[FreeElem]
     states: List[WElem]
@@ -606,7 +608,7 @@ class _Samples:
         states += [vacuum_state(s) for s in range(1, min(mod.dim, 3))]
         nonvac = [wd for wd in words if wd]
         pairs = [(rng.choice(nonvac), rng.choice(nonvac)) for _ in range(config.sample_pairs)]
-        return cls(config, rng, words, [word_elem(wd) for wd in words], states, pairs)
+        return cls(config, words, [word_elem(wd) for wd in words], states, pairs)
 
 
 def _first_failure(reports: Iterable[CheckReport]) -> Optional[CheckReport]:
@@ -636,7 +638,8 @@ def _translation_properties(s: _Samples) -> CheckReport:
 
 
 def _rationality_product(s: _Samples) -> CheckReport:
-    c, rng = s.config, s.rng
+    # its own stream, so its samples do not depend on which checks ran before it
+    c, rng = s.config, random.Random(f"{s.config.seed}:rationality-product")
     return _first_failure(
         verify_rationality_product(
             c.h, c.module, [word_elem(w1), word_elem(w2)],
@@ -673,7 +676,7 @@ def _associativity(s: _Samples) -> CheckReport:
 
 
 def _rationality_iterate(s: _Samples) -> CheckReport:
-    c, rng = s.config, s.rng
+    c, rng = s.config, random.Random(f"{s.config.seed}:rationality-iterate")
     return _first_failure(
         verify_rationality_iterate(
             c.h, c.module, word_elem(w1), word_elem(w2),

@@ -10,12 +10,14 @@ total of n_j + m_j.
 Enumeration of contributing mode tuples terminates because creation totals
 are fixed by the requested power while annihilation totals are capped by how
 far the target state sits above the module's minimum weight.  It runs
-pattern-first: each split of the factors into annihilating modes and creation
-slots is applied once, and since creation modes only prepend letters to a
-word, every way of filling the slots is one prepend and one scaling of that
-result.  Everything here is the direct, series-level evaluation; the
-closed-form contraction engine is checked against it.  The product and
-iterate series enumerate no exponent that cannot reach the dual's weights.
+pattern-first: each split of the factors into annihilating modes n >= 0 and
+creation slots is applied once, and since creation modes only prepend letters
+to a word, every creation fill of the slots (each n <= -m, from _mode_tuples)
+is one prepend and one scaling of that result.  A mode -m < n < 0 has a
+vanishing coefficient, so the two parts miss no tuple.  Everything here is
+the direct, series-level evaluation; the closed-form contraction engine is
+checked against it.  The product and iterate series enumerate no exponent
+that cannot reach the dual's weights.
 """
 
 from __future__ import annotations
@@ -101,37 +103,22 @@ def apply_monomial(
 
 
 @lru_cache(maxsize=120000)
-def _mode_tuples(
-    orders: Tuple[int, ...], lo: int, hi: int, budget: int
-) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Mode tuples free of zero modes, total in [lo, hi], positive part <= budget.
+def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Creation fills of the derivative orders m_j: each n_j <= -m_j, total sum.
 
-    Returns (modes, integer coefficient prod binom(-n_j-1, m_j-1)) pairs,
-    skipping tuples with a vanishing factor.  Positive totals beyond `budget`
-    cannot act without dropping below the module's weight floor, so they are
-    pruned; zero modes are left to the annihilation patterns of apply_modes.
-    Memoized: the same order profiles recur across words and pairs.
+    Returns (modes, integer coefficient prod binom(-n_j-1, m_j-1)) pairs; no
+    coefficient of a creation mode vanishes.  Every later n_j is at most
+    -m_j, so the first mode is at least total + sum of the later orders.
+    Memoized: the same slot profiles recur across words and pairs.
     """
     if not orders:
-        return (((), 1),) if lo <= 0 <= hi else ()
-    m = orders[0]
-    rest = orders[1:]
-    n_lo, n_hi = (lo - budget, budget) if rest else (lo, hi)
+        return (((), 1),) if total == 0 else ()
+    m, rest = orders[0], orders[1:]
     out = []
-    for n in range(n_lo, n_hi + 1):
-        if n == 0:
-            continue
-        if n > 0 and n > budget:
-            continue
+    for n in range(total + sum(rest), -m + 1):
         c = field_coefficient(m, n)
-        if not c:
-            continue
-        if rest:
-            sub_budget = budget - n if n > 0 else budget
-            for tail, tc in _mode_tuples(rest, lo - n, hi - n, sub_budget):
-                out.append(((n,) + tail, c * tc))
-        else:
-            out.append(((n,), c))
+        for tail, tc in _mode_tuples(rest, total - n):
+            out.append(((n,) + tail, c * tc))
     return tuple(out)
 
 
@@ -181,8 +168,9 @@ def apply_modes(
 
     Enumeration is pattern-first: each annihilation pattern is applied once,
     positive modes before zero modes, rightmost first, and a pattern that
-    kills the pair skips all its completions.  Creation modes n <= -m fill
-    the slots per admissible total, each completion a prepend and a scaling.
+    kills the pair skips all its completions.  The creation fills of the
+    slots per admissible total come from _mode_tuples, each completion a
+    prepend and a scaling.
     """
     if not totals:
         return
@@ -201,7 +189,7 @@ def apply_modes(
         for t in totals:
             if t > top:
                 break
-            for fill, fc in _mode_tuples(slot_orders, t - p_total, t - p_total, 0):
+            for fill, fc in _mode_tuples(slot_orders, t - p_total):
                 modes = list(pattern)
                 for j, n in zip(slots, fill):
                     modes[j] = n

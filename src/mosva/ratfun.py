@@ -301,6 +301,14 @@ def _expand_monomial(
 
     exps runs over sort_vars(region); bounds gives each region variable's
     window.  Returns the (exponents, coefficient) pairs inside the window.
+
+    One truncation rule: each mixed factor's geometric series is taken to a
+    fixed order, set from the top of the region down.  A factor's big
+    variable only loses exponent along its series, so the order is the big
+    variable's top exponent, plus the orders already granted to factors in
+    which it is the small variable, minus the pole orders on it, minus its
+    window floor.  The product of the truncated series is then filtered to
+    the window once.
     """
     window = dict(zip(region, bounds))
     rank = {v: i for i, v in enumerate(region)}
@@ -320,60 +328,30 @@ def _expand_monomial(
             else:
                 mixed.append((big, small, k, -1))
 
-    # Bound the number of series terms needed per factor, from the top of the
-    # region down: the factor's big variable can only lose exponent, so the
-    # window floor for the big variable caps the series order.
     order: Dict[int, int] = {}
     small_slack: Dict[str, int] = {v: 0 for v in region}
     for v in region:
         idxs = [i for i, (big, _, _, _) in enumerate(mixed) if big == v]
         if not idxs:
             continue
-        top = base.max_exp(v)
-        sum_n = sum(mixed[i][2] for i in idxs)
-        budget = top + small_slack[v] - sum_n - window[v][0]
+        budget = base.max_exp(v) + small_slack[v] - sum(mixed[i][2] for i in idxs) - window[v][0]
         for i in idxs:
             order[i] = budget
             if budget >= 0:
                 small_slack[mixed[i][1]] += budget
-    if any(t < 0 for t in order.values()):
-        return ()
-
-    # Remaining-contribution ranges per variable, for pruning between factors.
-    remaining_lo = {v: 0 for v in region}
-    remaining_hi = {v: 0 for v in region}
-    for i, (big, small, n, _) in enumerate(mixed):
-        t = order[i]
-        remaining_lo[big] += -n - t
-        remaining_hi[big] += -n
-        remaining_hi[small] += t
 
     universe = base.vars
     terms = dict(base.terms)
     vpos = {v: i for i, v in enumerate(universe)}
     for i, (big, small, n, alt) in enumerate(mixed):
-        t_max = order[i]
-        remaining_lo[big] -= -n - t_max
-        remaining_hi[big] -= -n
-        remaining_hi[small] -= t_max
         bslot, sslot = vpos[big], vpos[small]
-        series = [
-            (t, comb(n - 1 + t, t) * (alt ** t)) for t in range(t_max + 1)
-        ]
-        bounds = [(window[v][0] - remaining_hi[v], window[v][1] - remaining_lo[v]) for v in universe]
+        series = [(t, comb(n - 1 + t, t) * (alt ** t)) for t in range(order[i] + 1)]
         nxt: Dict[Tuple[int, ...], Fraction] = {}
         for e, c in terms.items():
             for t, sc in series:
                 vec = list(e)
                 vec[bslot] += -n - t
                 vec[sslot] += t
-                ok = True
-                for x, (lo, hi) in zip(vec, bounds):
-                    if x < lo or x > hi:
-                        ok = False
-                        break
-                if not ok:
-                    continue
                 add_into(nxt, tuple(vec), c * sc)
         terms = nxt
     return tuple(LaurentPoly._raw(universe, terms).filter_window(window).terms.items())

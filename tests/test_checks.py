@@ -348,3 +348,30 @@ def test_suite_config_rejects_out_of_domain_values(field, value):
 def test_suite_config_normalizes_lists():
     config = SuiteConfig(h=H2, module=TRIV2, window=[-3, 1], checks=["associativity"])
     assert config.window == (-3, 1) and config.checks == ("associativity",)
+
+
+def test_sampled_checks_draw_from_their_own_streams(monkeypatch):
+    """rationality-iterate sees the same samples whether rationality-product
+    ran before it, was left out, or stopped at its first sample, so a failure
+    seen in the full suite replays with that one check selected."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return verify_rationality_iterate(*args)
+
+    def run(checks):
+        calls.clear()
+        config = SuiteConfig(h=H2, module=TRIV2, seed=0, sample_pairs=8, checks=checks)
+        assert all(r.passed for r in run_suite(config) if r.name != "rationality-product")
+        return list(calls)
+
+    monkeypatch.setattr("mosva.checks.verify_rationality_iterate", recording)
+    both = run(("rationality-product", "rationality-iterate"))
+    alone = run(("rationality-iterate",))
+    monkeypatch.setattr(
+        "mosva.checks.verify_rationality_product",
+        lambda *args: mosva.checks.CheckReport("rationality-product", {}, False, "injected"),
+    )
+    stopped = run(("rationality-product", "rationality-iterate"))
+    assert both and both == alone == stopped

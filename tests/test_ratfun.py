@@ -1,8 +1,9 @@
 """Laurent polynomials and exact rational functions: arithmetic, canonical form,
 region expansion and the iterate's change of variables."""
 
+import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -206,6 +207,72 @@ def test_expand_reversed_region_flips_expansion_variable():
     )
     # (z1-z2)^-1 = -(z2-z1)^-1 expands in nonnegative powers of z1
     assert out == lp(Z, {(0, -1): -1, (1, -2): -1, (2, -3): -1})
+
+
+Z3 = ("z1", "z2", "z3")
+# Numerator exponents are at most 3 and window floors at least -6.  The top
+# region variable is never the small one, so its factors' series indices sum
+# to at most 3 - 1 + 6 = 8; the middle variable gains at most those 8 and its
+# own indices sum to at most 3 + 8 - 1 + 6 = 16.  Order 20 is generous.
+REF_ORDER = 20
+
+
+def naive_expansion(exps, poles, region, window):
+    """exps / prod(poles) in |region[0]| > |region[1]| > |region[2]| > 0, with
+    each pole factor's geometric series multiplied in to REF_ORDER terms and
+    the window cut once at the end."""
+    rank = {v: i for i, v in enumerate(region)}
+    slot = {v: i for i, v in enumerate(Z3)}
+    terms = {tuple(exps): 1}  # integer coefficients throughout
+    for f, k in poles.items():
+        if f[0] == "var":
+            series = [({f[1]: -k}, 1)]
+        else:
+            # f = s * (big + c * small), so f^-k = s^k big^-k (1 + c small/big)^-k
+            a, b = f[1], f[2]
+            big, small = sorted((a, b), key=rank.get)
+            c = 1 if f[0] == "sum" else -1
+            s = -1 if f[0] == "diff" and big == b else 1
+            series = [
+                ({big: -k - t, small: t}, s ** k * comb(k - 1 + t, t) * (-c) ** t)
+                for t in range(REF_ORDER + 1)
+            ]
+        nxt = {}
+        for e, coeff in terms.items():
+            for shift, sc in series:
+                vec = list(e)
+                for v, d in shift.items():
+                    vec[slot[v]] += d
+                nxt[tuple(vec)] = nxt.get(tuple(vec), 0) + coeff * sc
+        terms = nxt
+    inside = {
+        e: coeff for e, coeff in terms.items()
+        if coeff and all(window[v][0] <= x <= window[v][1] for v, x in zip(Z3, e))
+    }
+    return LaurentPoly(Z3, inside)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_expand_raw_matches_naive_series_reference(seed):
+    rng = random.Random(seed)
+    for case in range(300):
+        exps = [rng.randint(-2, 3) for _ in Z3]
+        poles = {}
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(["var", "diff", "sum"])
+            if kind == "var":
+                f = pole_var(rng.choice(Z3))
+            else:
+                a, b = rng.sample(Z3, 2)
+                f = pole_diff(a, b)[0] if kind == "diff" else pole_sum(a, b)
+            poles[f] = rng.randint(1, 3)
+        region = tuple(rng.sample(Z3, 3))
+        window = {}
+        for v in Z3:
+            lo = rng.randint(-6, 0)
+            window[v] = (lo, rng.randint(lo, 4))
+        got = expand_raw(LaurentPoly(Z3, {tuple(exps): 1}), poles, region, window)
+        assert got == naive_expansion(exps, poles, region, window), (case, exps, poles, region, window)
 
 
 # -- the iterate's change of variables -----------------------------------------
