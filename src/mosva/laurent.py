@@ -150,13 +150,6 @@ class LaurentPoly:
             add_terms(terms, ((tuple(map(add, e1, e2)), c2) for e2, c2 in b.terms.items()), c1)
         return LaurentPoly._raw(a.vars, terms)
 
-    def scale(self, c) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly._raw(self.vars, {})
-        if c == 1:
-            return self
-        return LaurentPoly._raw(self.vars, {e: c * v for e, v in self.terms.items()})
-
     def shift(self, var: str, delta: int) -> "LaurentPoly":
         """Multiply by var**delta."""
         i = self.vars.index(var)
@@ -170,12 +163,6 @@ class LaurentPoly:
             return None
         i = self.vars.index(var)
         return min(e[i] for e in self.terms)
-
-    def max_exp(self, var: str) -> Optional[int]:
-        if not self.terms:
-            return None
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
 
     def filter_window(self, window: Window) -> "LaurentPoly":
         """Keep only terms whose exponents lie inside the window, per variable."""
@@ -200,8 +187,9 @@ class LaurentPoly:
             return None
         return self.shift(var, -1)
 
-    def _div_linear(self, a: str, b: str, sign: int) -> Optional["LaurentPoly"]:
-        """Exact quotient by (a + sign*b); None when not divisible.
+    def _div_linear(self, a: str, b: str) -> Optional["LaurentPoly"]:
+        """Exact quotient by (a - b), a RatFun's difference factor; None when
+        not divisible.
 
         Synthetic division of self viewed as a polynomial in `a` with Laurent
         coefficients in the remaining variables; requires exponents of `a`
@@ -222,20 +210,13 @@ class LaurentPoly:
             rest = e[:ia] + (0,) + e[ia + 1:]
             coeffs.setdefault(k, {})[rest] = c
 
-        def shift_b(d: Dict[Exponents, Fraction]) -> Dict[Exponents, Fraction]:
-            out = {}
-            for e, c in d.items():
-                e2 = e[:ib] + (e[ib] + 1,) + e[ib + 1:]
-                out[e2] = -sign * c
-            return out
-
-        # self = (a + sign*b) * q + r with r = self evaluated at a = -sign*b
+        # self = (a - b) * q + r with r = self evaluated at a = b
         q: Dict[int, Dict[Exponents, Fraction]] = {}
         carry: Dict[Exponents, Fraction] = {}
         for k in range(degree, 0, -1):
             add_terms(carry, coeffs.get(k, {}).items())
-            q[k - 1] = dict(carry)
-            carry = shift_b(carry)
+            q[k - 1] = carry
+            carry = {e[:ib] + (e[ib] + 1,) + e[ib + 1:]: c for e, c in carry.items()}
         add_terms(carry, coeffs.get(0, {}).items())
         if carry:
             return None

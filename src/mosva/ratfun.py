@@ -1,17 +1,18 @@
 """Exact rational functions with poles confined to z_i = 0 and z_i = z_j.
 
 A RatFun is a polynomial numerator over the rationals divided by a product of
-linear pole factors, each either a single variable z_i, a difference
-(z_i - z_j), or (transiently, to support the change of variables used for
-iterates) a sum (x_i + x_j).  The canonical form divides every pole factor out
-of the numerator as often as it goes, folds negative variable exponents into
+linear pole factors, each either a single variable z_i or a difference
+(z_i - z_j).  The canonical form divides every pole factor out of the
+numerator as often as it goes, folds negative variable exponents into
 plain-variable poles, and normalizes (z_j - z_i) to -(z_i - z_j); with that,
 two RatFuns represent the same function iff their canonical data are equal.
 
 Region expansion turns a RatFun into the iterated Laurent series valid when
 |z_{s(1)}| > ... > |z_{s(n)}| > 0, truncated to a finite exponent window:
 every (z_i - z_j)^-N expands in nonnegative powers of whichever variable is
-smaller in the region.
+smaller in the region.  Raw (poles, numerator) parts expand the same way, and
+may also carry the sum factors (x_i + x_j) that the iterate's change of
+variables makes.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 from .halgebra import add_into, add_terms
 from .laurent import LaurentPoly, Window, sort_vars, var_sort_key
 
-# ("var", v) | ("diff", a, b) | ("sum", a, b), names ordered a < b canonically
+# ("var", v) | ("diff", a, b) | ("sum", a, b), names ordered a < b canonically;
+# a RatFun holds only the first two kinds
 PoleFactor = Tuple[str, ...]
 # one term of a sum of rational functions: (poles, numerator)
 Part = Tuple[Mapping[PoleFactor, int], LaurentPoly]
 
-_KIND_ORDER = {"var": 0, "diff": 1, "sum": 2}
+_KIND_ORDER = {"var": 0, "diff": 1}
 
 
 def pole_var(v: str) -> PoleFactor:
@@ -66,17 +68,18 @@ def pole_vars(f: PoleFactor) -> Tuple[str, ...]:
 
 
 def pole_poly(f: PoleFactor, k: int, variables: Sequence[str]) -> LaurentPoly:
-    """The polynomial factor**k over the given variable universe."""
+    """The polynomial factor**k of a var or diff factor over the given variables."""
     universe = sort_vars(tuple(variables) + pole_vars(f))
     if f[0] == "var":
         return LaurentPoly.monomial(universe, {f[1]: k})
+    if f[0] != "diff":
+        raise ValueError(f"no polynomial for pole factor {f!r}")
     a, b = f[1], f[2]
-    sign = -1 if f[0] == "diff" else 1
     terms = {}
     for t in range(k + 1):
         exps = {a: k - t, b: t}
         vec = tuple(exps.get(v, 0) for v in universe)
-        terms[vec] = Fraction(comb(k, t) * (sign ** t))
+        terms[vec] = Fraction(comb(k, t) * (-1) ** t)
     return LaurentPoly(universe, terms)
 
 
@@ -147,10 +150,8 @@ class RatFun:
         for f, k in sorted(self.poles.items(), key=lambda kv: pole_sort_key(kv[0])):
             if f[0] == "var":
                 parts.append(f"{f[1]}^{k}")
-            elif f[0] == "diff":
-                parts.append(f"({f[1]} - {f[2]})^{k}")
             else:
-                parts.append(f"({f[1]} + {f[2]})^{k}")
+                parts.append(f"({f[1]} - {f[2]})^{k}")
         return f"{num} / ({' * '.join(parts)})"
 
     def __repr__(self):
@@ -169,7 +170,7 @@ class RatFun:
 def _divide_once(p: LaurentPoly, f: PoleFactor) -> Optional[LaurentPoly]:
     if f[0] == "var":
         return p.div_var(f[1])
-    return p._div_linear(f[1], f[2], -1 if f[0] == "diff" else 1)
+    return p._div_linear(f[1], f[2])
 
 
 def _reduce(numer: LaurentPoly, poles: Dict[PoleFactor, int]):
@@ -257,7 +258,7 @@ def ratfun_eq(lhs: RatFun, rhs: RatFun) -> bool:
 def expand_in_region(r: RatFun, region: Sequence[str], window: Window) -> LaurentPoly:
     """Iterated Laurent expansion of r in |region[0]| > |region[1]| > ... > 0.
 
-    Every difference or sum pole factor expands in nonnegative powers of the
+    Every difference pole factor expands in nonnegative powers of the
     variable that comes later in the region.  Only coefficients inside the
     per-variable window are reliable; everything outside is discarded.
     """
@@ -269,8 +270,10 @@ def expand_raw(
 ) -> LaurentPoly:
     """Expansion of numer / prod(poles) without requiring canonical form.
 
-    Expansion is linear in the numerator, so each numerator monomial's
-    expansion comes from the memoized unit-monomial kernel, scaled.
+    The poles may include sum factors (a + b), which expand like difference
+    factors with alternating signs.  Expansion is linear in the numerator, so
+    each numerator monomial's expansion comes from the memoized unit-monomial
+    kernel, scaled.
     """
     region = tuple(region)
     missing = (set(numer.vars) | {v for f in poles for v in pole_vars(f)}) - set(region)
@@ -302,59 +305,58 @@ def _expand_monomial(
     exps runs over sort_vars(region); bounds gives each region variable's
     window.  Returns the (exponents, coefficient) pairs inside the window.
 
-    One truncation rule: each mixed factor's geometric series is taken to a
-    fixed order, set from the top of the region down.  A factor's big
-    variable only loses exponent along its series, so the order is the big
-    variable's top exponent, plus the orders already granted to factors in
-    which it is the small variable, minus the pole orders on it, minus its
-    window floor.  The product of the truncated series is then filtered to
-    the window once.
+    Each mixed factor expands as sum_t C(n-1+t, t) (+-1)^t big^(-n-t) small^t
+    and is multiplied in with its big variable in region order.  In that
+    order a variable only gains exponent before its own factors come, and
+    only loses it after, so each term's series stops at one exact bound:
+    where its big variable, less the pole orders still pending on it, would
+    fall below its window floor, or where a small variable that is big in no
+    factor would pass its window top.  A variable is cut to its window as
+    soon as its exponent is final.
     """
-    window = dict(zip(region, bounds))
+    universe = sort_vars(region)
+    slot = {v: i for i, v in enumerate(universe)}
     rank = {v: i for i, v in enumerate(region)}
-    base = LaurentPoly._raw(sort_vars(region), {exps: Fraction(1)})
-    mixed = []  # (big, small, N, alternating_sign)
+    window = {slot[v]: b for v, b in zip(region, bounds)}
+    base, sign = list(exps), 1
+    mixed = []  # (rank of big, big slot, small slot, N, alternating_sign)
     for f, k in poles:
         if f[0] == "var":
-            base = base.shift(f[1], -k)
+            base[slot[f[1]]] -= k
         else:
             a, b = f[1], f[2]
             big, small = (a, b) if rank[a] < rank[b] else (b, a)
-            if f[0] == "diff":
-                # (a-b)^-k = (-1)^k (b-a)^-k when b is the bigger variable
-                if big == b and k % 2:
-                    base = base.scale(-1)
-                mixed.append((big, small, k, 1))
-            else:
-                mixed.append((big, small, k, -1))
+            # (a-b)^-k = (-1)^k (b-a)^-k when b is the bigger variable
+            if f[0] == "diff" and big == b and k % 2:
+                sign = -sign
+            mixed.append((rank[big], slot[big], slot[small], k, 1 if f[0] == "diff" else -1))
+    mixed.sort()
+    pending = [0] * len(universe)  # pole orders of the factors still to come, by big slot
+    last = {}  # slot -> index of the last factor that moves it
+    for i, (_, big, small, n, _) in enumerate(mixed):
+        pending[big] += n
+        last[big] = last[small] = i
 
-    order: Dict[int, int] = {}
-    small_slack: Dict[str, int] = {v: 0 for v in region}
-    for v in region:
-        idxs = [i for i, (big, _, _, _) in enumerate(mixed) if big == v]
-        if not idxs:
-            continue
-        budget = base.max_exp(v) + small_slack[v] - sum(mixed[i][2] for i in idxs) - window[v][0]
-        for i in idxs:
-            order[i] = budget
-            if budget >= 0:
-                small_slack[mixed[i][1]] += budget
+    def cut(terms, slots):
+        final = {universe[s]: window[s] for s in slots}
+        return LaurentPoly._raw(universe, terms).filter_window(final).terms
 
-    universe = base.vars
-    terms = dict(base.terms)
-    vpos = {v: i for i, v in enumerate(universe)}
-    for i, (big, small, n, alt) in enumerate(mixed):
-        bslot, sslot = vpos[big], vpos[small]
-        series = [(t, comb(n - 1 + t, t) * (alt ** t)) for t in range(order[i] + 1)]
+    terms = cut({tuple(base): Fraction(sign)}, [s for s in range(len(universe)) if s not in last])
+    for i, (_, big, small, n, alt) in enumerate(mixed):
+        pending[big] -= n
+        floor = window[big][0] + n + pending[big]
         nxt: Dict[Tuple[int, ...], Fraction] = {}
         for e, c in terms.items():
-            for t, sc in series:
+            top = e[big] - floor
+            if not pending[small]:
+                top = min(top, window[small][1] - e[small])
+            for t in range(top + 1):
                 vec = list(e)
-                vec[bslot] += -n - t
-                vec[sslot] += t
-                add_into(nxt, tuple(vec), c * sc)
-        terms = nxt
-    return tuple(LaurentPoly._raw(universe, terms).filter_window(window).terms.items())
+                vec[big] -= n + t
+                vec[small] += t
+                add_into(nxt, tuple(vec), c * (comb(n - 1 + t, t) * alt ** t))
+        terms = cut(nxt, [s for s in (big, small) if last[s] == i])
+    return tuple(terms.items())
 
 
 # -- the iterate's change of variables ----------------------------------------
@@ -367,12 +369,13 @@ _ITERATE_POLES = {
 }
 
 
-def to_iterate_vars(r: RatFun) -> RatFun:
+def to_iterate_vars(r: RatFun) -> Part:
     """r(z1, z2) rewritten in the iterate's variables: z1 = x2 + x0, z2 = x2.
 
-    Poles at z1, z2 and z1 - z2 become (x0 + x2), x2 and x0; any other pole
-    factor raises ValueError.  Each numerator monomial z1^a z2^b expands
-    binomially to sum_t C(a, t) x0^t x2^(a - t + b).
+    Returns one raw (poles, numerator) part for expand_raw: poles at z1, z2
+    and z1 - z2 become (x0 + x2), x2 and x0; any other pole factor raises
+    ValueError.  Each numerator monomial z1^a z2^b expands binomially to
+    sum_t C(a, t) x0^t x2^(a - t + b).
     """
     poles = {}
     for f, k in r.poles.items():
@@ -383,7 +386,7 @@ def to_iterate_vars(r: RatFun) -> RatFun:
     for (a, b), c in r.numer.align(("z1", "z2")).terms.items():
         for t in range(a + 1):
             add_into(terms, (t, a - t + b), c * comb(a, t))
-    return RatFun(LaurentPoly._raw(("x0", "x2"), terms), poles)
+    return poles, LaurentPoly._raw(("x0", "x2"), terms)
 
 
 ITERATE_REGION = ("x2", "x0")

@@ -24,6 +24,7 @@ from mosva.checks import (
     verify_sym_crosscheck,
 )
 from mosva.fields import vertex_series
+from mosva.laurent import LaurentPoly
 from mosva.modules import (
     ModulePresentation,
     dual_term,
@@ -166,7 +167,7 @@ def test_associativity_fault_injection(monkeypatch, fault):
         corrupted.append(key)
         table = dict(table)
         if fault == "scaled":
-            table[key] = [(poles, numer.scale(2)) for poles, numer in table[key]]
+            table[key] = [(poles, numer * LaurentPoly.const(2)) for poles, numer in table[key]]
         else:
             del table[key]
         return table

@@ -263,6 +263,7 @@ BAD_CONFIGS = {
     "weight-float": ('{"dim": 2, "suite": {"max_weight": 2.9}}', "suite.max_weight"),
     "weight-huge": ('{"dim": 2, "suite": {"max_weight": 25}}', "suite.max_weight"),
     "cap-string": ('{"dim": 2, "suite": {"dual_weight_cap": "6"}}', "suite.dual_weight_cap"),
+    "cap-huge": ('{"dim": 2, "suite": {"dual_weight_cap": 13}}', "suite.dual_weight_cap"),
     "pbw-negative": ('{"dim": 2, "suite": {"pbw_words": -5}}', "suite.pbw_words"),
     "pairs-bool": ('{"dim": 2, "suite": {"sample_pairs": true}}', "suite.sample_pairs"),
     "seed-string": ('{"dim": 2, "suite": {"seed": "7"}}', "suite.seed"),
@@ -292,6 +293,10 @@ def test_bad_config_value_exits_2_naming_field(capsys, config, field):
 
 def test_dim_bound_is_inclusive():
     assert parse_config(f'{{"dim": {MAX_DIM}}}').h.dim == MAX_DIM
+
+
+def test_dual_weight_cap_bound_is_inclusive():
+    assert parse_config('{"dim": 2, "suite": {"dual_weight_cap": 12}}').dual_weight_cap == 12
 
 
 def test_unknown_check_lists_valid_names(capsys):

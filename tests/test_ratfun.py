@@ -8,10 +8,12 @@ from math import comb, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import mosva.ratfun
 from mosva.laurent import LaurentPoly
 from mosva.ratfun import (
     ITERATE_REGION,
     RatFun,
+    _expand_monomial,
     expand_in_region,
     expand_raw,
     parts_eq,
@@ -27,6 +29,7 @@ from mosva.ratfun import (
 )
 
 Z = ("z1", "z2")
+X = ("x0", "x2")
 DIFF12 = pole_diff("z1", "z2")[0]
 
 
@@ -113,6 +116,16 @@ def test_canonicalize_idempotent():
     assert again.numer == r.numer and again.poles == r.poles
 
 
+def test_ratfun_refuses_sum_poles():
+    # only the iterate's raw parts carry (a + b); a RatFun holds var and diff
+    # poles, and the sums of parts behind it refuse to clear an (a + b)
+    with pytest.raises(ValueError):
+        RatFun(LaurentPoly.const(1, Z), {pole_sum("z1", "z2"): 1})
+    s12 = pole_sum("z1", "z2")
+    with pytest.raises(ValueError):
+        parts_eq([({s12: 1}, LaurentPoly.const(1, Z))], [({s12: 2}, lp(Z, {(1, 0): 1, (0, 1): 1}))])
+
+
 def test_negative_exponents_fold_into_var_poles():
     r = RatFun(lp(("z1",), {(-2,): 1}), {})
     assert r.poles == {pole_var("z1"): 2}
@@ -190,10 +203,11 @@ def test_expand_pure_var_pole():
 
 def test_expand_iterate_substitution_collapses_diff():
     # (z1-z2)^-1 becomes exactly x0^-1 after z1 -> x2+x0, z2 -> x2
-    s = to_iterate_vars(one_over_diff())
-    assert s.poles == {pole_var("x0"): 1}
-    out = expand_in_region(s, ITERATE_REGION, {"x0": (-2, 2), "x2": (-2, 2)})
-    assert out == lp(("x0", "x2"), {(-1, 0): 1})
+    poles, numer = to_iterate_vars(one_over_diff())
+    assert poles == {pole_var("x0"): 1}
+    assert numer == LaurentPoly.const(1, X)
+    out = expand_raw(numer, poles, ITERATE_REGION, {"x0": (-2, 2), "x2": (-2, 2)})
+    assert out == lp(X, {(-1, 0): 1})
 
 
 def test_expand_region_must_cover_variables():
@@ -210,6 +224,26 @@ def test_expand_reversed_region_flips_expansion_variable():
 
 
 Z3 = ("z1", "z2", "z3")
+
+
+def test_three_factor_expansion_bounds_each_term(monkeypatch):
+    # 1/((z1-z2)(z1-z3)(z2-z3))^2 in |z1| > |z2| > |z3| at [-60, 0]: a kernel
+    # that cuts only the whole product to the window makes 376,941 accumulations
+    _expand_monomial.cache_clear()
+    accumulations = []
+    add_into = mosva.ratfun.add_into
+
+    def counted(acc, key, coeff):
+        accumulations.append(key)
+        add_into(acc, key, coeff)
+
+    monkeypatch.setattr(mosva.ratfun, "add_into", counted)
+    poles = {pole_diff(a, b)[0]: 2 for a, b in [("z1", "z2"), ("z1", "z3"), ("z2", "z3")]}
+    out = expand_in_region(RatFun(LaurentPoly.const(1, Z3), poles), Z3, uniform_window(Z3, -60, 0))
+    assert out == lp(Z3, {(-6, 0, 0): 3, (-5, -1, 0): 2, (-4, -2, 0): 1})
+    assert 0 < len(accumulations) <= 1000
+
+
 # Numerator exponents are at most 3 and window floors at least -6.  The top
 # region variable is never the small one, so its factors' series indices sum
 # to at most 3 - 1 + 6 = 8; the middle variable gains at most those 8 and its
@@ -280,25 +314,31 @@ def test_expand_raw_matches_naive_series_reference(seed):
 
 def test_substitute_var_pole_to_sum_factor():
     r = RatFun(LaurentPoly.const(1, ("z1",)), {pole_var("z1"): 1})
-    s = to_iterate_vars(r)
-    assert s.poles == {pole_sum("x0", "x2"): 1}
+    poles, numer = to_iterate_vars(r)
+    assert poles == {pole_sum("x0", "x2"): 1}
+    assert numer == LaurentPoly.const(1, X)
     # geometric-series oracle: (x2+x0)^-1 = sum (-1)^t x2^(-1-t) x0^t for |x2|>|x0|
-    out = expand_in_region(s, ("x2", "x0"), {"x0": (0, 3), "x2": (-4, 0)})
+    out = expand_raw(numer, poles, ITERATE_REGION, {"x0": (0, 3), "x2": (-4, 0)})
     expect = {(t, -1 - t): (-1) ** t for t in range(4)}
-    assert out == lp(("x0", "x2"), expect)
+    assert out == lp(X, expect)
     # multiplying the truncated series by (x2+x0) gives 1 up to window edge
-    prod = out * lp(("x0", "x2"), {(1, 0): 1, (0, 1): 1})
-    assert prod.filter_window({"x0": (0, 3), "x2": (-3, 0)}) == lp(
-        ("x0", "x2"), {(0, 0): 1}
-    )
+    prod = out * lp(X, {(1, 0): 1, (0, 1): 1})
+    assert prod.filter_window({"x0": (0, 3), "x2": (-3, 0)}) == lp(X, {(0, 0): 1})
 
 
 def test_iterate_vars_expands_numerator_binomially():
     # z1^2 z2 = (x2 + x0)^2 x2
-    out = to_iterate_vars(RatFun(lp(Z, {(2, 1): 1})))
-    assert out.numer == lp(("x0", "x2"), {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+    poles, numer = to_iterate_vars(RatFun(lp(Z, {(2, 1): 1})))
+    assert poles == {}
+    assert numer == lp(X, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
+    # a polynomial expands to itself, cut to the window
+    assert expand_raw(numer, poles, ITERATE_REGION, {"x0": (0, 1), "x2": (0, 3)}) == lp(
+        X, {(1, 2): 2, (0, 3): 1}
+    )
 
 
+# pole_sum is refused by RatFun itself, so that case raises before
+# to_iterate_vars is called
 @pytest.mark.parametrize("pole", [pole_var("z3"), pole_diff("z1", "z3")[0], pole_sum("z1", "z2")])
 def test_iterate_vars_rejects_other_poles(pole):
     with pytest.raises(ValueError):
@@ -408,13 +448,14 @@ def test_property_canonicalize_idempotent(r):
     assert c1.numer == c2.numer and c1.poles == c2.poles
 
 
-def evaluate(r, point):
-    """Exact value of r at a point off its poles, given as {variable: value}."""
+def evaluate(poles, numer, point):
+    """Exact value of numer / prod(poles) at a point off its poles, given as
+    {variable: value}."""
     value = sum(
-        (c * prod(point[v] ** k for v, k in zip(r.numer.vars, e)) for e, c in r.numer.terms.items()),
+        (c * prod(point[v] ** k for v, k in zip(numer.vars, e)) for e, c in numer.terms.items()),
         Fraction(0),
     )
-    for f, k in r.poles.items():
+    for f, k in poles.items():
         a = point[f[1]]
         b = 0 if f[0] == "var" else point[f[2]] * (-1 if f[0] == "diff" else 1)
         value /= (a + b) ** k
@@ -424,12 +465,30 @@ def evaluate(r, point):
 nonzero_rationals = st.fractions(-5, 5, max_denominator=7).filter(bool)
 
 
+def linear_power(f, k):
+    """f**k over X for the iterate's pole factors x0, x2 and (x0 + x2)."""
+    if f[0] == "var":
+        return LaurentPoly.monomial(X, {f[1]: k})
+    return lp(X, {(t, k - t): comb(k, t) for t in range(k + 1)})
+
+
 @settings(max_examples=100, deadline=None)
 @given(ratfuns(max_vars=2), nonzero_rationals, nonzero_rationals)
 def test_property_iterate_vars_agrees_pointwise(r, a, b):
     # z1 = x2 + x0, z2 = x2 at x2 = a, x0 = b; a, b and a + b keep off every pole
     assume(a + b)
-    assert evaluate(r, {"z1": a + b, "z2": a}) == evaluate(to_iterate_vars(r), {"x0": b, "x2": a})
+    poles, numer = to_iterate_vars(r)
+    assert evaluate(r.poles, r.numer, {"z1": a + b, "z2": a}) == evaluate(
+        poles, numer, {"x0": b, "x2": a}
+    )
+    # the part's expansion times its denominator is its numerator, wherever
+    # the series cut at the window floor cannot reach
+    out = expand_raw(numer, poles, ITERATE_REGION, uniform_window(X, -8, 8))
+    denominator = LaurentPoly.const(1, X)
+    for f, k in poles.items():
+        denominator = denominator * linear_power(f, k)
+    inner = {v: (-8 + max(e[i] for e in denominator.terms), 8) for i, v in enumerate(X)}
+    assert (out * denominator).filter_window(inner) == numer.filter_window(inner)
 
 
 @st.composite
@@ -479,7 +538,7 @@ def part_lists(draw):
         f = draw(st.sampled_from([pole_var("z2"), DIFF12]))
         rhs.append(({**poles, f: poles.get(f, 0) + 1}, numer * pole_poly(f, 1, numer.vars)))
     if rhs and draw(st.booleans()):
-        rhs[0] = (rhs[0][0], rhs[0][1].scale(draw(st.sampled_from([-1, 2]))))
+        rhs[0] = (rhs[0][0], rhs[0][1] * LaurentPoly.const(draw(st.sampled_from([-1, 2]))))
     return lhs, rhs
 
 

@@ -29,24 +29,32 @@ def test_public_names_are_pinned():
 
 
 def test_every_private_definition_has_a_use_in_the_package():
-    defined, used = {}, set()
+    # a method counts as used only through an attribute (`x.scale`): a bare
+    # name of the same spelling, such as a parameter, is no use of it
+    defined, methods, names, attrs = {}, set(), set(), set()
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         for node in ast.walk(ast.parse(open(os.path.join(SRC, name)).read())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, name)
+            if isinstance(node, ast.ClassDef):
+                methods.update(
+                    item.name for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.asname or node.name)
+                names.add(node.asname or node.name)
     dead = {
         name: path
         for name, path in defined.items()
         if not (name.startswith("__") and name.endswith("__"))
         and name not in mosva.__all__
-        and name not in used
+        and name not in attrs
+        and (name in methods or name not in names)
     }
     assert not dead, f"defined but never used inside the package: {dead}"
