@@ -54,7 +54,6 @@ from .modules import (
 )
 from .fields import (
     field_coefficient,
-    normal_order_monomial,
     product_series_bruteforce,
     series_lower_bound,
     vertex_series,

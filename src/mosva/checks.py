@@ -2,10 +2,10 @@
 
 Every axiom of the construction has a finite, exact check here: vacuum
 properties, the grading bracket, the translation-operator identities,
-rationality of products and iterates against the closed-form engine,
-associativity of products versus iterates, pole-locus containment, block
-rewriting confluence, graded dimensions, the projection onto the symmetric
-algebra, and an explicit noncommutativity witness.  Checks draw their samples
+rationality of products and iterates against the closed-form engine (whose
+RatFun admits no pole off the locus), associativity of products versus
+iterates, block rewriting confluence, graded dimensions, the projection onto
+the symmetric algebra, and an explicit noncommutativity witness.  Checks draw their samples
 from an exhaustive low-weight grid plus a seeded random layer, one stream per
 sampling check, so reports are reproducible from the configuration alone.
 """
@@ -54,7 +54,6 @@ from .modules import (
     dual_term,
     free_to_state,
     key_weight,
-    pairing,
     state,
     state_to_free,
     vacuum_state,
@@ -312,11 +311,6 @@ def verify_rationality_product(
     series = product_series_bruteforce(h, mod, us, w, f, win)
     if expand_in_region(rf, names, win) != series.align(names):
         return CheckReport("rationality-product", params, False, rf.render())
-    bad = [fct for fct in rf.poles if fct[0] not in ("var", "diff")]
-    if bad:
-        return CheckReport(
-            "rationality-product", params, False, f"pole outside locus: {bad}"
-        )
     return CheckReport("rationality-product", params, True)
 
 
@@ -467,7 +461,9 @@ def noncommutativity_witness(
 
     Deterministic sweep over basis words by weight, vacuum state, dual basis
     words up to the combined weight; zero-mode routes are covered because the
-    products run against the configured module.
+    products run against the configured module.  By creation modes alone,
+    one order of a1(-1)1 and a2(-1)1 (of a1(-1)1 and a1(-2)1 on dim 1) puts
+    a word the other cannot reach, so max_weight 2 always finds a witness.
     """
     words = [wd for wd in basis_words_up_to(h.dim, max_weight) if wd]
     for w1 in words:
@@ -483,23 +479,6 @@ def noncommutativity_witness(
                     return Witness(
                         u1, u2, {key: Fraction(1)}, w, ratfun_sum(lhs), ratfun_sum(rhs)
                     )
-    if mod.dim > 1:
-        for i in range(h.dim):
-            for j in range(h.dim):
-                for s in range(mod.dim):
-                    a = apply_mode(h, mod, i, 0, apply_mode(h, mod, j, 0, vacuum_state(s)))
-                    b = apply_mode(h, mod, j, 0, apply_mode(h, mod, i, 0, vacuum_state(s)))
-                    if a != b:
-                        diff_key = next(
-                            k for k in set(a) | set(b) if a.get(k) != b.get(k)
-                        )
-                        u1 = {((i, 1),): Fraction(1)}
-                        # zero modes enter products through module legs; report raw
-                        return Witness(
-                            u1, u1, {diff_key: Fraction(1)}, vacuum_state(s),
-                            RatFun.const(pairing({diff_key: Fraction(1)}, a)),
-                            RatFun.const(pairing({diff_key: Fraction(1)}, b)),
-                        )
     return None
 
 
@@ -700,14 +679,9 @@ def _quotient_homomorphism(s: _Samples) -> CheckReport:
 
 
 def _noncommutativity_witness(s: _Samples) -> CheckReport:
-    h, mod = s.config.h, s.config.module
-    witness = noncommutativity_witness(h, mod, max_weight=2)
-    if witness is None:
-        passed = h.dim == 1 and mod.dim == 1
-        return CheckReport(
-            "noncommutativity-witness", {"max_weight": 2}, passed, "no witness in the sampled range"
-        )
-    return CheckReport("noncommutativity-witness", {"max_weight": 2}, True, witness.describe())
+    witness = noncommutativity_witness(s.config.h, s.config.module, max_weight=2)
+    detail = witness.describe() if witness else "no witness in the sampled range"
+    return CheckReport("noncommutativity-witness", {"max_weight": 2}, witness is not None, detail)
 
 
 # every check by name, in report order; module-invariants always runs

@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .halgebra import (
@@ -50,10 +51,10 @@ from .scalars import format_rational, parse_rational, render_signed_sum
 from .wick import matrix_coeff_iterate, matrix_coeff_product
 
 
-# a series' cost follows its top exponent, not its width: on
-# a1(-1)a2(-2)a1(-1)1, 0:64 takes 0.6 s and 71 MB, 0:200 48 s and 1.7 GB,
-# and -200:-100 0.1 s
-MAX_SERIES_EXPONENT = 64
+# a series costs about one creation fill per way to spread its top exponent
+# hi over the k letters of a word, comb(hi + k, k); the limit is 3 letters at
+# 0:64, about 1 s and 71 MB (0:200 took 48 s and 1.7 GB)
+MAX_SERIES_FILLS = comb(67, 3)
 
 
 class ElemParseError(ValueError):
@@ -439,10 +440,12 @@ def cmd_series(args, config: SuiteConfig) -> int:
             raise ConfigError("--window", "must be lo:hi integers") from None
         if lo > hi:
             raise ConfigError("--window", f"must be lo:hi with lo <= hi, got {args.window}")
-    if hi > MAX_SERIES_EXPONENT:
+    k = max(map(len, u), default=0)
+    if comb(max(hi, 0) + k, k) > MAX_SERIES_FILLS:
+        top = next(t for t in range(hi) if comb(t + 1 + k, k) > MAX_SERIES_FILLS)
         raise ConfigError(
             "--window" if args.window else "suite.window",
-            f"top exponent must be at most {MAX_SERIES_EXPONENT}, got {hi}",
+            f"top exponent must be at most {top} for a {k}-letter word, got {hi}",
         )
     series = vertex_series(config.h, config.module, u, w, lo, hi)
     bound = series_lower_bound(config.h, config.module, u, w)

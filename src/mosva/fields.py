@@ -14,8 +14,11 @@ pattern-first: each split of the factors into annihilating modes n >= 0 and
 creation slots is applied once, and since creation modes only prepend letters
 to a word, every creation fill of the slots (each n <= -m, from _mode_tuples)
 is one prepend and one scaling of that result.  A mode -m < n < 0 has a
-vanishing coefficient, so the two parts miss no tuple.  Everything here is
-the direct, series-level evaluation; the closed-form contraction engine is
+vanishing coefficient, so the two parts miss no tuple.  A positive mode only
+removes a letter of its own order, so the annihilating modes come from the
+word's letters; positive and zero modes commute, so a pattern acts right to
+left in its given order, which is its normal-ordered action.  Everything here
+is the direct, series-level evaluation; the closed-form contraction engine is
 checked against it.  The product and iterate series enumerate no exponent
 that cannot reach the dual's weights.
 """
@@ -28,27 +31,23 @@ from itertools import product
 from math import ceil, comb, floor
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, word_weight
+from .halgebra import FreeElem, HSpace, NegWord, add_terms, word_weight
 from .laurent import LaurentPoly, Window
 from .modules import (
     DualFunctional,
     ModulePresentation,
     WElem,
-    apply_mode_term,
+    apply_mode,
     free_to_state,
     key_weight,
     pairing,
     state_to_free,
 )
 
-ModeMonomial = Tuple[Tuple[int, int], ...]  # ordered (basis index, mode) factors
-
 
 @lru_cache(maxsize=65536)
 def binomial(top: int, k: int) -> int:
     """Generalized binomial with integer top, nonnegative k; always an integer."""
-    if k < 0:
-        return 0
     if top >= 0:
         return comb(top, k)
     return (-1) ** k * comb(k - top - 1, k)
@@ -65,18 +64,6 @@ def field_coefficient(m: int, n: int) -> int:
     return binomial(-n - 1, m - 1)
 
 
-def normal_order_monomial(mono: Sequence[Tuple[int, int]]) -> ModeMonomial:
-    """Stable reordering: negative modes, then positive, then zero.
-
-    Pure bookkeeping on the symbols; no contraction terms are produced, and
-    factors keep their relative order inside each of the three groups.
-    """
-    neg = [f for f in mono if f[1] < 0]
-    pos = [f for f in mono if f[1] > 0]
-    zero = [f for f in mono if f[1] == 0]
-    return tuple(neg + pos + zero)
-
-
 def apply_monomial(
     h: HSpace,
     mod: ModulePresentation,
@@ -85,20 +72,15 @@ def apply_monomial(
     index: int,
     coeff: Fraction,
 ) -> WElem:
-    """Apply the normal-ordered form of a mode monomial to one basis pair.
+    """Apply a monomial of annihilating modes (each n >= 0) to one basis pair.
 
-    The rightmost factor acts first, so zero modes act before positive ones
-    and creation modes prepend last.
+    The rightmost factor acts first.  Positive modes remove letters and zero
+    modes act on the module leg, so the two kinds commute, and positive modes
+    commute with each other: this order gives the normal-ordered action.
     """
     current: WElem = {(word, index): coeff}
-    for i, n in reversed(normal_order_monomial(mono)):
-        nxt: WElem = {}
-        for (w2, s2), c2 in current.items():
-            for w3, s3, c3 in apply_mode_term(h, mod, i, n, w2, s2):
-                add_into(nxt, (w3, s3), c2 * c3)
-        if not nxt:
-            return {}
-        current = nxt
+    for i, n in reversed(mono):
+        current = apply_mode(h, mod, i, n, current)
     return current
 
 
@@ -114,6 +96,8 @@ def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, 
     if not orders:
         return (((), 1),) if total == 0 else ()
     m, rest = orders[0], orders[1:]
+    if not rest:  # the last slot takes the whole remaining total
+        return (((total,), field_coefficient(m, total)),) if total <= -m else ()
     out = []
     for n in range(total + sum(rest), -m + 1):
         c = field_coefficient(m, n)
@@ -122,23 +106,28 @@ def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, 
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4096)
 def _annihilation_patterns(
-    orders: Tuple[int, ...], budget: int, allow_zero: bool
+    orders: Tuple[int, ...], letters: Tuple[int, ...], budget: int, allow_zero: bool
 ) -> Tuple[Tuple[Tuple[Optional[int], ...], int, int, Tuple[int, ...]], ...]:
     """Every split of the positions into annihilating modes and creation slots.
 
-    A pattern gives each position a mode n >= 0, or None for a creation slot;
-    its positive part is at most budget and zero modes appear only when
-    allowed.  Returns (pattern, annihilation total, prod binom(-n-1, m-1)
-    over the annihilating positions, orders of the slots) per pattern.
+    A pattern gives each position a mode n >= 0, or None for a creation slot.
+    A positive mode acts only by removing a letter of its order, so it is one
+    of the word's sorted distinct letter orders `letters`; the positive part
+    is at most budget and zero modes appear only when allowed.  Returns
+    (pattern, annihilation total, prod binom(-n-1, m-1) over the annihilating
+    positions, orders of the slots) per pattern.
     """
+    modes = ((0,) if allow_zero else ()) + letters
     out = [((), 0, 1)]
     for m in orders:
         nxt = []
         for pattern, total, c in out:
             nxt.append((pattern + (None,), total, c))
-            for n in range(0 if allow_zero else 1, budget - total + 1):
+            for n in modes:
+                if total + n > budget:
+                    break
                 nxt.append((pattern + (n,), total + n, c * field_coefficient(m, n)))
         out = nxt
     return tuple(
@@ -167,17 +156,17 @@ def apply_modes(
     kill the pair are skipped.
 
     Enumeration is pattern-first: each annihilation pattern is applied once,
-    positive modes before zero modes, rightmost first, and a pattern that
-    kills the pair skips all its completions.  The creation fills of the
-    slots per admissible total come from _mode_tuples, each completion a
-    prepend and a scaling.
+    rightmost first, and a pattern that kills the pair skips all its
+    completions.  The creation fills of the slots per admissible total come
+    from _mode_tuples, each completion a prepend and a scaling.
     """
     if not totals:
         return
     orders = tuple(m for _, m in factors)
     # annihilation totals are integers, so the pair's height rounds down
     budget = int(key_weight(mod, (word, index)) - mod.min_weight)
-    for pattern, p_total, c, slot_orders in _annihilation_patterns(orders, budget, allow_zero):
+    letters = tuple(sorted({m for _, m in word}))
+    for pattern, p_total, c, slot_orders in _annihilation_patterns(orders, letters, budget, allow_zero):
         top = p_total - sum(slot_orders)  # largest total the slots can reach
         if totals[0] > top or (not slot_orders and p_total not in totals):
             continue

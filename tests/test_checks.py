@@ -290,14 +290,19 @@ def test_witness_exists_even_for_d1():
     assert not ratfun_eq(w.direct, w.swapped)
 
 
-def test_witness_zero_mode_route():
+def test_witness_on_noncommuting_zero_modes_is_the_first_word_pair():
+    # the word sweep returns at a1(-1)1, a2(-1)1 whatever the zero modes do;
+    # with no words to sweep there is no witness
     mod = ModulePresentation.build(
         [0, 0],
         [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
         [[0, 0], [0, 0]],
     )
-    w = noncommutativity_witness(H2, mod)
-    assert w is not None
+    for max_weight in (1, 2):
+        w = noncommutativity_witness(H2, mod, max_weight)
+        assert (w.u1, w.u2) == (word_elem(((0, 1),)), word_elem(((1, 1),)))
+        assert not ratfun_eq(w.direct, w.swapped)
+    assert noncommutativity_witness(H2, mod, 0) is None
 
 
 # -- structural checks ----------------------------------------------------------------

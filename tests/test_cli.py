@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mosva
 from mosva.checks import CHECKS, MAX_DIM
 from mosva.cli import (
     MODULE_KEYS,
@@ -195,6 +199,25 @@ def test_cmd_series(capsys):
     assert "vanish below exponent -2" in lines[-1]
 
 
+# the series bound weighs the word: comb(hi + k, k) fills for k letters, so
+# 1 letter reaches far above 64 (4 letters at 0:64 exit 2, see FLAG_ERRORS)
+@pytest.mark.parametrize("word, window", [("a1(-1)1", "0:1000"), ("a1(-1)a1(-1)a1(-1)1", "0:64")])
+def test_series_bound_admits(word, window, capsys):
+    assert main(["series", *DIM1, "-u", word, "--window=" + window]) == 0
+
+
+def test_product_on_a_state_with_a_huge_mode_is_quick():
+    # positive modes come from the state's letters, not from every n up to
+    # its weight
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mosva.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "mosva.cli", "product", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1",
+         "--state", "a1(-99999999)1"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "0")
+
+
 def test_cmd_check_passes(capsys):
     code, out = run_cli(
         capsys, "check",
@@ -362,9 +385,13 @@ def test_subcommand_exit_codes(capsys, name):
 FLAG_ERRORS = {
     "window-reversed": (["series", *DIM1, "-u", "a1(-2)1", "--window=5:1"], "--window"),
     "window-malformed": (["series", *DIM1, "-u", "a1(-2)1", "--window", "-1"], "--window"),
-    "window-above-bound": (["series", *DIM1, "-u", "a1(-2)1", "--window=0:65"], "--window"),
+    "window-above-bound": (["series", *DIM1, "-u", "a1(-2)1", "--window=0:47905"], "--window"),
+    "window-above-bound-4-letters": (
+        ["series", *DIM1, "-u", "a1(-1)a1(-1)a1(-1)a1(-1)1", "--window=0:64"], "--window",
+    ),
     "config-window-above-bound": (
-        ["series", "-c", '{"dim": 1, "suite": {"window": [0, 65]}}', "-u", "a1(-2)1"], "suite.window",
+        ["series", "-c", '{"dim": 1, "suite": {"window": [0, 65]}}', "-u", "a1(-1)a1(-1)a1(-1)1"],
+        "suite.window",
     ),
     "iterate-three-u": (["iterate", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "-u", "1"], "-u"),
     "series-two-u": (["series", *DIM1, "-u", "a1(-1)1", "-u", "a1(-2)1"], "-u"),

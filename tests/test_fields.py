@@ -19,9 +19,9 @@ from mosva.halgebra import (
 from mosva.laurent import LaurentPoly
 from mosva.fields import (
     apply_modes,
+    apply_monomial,
     field_coefficient,
     iterate_series_bruteforce,
-    normal_order_monomial,
     product_series_bruteforce,
     series_lower_bound,
     vertex_series,
@@ -84,20 +84,6 @@ def test_field_coefficient_examples():
     assert field_coefficient(2, 1) == -2
 
 
-def test_normal_order_moves_negatives_first():
-    assert normal_order_monomial([(0, 2), (1, -1)]) == ((1, -1), (0, 2))
-
-
-def test_normal_order_stable_when_sorted():
-    mono = ((0, -1), (1, -2))
-    assert normal_order_monomial(mono) == mono
-
-
-def test_normal_order_three_blocks():
-    mono = [(0, 1), (1, 0), (2, -1), (3, 1)]
-    assert normal_order_monomial(mono) == ((2, -1), (0, 1), (3, 1), (1, 0))
-
-
 # -- the shared mode-application pass -------------------------------------------
 
 
@@ -125,7 +111,9 @@ def reference_apply_modes(h, mod, factors, totals, allow_zero, word, index):
     out = {}
     for modes, c in reference_mode_tuples(mod, factors, totals, allow_zero, word, index):
         elem = {(word, index): Fraction(c)}
-        mono = normal_order_monomial([(i, n) for (i, _), n in zip(factors, modes)])
+        mono = [(i, n) for (i, _), n in zip(factors, modes)]
+        # stable normal order: negative modes, then positive, then zero
+        mono = sorted(mono, key=lambda f: 0 if f[1] < 0 else 1 if f[1] > 0 else 2)
         for i, n in reversed(mono):
             elem = apply_mode(h, mod, i, n, elem)
         if elem:
@@ -162,6 +150,31 @@ def test_apply_modes_matches_tuple_by_tuple_reference(case):
     expected = reference_apply_modes(*args)
     assert per_total(got) == per_total(expected)
     assert got == expected
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from([(word, index) for word in basis_words_up_to(2, 3) for index in range(4)]),
+    # zero modes drawn twice as often: their order is what the test guards
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0, 0, 1, 2, 3])), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_annihilating_modes_commute_but_for_the_zero_modes_order(pair, mono, rng):
+    # on check-cli's module the zero modes do not commute with each other, yet
+    # positive modes commute with them and among themselves: any reordering
+    # that keeps the zero modes in order acts alike, and so does the normal
+    # order, positive modes left of the zero modes
+    word, index = pair
+    got = apply_monomial(RATIONAL_FORM, DIM4, mono, word, index, Fraction(1))
+    zeros = iter([f for f in mono if f[1] == 0])
+    slots = [f if f[1] > 0 else None for f in mono]
+    rng.shuffle(slots)
+    shuffled = [f or next(zeros) for f in slots]
+    assert apply_monomial(RATIONAL_FORM, DIM4, shuffled, word, index, Fraction(1)) == got
+    elem = {(word, index): Fraction(1)}
+    for i, n in reversed(sorted(mono, key=lambda f: f[1] == 0)):
+        elem = apply_mode(RATIONAL_FORM, DIM4, i, n, elem)
+    assert elem == got
 
 
 def test_each_annihilation_pattern_applied_once(monkeypatch):

@@ -15,13 +15,19 @@ PUBLIC = [
     "checks", "commutator_pm", "dual_term", "expand_in_region", "field_coefficient",
     "fields", "free_add", "free_mul", "free_scale", "graded_dimension", "halgebra",
     "iterate_closed_form", "laurent", "matrix_coeff_iterate", "matrix_coeff_product",
-    "mode", "modules", "noncommutativity_witness", "normal_order_monomial", "pairing",
+    "mode", "modules", "noncommutativity_witness", "pairing",
     "pbw_normal_form", "pole_diff", "pole_sum", "pole_var", "product_series_bruteforce",
     "project_to_sym", "ratfun", "ratfun_arith", "ratfun_eq", "reduce_blocks",
     "render_free_elem", "render_pbw_elem", "run_suite", "series_lower_bound", "state",
     "vacuum_elem", "vacuum_state", "validate_hspace", "validate_module", "vertex_series",
     "weight", "wick", "word_elem",
 ]
+
+
+def _package_trees():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            yield name, ast.parse(open(os.path.join(SRC, name)).read())
 
 
 def test_public_names_are_pinned():
@@ -32,10 +38,8 @@ def test_every_private_definition_has_a_use_in_the_package():
     # a method counts as used only through an attribute (`x.scale`): a bare
     # name of the same spelling, such as a parameter, is no use of it
     defined, methods, names, attrs = {}, set(), set(), set()
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        for node in ast.walk(ast.parse(open(os.path.join(SRC, name)).read())):
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, name)
             if isinstance(node, ast.ClassDef):
@@ -58,3 +62,25 @@ def test_every_private_definition_has_a_use_in_the_package():
         and (name in methods or name not in names)
     }
     assert not dead, f"defined but never used inside the package: {dead}"
+
+
+def test_every_module_level_assignment_has_a_use_in_the_package():
+    # a constant or type alias counts as used only through a load of its name
+    # or an attribute access: its own store and an import of it are no use
+    assigned, used = {}, set(mosva.__all__)
+    for name, tree in _package_trees():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = {
+        name: path for name, path in assigned.items()
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not dead, f"assigned but never used inside the package: {dead}"
