@@ -39,6 +39,7 @@ from .halgebra import (
     render_word,
     validate_hspace,
     word_sort_key,
+    word_weight,
 )
 from .checks import MAX_DIM, ConfigError, SuiteConfig, _is_int, project_to_sym, run_suite
 from .fields import series_lower_bound, vertex_series
@@ -52,9 +53,13 @@ from .wick import matrix_coeff_iterate, matrix_coeff_product
 
 
 # a series costs about one creation fill per way to spread its top exponent
-# hi over the k letters of a word, comb(hi + k, k); the limit is 3 letters at
-# 0:64, about 1 s and 71 MB (0:200 took 48 s and 1.7 GB)
+# hi over the k letters of a word, comb(hi + k, k), and a fill's coefficient
+# is at most comb(W + hi - 1, hi) for a word of weight W, the sum of its
+# orders.  The limits: 3 letters at 0:64, about 1 s and 71 MB (0:200 took
+# 48 s and 1.7 GB), and 512 bits, which 1 letter of order 45 reaches at
+# 0:47904 in 1.4 s and 137 MB (order 1: 1.0 s and 104 MB)
 MAX_SERIES_FILLS = comb(67, 3)
+MAX_SERIES_COEFF_BITS = 512
 
 
 class ElemParseError(ValueError):
@@ -440,13 +445,16 @@ def cmd_series(args, config: SuiteConfig) -> int:
             raise ConfigError("--window", "must be lo:hi integers") from None
         if lo > hi:
             raise ConfigError("--window", f"must be lo:hi with lo <= hi, got {args.window}")
-    k = max(map(len, u), default=0)
-    if comb(max(hi, 0) + k, k) > MAX_SERIES_FILLS:
-        top = next(t for t in range(hi) if comb(t + 1 + k, k) > MAX_SERIES_FILLS)
-        raise ConfigError(
-            "--window" if args.window else "suite.window",
-            f"top exponent must be at most {top} for a {k}-letter word, got {hi}",
-        )
+    k, weight = max(map(len, u), default=0), max(map(word_weight, u), default=0)
+    fills = coeff = 1  # comb(t + k, k) and comb(weight + t - 1, t), from t = 0
+    for t in range(hi if k else 0):  # Y(1, x) is the identity
+        fills, coeff = fills * (t + 1 + k) // (t + 1), coeff * (weight + t) // (t + 1)
+        if fills > MAX_SERIES_FILLS or coeff.bit_length() > MAX_SERIES_COEFF_BITS:
+            raise ConfigError(
+                "--window" if args.window else "suite.window",
+                f"top exponent must be at most {t} for a {k}-letter word of weight {weight},"
+                f" got {hi}",
+            )
     series = vertex_series(config.h, config.module, u, w, lo, hi)
     bound = series_lower_bound(config.h, config.module, u, w)
     lines = [f"x^{e}: {render_state(series[e], config.module)}" for e in sorted(series)]

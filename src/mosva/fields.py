@@ -106,7 +106,7 @@ def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, 
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _annihilation_patterns(
     orders: Tuple[int, ...], letters: Tuple[int, ...], budget: int, allow_zero: bool
 ) -> Tuple[Tuple[Tuple[Optional[int], ...], int, int, Tuple[int, ...]], ...]:
@@ -175,7 +175,7 @@ def apply_modes(
         if not applied:
             continue
         slots = [j for j, n in enumerate(pattern) if n is None]
-        for t in totals:
+        for t in totals if slot_orders else (p_total,):
             if t > top:
                 break
             for fill, fc in _mode_tuples(slot_orders, t - p_total):

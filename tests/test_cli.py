@@ -200,8 +200,12 @@ def test_cmd_series(capsys):
 
 
 # the series bound weighs the word: comb(hi + k, k) fills for k letters, so
-# 1 letter reaches far above 64 (4 letters at 0:64 exit 2, see FLAG_ERRORS)
-@pytest.mark.parametrize("word, window", [("a1(-1)1", "0:1000"), ("a1(-1)a1(-1)a1(-1)1", "0:64")])
+# 1 letter reaches far above 64 (4 letters at 0:64 exit 2, see FLAG_ERRORS),
+# and a coefficient of at most 512 bits, so order 3000 stops at 0:76
+@pytest.mark.parametrize(
+    "word, window",
+    [("a1(-1)1", "0:1000"), ("a1(-1)a1(-1)a1(-1)1", "0:64"), ("a1(-3000)1", "0:76")],
+)
 def test_series_bound_admits(word, window, capsys):
     assert main(["series", *DIM1, "-u", word, "--window=" + window]) == 0
 
@@ -386,6 +390,12 @@ FLAG_ERRORS = {
     "window-reversed": (["series", *DIM1, "-u", "a1(-2)1", "--window=5:1"], "--window"),
     "window-malformed": (["series", *DIM1, "-u", "a1(-2)1", "--window", "-1"], "--window"),
     "window-above-bound": (["series", *DIM1, "-u", "a1(-2)1", "--window=0:47905"], "--window"),
+    "window-above-bound-high-order": (
+        ["series", *DIM1, "-u", "a1(-3000)1", "--window=0:47904"], "--window",
+    ),
+    "window-above-bound-high-order-edge": (
+        ["series", *DIM1, "-u", "a1(-3000)1", "--window=0:77"], "--window",
+    ),
     "window-above-bound-4-letters": (
         ["series", *DIM1, "-u", "a1(-1)a1(-1)a1(-1)a1(-1)1", "--window=0:64"], "--window",
     ),

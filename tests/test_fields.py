@@ -237,6 +237,21 @@ def test_series_identity_only_constant():
     assert out == {0: vacuum_state()}
 
 
+def test_pattern_without_creation_slots_asks_one_total(monkeypatch):
+    # Y(1, x) has one pattern and no slot: a wide window costs no fill per exponent
+    calls = []
+    real = mosva.fields._mode_tuples
+
+    def counted(orders, total):
+        calls.append((orders, total))
+        return real(orders, total)
+
+    monkeypatch.setattr(mosva.fields, "_mode_tuples", counted)
+    out = vertex_series(H1, TRIV1, vacuum_elem(), vacuum_state(), -10**5, 10**5)
+    assert out == {0: vacuum_state()}
+    assert calls == [((), 0)]
+
+
 def test_series_with_annihilation():
     u = word_elem(((0, 1),))
     w = state(((0, 1),))
