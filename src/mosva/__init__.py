@@ -34,7 +34,6 @@ from .ratfun import (
     RatFun,
     expand_in_region,
     pole_diff,
-    pole_sum,
     pole_var,
     ratfun_arith,
     ratfun_eq,

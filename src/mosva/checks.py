@@ -62,13 +62,11 @@ from .modules import (
     welem_scale,
 )
 from .ratfun import (
-    ITERATE_REGION,
     RatFun,
     expand_in_region,
-    expand_raw,
+    expand_iterate,
     parts_eq,
     ratfun_sum,
-    to_iterate_vars,
     uniform_window,
 )
 from .wick import (
@@ -326,10 +324,9 @@ def verify_rationality_iterate(
     """The iterate's rational function expands to the iterate series."""
     params = {"window": window}
     rf = matrix_coeff_iterate(h, mod, u1, u2, f, w)
-    poles, numer = to_iterate_vars(rf)
     win = uniform_window(("x0", "x2"), *window)
     series = iterate_series_bruteforce(h, mod, u1, u2, f, w, win)
-    if expand_raw(numer, poles, ITERATE_REGION, win) != series.align(("x0", "x2")):
+    if expand_iterate(rf.numer, rf.poles, win) != series.align(("x0", "x2")):
         return CheckReport("rationality-iterate", params, False, rf.render())
     return CheckReport("rationality-iterate", params, True)
 
@@ -621,14 +618,15 @@ def _translation_properties(s: _Samples) -> CheckReport:
 def _rationality_product(s: _Samples) -> CheckReport:
     # its own stream, so its samples do not depend on which checks ran before it
     c, rng = s.config, random.Random(f"{s.config.seed}:rationality-product")
+    pairs = s.pairs[: max(6, c.sample_pairs // 3)]
     return _first_failure(
         verify_rationality_product(
             c.h, c.module, [word_elem(w1), word_elem(w2)],
             dual_term(rng.choice(s.words), rng.randrange(c.module.dim)),
             rng.choice(s.states), c.window,
         )
-        for w1, w2 in s.pairs[: max(6, c.sample_pairs // 3)]
-    ) or CheckReport("rationality-product", {"pairs": len(s.pairs)}, True)
+        for w1, w2 in pairs
+    ) or CheckReport("rationality-product", {"pairs": len(pairs), "window": c.window}, True)
 
 
 def _associativity(s: _Samples) -> CheckReport:
@@ -658,14 +656,15 @@ def _associativity(s: _Samples) -> CheckReport:
 
 def _rationality_iterate(s: _Samples) -> CheckReport:
     c, rng = s.config, random.Random(f"{s.config.seed}:rationality-iterate")
+    pairs = s.pairs[: max(4, c.sample_pairs // 4)]
     return _first_failure(
         verify_rationality_iterate(
             c.h, c.module, word_elem(w1), word_elem(w2),
             dual_term(rng.choice(s.words), rng.randrange(c.module.dim)),
             rng.choice(s.states), c.window,
         )
-        for w1, w2 in s.pairs[: max(4, c.sample_pairs // 4)]
-    ) or CheckReport("rationality-iterate", {}, True)
+        for w1, w2 in pairs
+    ) or CheckReport("rationality-iterate", {"pairs": len(pairs), "window": c.window}, True)
 
 
 def _quotient_homomorphism(s: _Samples) -> CheckReport:

@@ -49,12 +49,9 @@ class LaurentPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction]):
-        svars = sort_vars(variables)
-        if len(svars) != len(variables):
-            raise ValueError(f"repeated variable names in {tuple(variables)}")
-        if svars != tuple(variables):
-            perm = [list(variables).index(v) for v in svars]
-            terms = {tuple(e[p] for p in perm): c for e, c in terms.items()}
+        svars = tuple(variables)
+        if sort_vars(svars) != svars:
+            raise ValueError(f"variables {svars} must be distinct and in canonical order")
         clean: Dict[Exponents, Fraction] = {}
         for e, c in terms.items():
             if len(e) != len(svars):
@@ -140,9 +137,6 @@ class LaurentPoly:
         add_terms(terms, b.terms.items())
         return LaurentPoly._raw(a.vars, terms)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self._together(other)
         terms: Dict[Exponents, Fraction] = {}
@@ -176,16 +170,9 @@ class LaurentPoly:
                     break
             if ok:
                 terms[e] = c
-        return LaurentPoly(self.vars, terms)
+        return LaurentPoly._raw(self.vars, terms)
 
-    # -- exact division by the linear pole factors ------------------------
-
-    def div_var(self, var: str) -> Optional["LaurentPoly"]:
-        """Exact quotient by var, or None if some term has exponent 0 or less."""
-        i = self.vars.index(var)
-        if self.is_zero() or min(e[i] for e in self.terms) < 1:
-            return None
-        return self.shift(var, -1)
+    # -- exact division by a difference factor ----------------------------
 
     def _div_linear(self, a: str, b: str) -> Optional["LaurentPoly"]:
         """Exact quotient by (a - b), a RatFun's difference factor; None when

@@ -10,9 +10,9 @@ two RatFuns represent the same function iff their canonical data are equal.
 Region expansion turns a RatFun into the iterated Laurent series valid when
 |z_{s(1)}| > ... > |z_{s(n)}| > 0, truncated to a finite exponent window:
 every (z_i - z_j)^-N expands in nonnegative powers of whichever variable is
-smaller in the region.  Raw (poles, numerator) parts expand the same way, and
-may also carry the sum factors (x_i + x_j) that the iterate's change of
-variables makes.
+smaller in the region.  Raw (poles, numerator) parts expand the same way.
+The iterate's expansion in |x2| > |x0| > 0 under z1 = x2 + x0, z2 = x2 is one
+binomial sum per numerator monomial.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .halgebra import add_into, add_terms
 from .laurent import LaurentPoly, Window, sort_vars, var_sort_key
 
-# ("var", v) | ("diff", a, b) | ("sum", a, b), names ordered a < b canonically;
-# a RatFun holds only the first two kinds
+# ("var", v) | ("diff", a, b), names ordered a < b canonically
 PoleFactor = Tuple[str, ...]
 # one term of a sum of rational functions: (poles, numerator)
 Part = Tuple[Mapping[PoleFactor, int], LaurentPoly]
@@ -49,14 +48,6 @@ def pole_diff(a: str, b: str) -> Tuple[PoleFactor, int]:
     if var_sort_key(a) <= var_sort_key(b):
         return ("diff", a, b), 1
     return ("diff", b, a), -1
-
-
-def pole_sum(a: str, b: str) -> PoleFactor:
-    if a == b:
-        raise ValueError("sum factor needs distinct variables")
-    if var_sort_key(a) <= var_sort_key(b):
-        return ("sum", a, b)
-    return ("sum", b, a)
 
 
 def pole_sort_key(f: PoleFactor):
@@ -86,27 +77,17 @@ def pole_poly(f: PoleFactor, k: int, variables: Sequence[str]) -> LaurentPoly:
 class RatFun:
     """Canonical rational function: polynomial numerator over pole factors."""
 
-    __slots__ = ("vars", "numer", "poles")
+    __slots__ = ("numer", "poles")
 
-    def __init__(
-        self,
-        numer: LaurentPoly,
-        poles: Mapping[PoleFactor, int] = (),
-        _canonical: bool = False,
-    ):
+    def __init__(self, numer: LaurentPoly, poles: Mapping[PoleFactor, int] = ()):
         poles = dict(poles)
         for f, k in poles.items():
             if f[0] not in _KIND_ORDER:
                 raise ValueError(f"unknown pole factor kind {f!r}")
             if k <= 0:
                 raise ValueError("pole exponents must be positive")
-        if not _canonical:
-            numer, poles = _reduce(numer, poles)
-        variables = sort_vars(
-            tuple(numer.vars) + tuple(v for f in poles for v in pole_vars(f))
-        )
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "numer", numer.align(variables))
+        numer, poles = _reduce(numer, poles)
+        object.__setattr__(self, "numer", numer)
         object.__setattr__(self, "poles", poles)
 
     def __setattr__(self, name, value):
@@ -114,11 +95,11 @@ class RatFun:
 
     @classmethod
     def zero(cls) -> "RatFun":
-        return cls(LaurentPoly.zero(), {}, _canonical=True)
+        return cls(LaurentPoly.zero())
 
     @classmethod
     def const(cls, c) -> "RatFun":
-        return cls(LaurentPoly.const(c), {}, _canonical=True)
+        return cls(LaurentPoly.const(c))
 
     def is_zero(self) -> bool:
         return self.numer.is_zero()
@@ -167,30 +148,27 @@ class RatFun:
         return {"numerator": self.numer.to_json(), "poles": factors}
 
 
-def _divide_once(p: LaurentPoly, f: PoleFactor) -> Optional[LaurentPoly]:
-    if f[0] == "var":
-        return p.div_var(f[1])
-    return p._div_linear(f[1], f[2])
-
-
 def _reduce(numer: LaurentPoly, poles: Dict[PoleFactor, int]):
-    """Canonicalize: fold negative exponents into var poles, divide factors out."""
+    """Canonicalize over every variable of numerator and poles: one shift per
+    variable folds its negative exponents into its pole and cancels what the
+    pole divides, then each difference factor is divided out while it goes."""
     if numer.is_zero():
         return LaurentPoly.zero(), {}
     universe = sort_vars(
         tuple(numer.vars) + tuple(v for f in poles for v in pole_vars(f))
     )
     numer = numer.align(universe)
-    poles = dict(poles)
     for v in universe:
-        m = numer.min_exp(v)
-        if m is not None and m < 0:
-            numer = numer.shift(v, -m)
-            poles[pole_var(v)] = poles.get(pole_var(v), 0) - m
-    for f in sorted(poles, key=pole_sort_key):
+        f = pole_var(v)
+        k = poles.pop(f, 0)
+        d = min(numer.min_exp(v), k)
+        numer = numer.shift(v, -d) if d else numer
+        if k > d:
+            poles[f] = k - d
+    for f in [f for f in poles if f[0] == "diff"]:
         k = poles[f]
         while k > 0:
-            q = _divide_once(numer, f)
+            q = numer._div_linear(f[1], f[2])
             if q is None:
                 break
             numer, k = q, k - 1
@@ -270,11 +248,13 @@ def expand_raw(
 ) -> LaurentPoly:
     """Expansion of numer / prod(poles) without requiring canonical form.
 
-    The poles may include sum factors (a + b), which expand like difference
-    factors with alternating signs.  Expansion is linear in the numerator, so
-    each numerator monomial's expansion comes from the memoized unit-monomial
-    kernel, scaled.
+    The poles are var and diff factors.  Expansion is linear in the
+    numerator, so each numerator monomial's expansion comes from the memoized
+    unit-monomial kernel, scaled.
     """
+    for f in poles:
+        if f[0] not in _KIND_ORDER:
+            raise ValueError(f"cannot expand pole factor {f!r}")
     region = tuple(region)
     missing = (set(numer.vars) | {v for f in poles for v in pole_vars(f)}) - set(region)
     if missing:
@@ -305,7 +285,7 @@ def _expand_monomial(
     exps runs over sort_vars(region); bounds gives each region variable's
     window.  Returns the (exponents, coefficient) pairs inside the window.
 
-    Each mixed factor expands as sum_t C(n-1+t, t) (+-1)^t big^(-n-t) small^t
+    Each difference factor expands as sum_t C(n-1+t, t) big^(-n-t) small^t
     and is multiplied in with its big variable in region order.  In that
     order a variable only gains exponent before its own factors come, and
     only loses it after, so each term's series stops at one exact bound:
@@ -319,7 +299,7 @@ def _expand_monomial(
     rank = {v: i for i, v in enumerate(region)}
     window = {slot[v]: b for v, b in zip(region, bounds)}
     base, sign = list(exps), 1
-    mixed = []  # (rank of big, big slot, small slot, N, alternating_sign)
+    mixed = []  # (rank of big, big slot, small slot, N)
     for f, k in poles:
         if f[0] == "var":
             base[slot[f[1]]] -= k
@@ -327,13 +307,13 @@ def _expand_monomial(
             a, b = f[1], f[2]
             big, small = (a, b) if rank[a] < rank[b] else (b, a)
             # (a-b)^-k = (-1)^k (b-a)^-k when b is the bigger variable
-            if f[0] == "diff" and big == b and k % 2:
+            if big == b and k % 2:
                 sign = -sign
-            mixed.append((rank[big], slot[big], slot[small], k, 1 if f[0] == "diff" else -1))
+            mixed.append((rank[big], slot[big], slot[small], k))
     mixed.sort()
     pending = [0] * len(universe)  # pole orders of the factors still to come, by big slot
     last = {}  # slot -> index of the last factor that moves it
-    for i, (_, big, small, n, _) in enumerate(mixed):
+    for i, (_, big, small, n) in enumerate(mixed):
         pending[big] += n
         last[big] = last[small] = i
 
@@ -342,7 +322,7 @@ def _expand_monomial(
         return LaurentPoly._raw(universe, terms).filter_window(final).terms
 
     terms = cut({tuple(base): Fraction(sign)}, [s for s in range(len(universe)) if s not in last])
-    for i, (_, big, small, n, alt) in enumerate(mixed):
+    for i, (_, big, small, n) in enumerate(mixed):
         pending[big] -= n
         floor = window[big][0] + n + pending[big]
         nxt: Dict[Tuple[int, ...], Fraction] = {}
@@ -354,42 +334,40 @@ def _expand_monomial(
                 vec = list(e)
                 vec[big] -= n + t
                 vec[small] += t
-                add_into(nxt, tuple(vec), c * (comb(n - 1 + t, t) * alt ** t))
+                add_into(nxt, tuple(vec), c * comb(n - 1 + t, t))
         terms = cut(nxt, [s for s in (big, small) if last[s] == i])
     return tuple(terms.items())
 
 
-# -- the iterate's change of variables ----------------------------------------
-
-# z1 = x2 + x0 and z2 = x2, so z1 - z2 = x0: each admissible pole's image
-_ITERATE_POLES = {
-    pole_var("z1"): pole_sum("x0", "x2"),
-    pole_var("z2"): pole_var("x2"),
-    pole_diff("z1", "z2")[0]: pole_var("x0"),
-}
+# -- the iterate's region --------------------------------------------------
 
 
-def to_iterate_vars(r: RatFun) -> Part:
-    """r(z1, z2) rewritten in the iterate's variables: z1 = x2 + x0, z2 = x2.
+def expand_iterate(
+    numer: LaurentPoly, poles: Mapping[PoleFactor, int], window: Window
+) -> LaurentPoly:
+    """Expansion of numer / prod(poles) over (z1, z2) in |x2| > |x0| > 0
+    under z1 = x2 + x0, z2 = x2, cut to the window of x0 and x2.
 
-    Returns one raw (poles, numerator) part for expand_raw: poles at z1, z2
-    and z1 - z2 become (x0 + x2), x2 and x0; any other pole factor raises
-    ValueError.  Each numerator monomial z1^a z2^b expands binomially to
-    sum_t C(a, t) x0^t x2^(a - t + b).
+    The poles z1, z2 and z1 - z2 become x2 + x0, x2 and x0; any other pole
+    factor raises ValueError.  Each numerator monomial z1^a z2^b over
+    z1^p z2^q (z1 - z2)^k is (x2 + x0)^e x2^(b-q) x0^-k with e = a - p, and
+    (x2 + x0)^e = sum_t C(e, t) x0^t x2^(e-t), which stops at t = e when e is
+    nonnegative.  Numerator exponents may be negative.
     """
-    poles = {}
-    for f, k in r.poles.items():
-        if f not in _ITERATE_POLES:
-            raise ValueError(f"pole factor {f} has no image in (x0, x2)")
-        poles[_ITERATE_POLES[f]] = k
+    mapped = (pole_var("z1"), pole_var("z2"), ("diff", "z1", "z2"))
+    other = set(poles) - set(mapped)
+    if other:
+        raise ValueError(f"pole factors {sorted(other)} have no image in (x0, x2)")
+    p, q, k = (poles.get(f, 0) for f in mapped)
+    (lo0, hi0), (lo2, hi2) = window["x0"], window["x2"]
     terms: Dict[Tuple[int, ...], Fraction] = {}
-    for (a, b), c in r.numer.align(("z1", "z2")).terms.items():
-        for t in range(a + 1):
-            add_into(terms, (t, a - t + b), c * comb(a, t))
-    return poles, LaurentPoly._raw(("x0", "x2"), terms)
-
-
-ITERATE_REGION = ("x2", "x0")
+    for (a, b), c in numer.align(("z1", "z2")).terms.items():
+        e, s = a - p, a - p + b - q  # the t-th term sits at x0^(t-k) x2^(s-t)
+        top = min(hi0 + k, s - lo2) if e < 0 else min(hi0 + k, s - lo2, e)
+        for t in range(max(0, lo0 + k, s - hi2), top + 1):
+            binom = comb(e, t) if e >= 0 else (-1) ** t * comb(t - e - 1, t)
+            add_into(terms, (t - k, s - t), c * binom)
+    return LaurentPoly._raw(("x0", "x2"), terms)
 
 
 def uniform_window(variables: Iterable[str], lo: int, hi: int) -> Dict[str, Tuple[int, int]]:

@@ -206,6 +206,33 @@ def test_rationality_product_and_iterate():
     ).passed
 
 
+def test_rationality_checks_fail_on_swapped_operands(monkeypatch):
+    # a1(-1) and a2(-1) in the other order pair with the dual of a2(-1)a1(-1)1,
+    # so a closed form with its operands swapped differs from the series
+    u1, u2 = word_elem(((0, 1),)), word_elem(((1, 1),))
+    f, w, window = dual_term(((0, 1), (1, 1))), vacuum_state(), (-6, 2)
+    assert verify_rationality_product(H2, TRIV2, [u1, u2], f, w, window).passed
+    assert verify_rationality_iterate(H2, TRIV2, u1, u2, f, w, window).passed
+    monkeypatch.setattr(
+        mosva.checks, "matrix_coeff_product",
+        lambda h, mod, us, f, w: matrix_coeff_product(h, mod, us[::-1], f, w),
+    )
+    monkeypatch.setattr(
+        mosva.checks, "matrix_coeff_iterate",
+        lambda h, mod, u1, u2, f, w: matrix_coeff_iterate(h, mod, u2, u1, f, w),
+    )
+    assert not verify_rationality_product(H2, TRIV2, [u1, u2], f, w, window).passed
+    assert not verify_rationality_iterate(H2, TRIV2, u1, u2, f, w, window).passed
+
+
+def test_rationality_checks_report_the_pairs_they_checked():
+    # the default suite draws 25 pairs and expands 8 and 6 of them
+    config = SuiteConfig(h=H2, module=TRIV2, checks=("rationality-product", "rationality-iterate"))
+    reports = {r.name: r.params for r in run_suite(config)}
+    assert reports["rationality-product"] == {"pairs": 8, "window": (-6, 2)}
+    assert reports["rationality-iterate"] == {"pairs": 6, "window": (-6, 2)}
+
+
 # -- symmetric projection ----------------------------------------------------------
 
 

@@ -11,26 +11,26 @@ from hypothesis import assume, given, settings, strategies as st
 import mosva.ratfun
 from mosva.laurent import LaurentPoly
 from mosva.ratfun import (
-    ITERATE_REGION,
     RatFun,
     _expand_monomial,
     expand_in_region,
+    expand_iterate,
     expand_raw,
     parts_eq,
     pole_diff,
     pole_poly,
-    pole_sum,
     pole_var,
     ratfun_arith,
     ratfun_eq,
     ratfun_sum,
-    to_iterate_vars,
     uniform_window,
 )
 
 Z = ("z1", "z2")
 X = ("x0", "x2")
 DIFF12 = pole_diff("z1", "z2")[0]
+# the (z1 + z2) factor that no expansion or RatFun takes
+SUM12 = ("sum", "z1", "z2")
 
 
 def lp(variables, terms):
@@ -57,6 +57,10 @@ def test_laurent_rejects_repeated_variables():
         LaurentPoly(("z1", "z1"), {(1, 2): 1})
     with pytest.raises(ValueError):
         LaurentPoly.zero(("z2", "z1", "z2"))
+    # out of canonical order, an exponent vector would be read against the
+    # wrong variables
+    with pytest.raises(ValueError):
+        LaurentPoly(("z2", "z1"), {(1, 2): 1})
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -117,13 +121,12 @@ def test_canonicalize_idempotent():
 
 
 def test_ratfun_refuses_sum_poles():
-    # only the iterate's raw parts carry (a + b); a RatFun holds var and diff
-    # poles, and the sums of parts behind it refuse to clear an (a + b)
+    # a RatFun holds var and diff poles, and the sums of parts behind it
+    # refuse to clear an (a + b)
     with pytest.raises(ValueError):
-        RatFun(LaurentPoly.const(1, Z), {pole_sum("z1", "z2"): 1})
-    s12 = pole_sum("z1", "z2")
+        RatFun(LaurentPoly.const(1, Z), {SUM12: 1})
     with pytest.raises(ValueError):
-        parts_eq([({s12: 1}, LaurentPoly.const(1, Z))], [({s12: 2}, lp(Z, {(1, 0): 1, (0, 1): 1}))])
+        parts_eq([({SUM12: 1}, LaurentPoly.const(1, Z))], [({SUM12: 2}, lp(Z, {(1, 0): 1, (0, 1): 1}))])
 
 
 def test_negative_exponents_fold_into_var_poles():
@@ -203,10 +206,8 @@ def test_expand_pure_var_pole():
 
 def test_expand_iterate_substitution_collapses_diff():
     # (z1-z2)^-1 becomes exactly x0^-1 after z1 -> x2+x0, z2 -> x2
-    poles, numer = to_iterate_vars(one_over_diff())
-    assert poles == {pole_var("x0"): 1}
-    assert numer == LaurentPoly.const(1, X)
-    out = expand_raw(numer, poles, ITERATE_REGION, {"x0": (-2, 2), "x2": (-2, 2)})
+    r = one_over_diff()
+    out = expand_iterate(r.numer, r.poles, {"x0": (-2, 2), "x2": (-2, 2)})
     assert out == lp(X, {(-1, 0): 1})
 
 
@@ -262,13 +263,12 @@ def naive_expansion(exps, poles, region, window):
         if f[0] == "var":
             series = [({f[1]: -k}, 1)]
         else:
-            # f = s * (big + c * small), so f^-k = s^k big^-k (1 + c small/big)^-k
             a, b = f[1], f[2]
             big, small = sorted((a, b), key=rank.get)
-            c = 1 if f[0] == "sum" else -1
-            s = -1 if f[0] == "diff" and big == b else 1
+            # f = s * (big - small), so f^-k = s^k big^-k (1 - small/big)^-k
+            s = -1 if big == b else 1
             series = [
-                ({big: -k - t, small: t}, s ** k * comb(k - 1 + t, t) * (-c) ** t)
+                ({big: -k - t, small: t}, s ** k * comb(k - 1 + t, t))
                 for t in range(REF_ORDER + 1)
             ]
         nxt = {}
@@ -293,12 +293,10 @@ def test_expand_raw_matches_naive_series_reference(seed):
         exps = [rng.randint(-2, 3) for _ in Z3]
         poles = {}
         for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(["var", "diff", "sum"])
-            if kind == "var":
+            if rng.random() < 1 / 3:
                 f = pole_var(rng.choice(Z3))
             else:
-                a, b = rng.sample(Z3, 2)
-                f = pole_diff(a, b)[0] if kind == "diff" else pole_sum(a, b)
+                f = pole_diff(*rng.sample(Z3, 2))[0]
             poles[f] = rng.randint(1, 3)
         region = tuple(rng.sample(Z3, 3))
         window = {}
@@ -309,16 +307,20 @@ def test_expand_raw_matches_naive_series_reference(seed):
         assert got == naive_expansion(exps, poles, region, window), (case, exps, poles, region, window)
 
 
+def test_expand_raw_refuses_sum_poles():
+    # its kernel would take (z1 + z2) for a difference and expand it wrongly
+    with pytest.raises(ValueError):
+        expand_raw(LaurentPoly.const(1, Z), {SUM12: 1}, Z, uniform_window(Z, -2, 2))
+
+
 # -- the iterate's change of variables -----------------------------------------
 
 
 def test_substitute_var_pole_to_sum_factor():
-    r = RatFun(LaurentPoly.const(1, ("z1",)), {pole_var("z1"): 1})
-    poles, numer = to_iterate_vars(r)
-    assert poles == {pole_sum("x0", "x2"): 1}
-    assert numer == LaurentPoly.const(1, X)
-    # geometric-series oracle: (x2+x0)^-1 = sum (-1)^t x2^(-1-t) x0^t for |x2|>|x0|
-    out = expand_raw(numer, poles, ITERATE_REGION, {"x0": (0, 3), "x2": (-4, 0)})
+    # 1/z1 is 1/(x2+x0) = sum (-1)^t x2^(-1-t) x0^t for |x2|>|x0|, the
+    # geometric series
+    window = {"x0": (0, 3), "x2": (-4, 0)}
+    out = expand_iterate(LaurentPoly.const(1, ("z1",)), {pole_var("z1"): 1}, window)
     expect = {(t, -1 - t): (-1) ** t for t in range(4)}
     assert out == lp(X, expect)
     # multiplying the truncated series by (x2+x0) gives 1 up to window edge
@@ -327,22 +329,21 @@ def test_substitute_var_pole_to_sum_factor():
 
 
 def test_iterate_vars_expands_numerator_binomially():
-    # z1^2 z2 = (x2 + x0)^2 x2
-    poles, numer = to_iterate_vars(RatFun(lp(Z, {(2, 1): 1})))
-    assert poles == {}
-    assert numer == lp(X, {(2, 1): 1, (1, 2): 2, (0, 3): 1})
-    # a polynomial expands to itself, cut to the window
-    assert expand_raw(numer, poles, ITERATE_REGION, {"x0": (0, 1), "x2": (0, 3)}) == lp(
+    # z1^2 z2 = (x2 + x0)^2 x2, a polynomial that expands to itself
+    numer = lp(Z, {(2, 1): 1})
+    assert expand_iterate(numer, {}, uniform_window(X, -4, 4)) == lp(
+        X, {(2, 1): 1, (1, 2): 2, (0, 3): 1}
+    )
+    # cut to the window
+    assert expand_iterate(numer, {}, {"x0": (0, 1), "x2": (0, 3)}) == lp(
         X, {(1, 2): 2, (0, 3): 1}
     )
 
 
-# pole_sum is refused by RatFun itself, so that case raises before
-# to_iterate_vars is called
-@pytest.mark.parametrize("pole", [pole_var("z3"), pole_diff("z1", "z3")[0], pole_sum("z1", "z2")])
+@pytest.mark.parametrize("pole", [pole_var("z3"), pole_diff("z1", "z3")[0], SUM12])
 def test_iterate_vars_rejects_other_poles(pole):
     with pytest.raises(ValueError):
-        to_iterate_vars(RatFun(LaurentPoly.const(1, Z), {pole: 1}))
+        expand_iterate(LaurentPoly.const(1, Z), {pole: 1}, uniform_window(X, -2, 2))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -417,7 +418,7 @@ def leading_exponent(r, region):
 @settings(max_examples=60, deadline=None)
 @given(ratfuns(), ratfuns())
 def test_property_eq_agrees_with_expansion(r, s):
-    region = tuple(v for v in VARS3 if v in set(r.vars) | set(s.vars)) or ("z1",)
+    region = tuple(v for v in VARS3 if v in set(r.numer.vars) | set(s.numer.vars)) or ("z1",)
     diff = ratfun_arith(r, s, "sub")
     if ratfun_eq(r, s):
         window = uniform_window(region, -6, 6)
@@ -432,7 +433,7 @@ def test_property_eq_agrees_with_expansion(r, s):
 @settings(max_examples=60, deadline=None)
 @given(ratfuns(), ratfuns())
 def test_property_expansion_multiplicative(r, s):
-    region = tuple(v for v in VARS3 if v in set(r.vars) | set(s.vars)) or ("z1",)
+    region = tuple(v for v in VARS3 if v in set(r.numer.vars) | set(s.numer.vars)) or ("z1",)
     window = uniform_window(region, -4, 4)
     wide = uniform_window(region, -14, 14)
     lhs = expand_in_region(ratfun_arith(r, s, "mul"), region, window)
@@ -472,23 +473,44 @@ def linear_power(f, k):
     return lp(X, {(t, k - t): comb(k, t) for t in range(k + 1)})
 
 
+# z1 = x2 + x0 and z2 = x2, so z1 - z2 = x0: each pole's image
+IMAGE = {
+    pole_var("z1"): ("sum", "x0", "x2"), pole_var("z2"): pole_var("x2"), DIFF12: pole_var("x0"),
+}
+
+
+def iterate_image(r):
+    """A canonical r(z1, z2) as one (poles, numerator) part over X, each
+    numerator monomial z1^a z2^b expanded to sum_t C(a, t) x0^t x2^(a-t+b)."""
+    terms = {}
+    for (a, b), c in r.numer.align(Z).terms.items():
+        for t in range(a + 1):
+            terms[(t, a - t + b)] = terms.get((t, a - t + b), 0) + c * comb(a, t)
+    return {IMAGE[f]: k for f, k in r.poles.items()}, lp(X, terms)
+
+
 @settings(max_examples=100, deadline=None)
 @given(ratfuns(max_vars=2), nonzero_rationals, nonzero_rationals)
 def test_property_iterate_vars_agrees_pointwise(r, a, b):
     # z1 = x2 + x0, z2 = x2 at x2 = a, x0 = b; a, b and a + b keep off every pole
     assume(a + b)
-    poles, numer = to_iterate_vars(r)
+    poles, numer = iterate_image(r)
     assert evaluate(r.poles, r.numer, {"z1": a + b, "z2": a}) == evaluate(
         poles, numer, {"x0": b, "x2": a}
     )
-    # the part's expansion times its denominator is its numerator, wherever
-    # the series cut at the window floor cannot reach
-    out = expand_raw(numer, poles, ITERATE_REGION, uniform_window(X, -8, 8))
+    # the expansion times the image's denominator is the image's numerator,
+    # wherever the series cut at the window floor cannot reach
+    window = uniform_window(X, -8, 8)
+    out = expand_iterate(r.numer, r.poles, window)
     denominator = LaurentPoly.const(1, X)
     for f, k in poles.items():
         denominator = denominator * linear_power(f, k)
     inner = {v: (-8 + max(e[i] for e in denominator.terms), 8) for i, v in enumerate(X)}
     assert (out * denominator).filter_window(inner) == numer.filter_window(inner)
+    # a raw part with a negative numerator exponent expands as its canonical form
+    raw = r.numer.align(Z).shift("z1", -1)
+    canon = RatFun(raw, r.poles)
+    assert expand_iterate(raw, r.poles, window) == expand_iterate(canon.numer, canon.poles, window)
 
 
 @st.composite
@@ -503,7 +525,7 @@ def parts(draw):
     poles = dict(r.poles)
     f = draw(st.sampled_from([pole_var("z1"), DIFF12]))
     if draw(st.booleans()):
-        numer = numer * pole_poly(f, 1, r.vars)
+        numer = numer * pole_poly(f, 1, r.numer.vars)
         poles[f] = poles.get(f, 0) + 1
     return poles, numer
 
@@ -520,8 +542,8 @@ def test_property_sum_agrees_with_expansion(ps):
     assert expand_in_region(total, VARS3, window) == expected
     for order in (ps[::-1], ps[1:] + ps[:1]):
         again = ratfun_sum(order)
-        assert (again.vars, again.numer.terms, again.poles) == (
-            total.vars, total.numer.terms, total.poles,
+        assert (again.numer.vars, again.numer.terms, again.poles) == (
+            total.numer.vars, total.numer.terms, total.poles,
         )
 
 

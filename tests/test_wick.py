@@ -379,8 +379,8 @@ def test_fold_order_confluence():
         window = uniform_window(("z1", "z2", "z3"), -8, 1)
         oracle = product_series_bruteforce(H2, TRIV2, us, vacuum_state(), f, window)
         assert expand_in_region(direct, ("z1", "z2", "z3"), window) == oracle.align(
-            direct.numer.vars if direct.vars else ("z1", "z2", "z3")
-        ).align(sorted(set(("z1", "z2", "z3")) | set(direct.vars)))
+            direct.numer.vars or ("z1", "z2", "z3")
+        ).align(sorted(set(("z1", "z2", "z3")) | set(direct.numer.vars)))
 
 
 def test_asymmetric_form_full_pipeline():
