@@ -35,7 +35,6 @@ from .ratfun import (
     expand_in_region,
     pole_diff,
     pole_var,
-    ratfun_arith,
     ratfun_eq,
 )
 from .modules import (
@@ -61,7 +60,6 @@ from .wick import (
     Block,
     ContractionTerm,
     commutator_pm,
-    iterate_closed_form,
     matrix_coeff_iterate,
     matrix_coeff_product,
     reduce_blocks,

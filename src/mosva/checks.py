@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import floor, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .halgebra import (
@@ -42,6 +42,7 @@ from .fields import (
     field_coefficient,
     iterate_series_bruteforce,
     product_series_bruteforce,
+    product_series_states,
     vertex_series,
 )
 from .modules import (
@@ -615,17 +616,28 @@ def _translation_properties(s: _Samples) -> CheckReport:
     ) or CheckReport("translation-properties", {"samples": len(s.elems), "window": c.window}, True)
 
 
+def _reached_sample(s: _Samples, rng: random.Random, u1: FreeElem, u2: FreeElem):
+    """A state, and the dual of a basis pair up to the weight cap that the oracle's
+    product of u1 and u2 reaches on it in the window, preferring the sampled
+    words; with no such pair, a dual of the sampled words."""
+    c, w = s.config, rng.choice(s.states)
+    weights = [wt + n for wt in c.module.weights for n in range(floor(c.dual_weight_cap - wt) + 1)]
+    window = uniform_window(("z1", "z2"), *c.window)
+    states = product_series_states(c.h, c.module, [u1, u2], w, weights, window)
+    keys = sorted({key for elem in states.values() for key in elem})
+    keys = [key for key in keys if key[0] in s.words] or keys
+    if keys:
+        return dual_term(*rng.choice(keys)), w
+    return dual_term(rng.choice(s.words), rng.randrange(c.module.dim)), w
+
+
 def _rationality_product(s: _Samples) -> CheckReport:
     # its own stream, so its samples do not depend on which checks ran before it
     c, rng = s.config, random.Random(f"{s.config.seed}:rationality-product")
     pairs = s.pairs[: max(6, c.sample_pairs // 3)]
     return _first_failure(
-        verify_rationality_product(
-            c.h, c.module, [word_elem(w1), word_elem(w2)],
-            dual_term(rng.choice(s.words), rng.randrange(c.module.dim)),
-            rng.choice(s.states), c.window,
-        )
-        for w1, w2 in pairs
+        verify_rationality_product(c.h, c.module, us, *_reached_sample(s, rng, *us), c.window)
+        for us in ([word_elem(w1), word_elem(w2)] for w1, w2 in pairs)
     ) or CheckReport("rationality-product", {"pairs": len(pairs), "window": c.window}, True)
 
 
@@ -658,12 +670,8 @@ def _rationality_iterate(s: _Samples) -> CheckReport:
     c, rng = s.config, random.Random(f"{s.config.seed}:rationality-iterate")
     pairs = s.pairs[: max(4, c.sample_pairs // 4)]
     return _first_failure(
-        verify_rationality_iterate(
-            c.h, c.module, word_elem(w1), word_elem(w2),
-            dual_term(rng.choice(s.words), rng.randrange(c.module.dim)),
-            rng.choice(s.states), c.window,
-        )
-        for w1, w2 in pairs
+        verify_rationality_iterate(c.h, c.module, *us, *_reached_sample(s, rng, *us), c.window)
+        for us in ([word_elem(w1), word_elem(w2)] for w1, w2 in pairs)
     ) or CheckReport("rationality-iterate", {"pairs": len(pairs), "window": c.window}, True)
 
 

@@ -60,6 +60,12 @@ from .wick import matrix_coeff_iterate, matrix_coeff_product
 # 0:47904 in 1.4 s and 137 MB (order 1: 1.0 s and 104 MB)
 MAX_SERIES_FILLS = comb(67, 3)
 MAX_SERIES_COEFF_BITS = 512
+# a contraction of orders m and n carries n * C(m+n-1, m-1) < n * 2^(m+n-1),
+# and a term contracts each letter at most once, so a product whose operands'
+# weights sum to W keeps its scalars near 0.301 * W digits: a1(-6000)1 +
+# a1(-3000)1 against a1(-6000)1, and a1(-3000)a1(-3000)1 twice, print at most
+# 3,616, inside Python's 4,300-digit limit for printing an integer
+MAX_PRODUCT_WEIGHT = 12000
 
 
 class ElemParseError(ValueError):
@@ -412,8 +418,16 @@ def cmd_check(args, config: SuiteConfig) -> int:
     return 0 if passed == len(reports) else 1
 
 
-def cmd_product(args, config: SuiteConfig) -> int:
+def _parse_operands(args, config: SuiteConfig) -> List[FreeElem]:
     us = [parse_elem(text, config.h.dim) for text in args.u]
+    total = sum(max(map(word_weight, u), default=0) for u in us)
+    if total > MAX_PRODUCT_WEIGHT:
+        raise ConfigError("-u", f"operand weights must sum to at most {MAX_PRODUCT_WEIGHT}, got {total}")
+    return us
+
+
+def cmd_product(args, config: SuiteConfig) -> int:
+    us = _parse_operands(args, config)
     f = _parse_state_arg(args.dual, config)
     w = _parse_state_arg(args.state, config)
     rf = matrix_coeff_product(config.h, config.module, us, f, w)
@@ -424,7 +438,7 @@ def cmd_product(args, config: SuiteConfig) -> int:
 def cmd_iterate(args, config: SuiteConfig) -> int:
     if len(args.u) != 2:
         raise ConfigError("-u", "iterate needs exactly two elements")
-    u1, u2 = (parse_elem(text, config.h.dim) for text in args.u)
+    u1, u2 = _parse_operands(args, config)
     f = _parse_state_arg(args.dual, config)
     w = _parse_state_arg(args.state, config)
     rf = matrix_coeff_iterate(config.h, config.module, u1, u2, f, w)

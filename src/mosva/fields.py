@@ -250,10 +250,20 @@ def product_series_bruteforce(
     the leftmost operator, exactly the exponents that land on one.
     """
     names = [f"z{j + 1}" for j in range(len(us))]
+    states = product_series_states(h, mod, us, w, {key_weight(mod, key) for key in f}, window)
+    return LaurentPoly(names, {exps: pairing(f, elem) for exps, elem in states.items()})
+
+
+def product_series_states(
+    h: HSpace, mod: ModulePresentation, us: Sequence[FreeElem], w: WElem, f_weights, window: Window
+) -> Dict[Tuple[int, ...], WElem]:
+    """The window's coefficients of Y(u_1, z1)...Y(u_n, zn) w, by exponent
+    tuple, keeping the states whose weight is in f_weights."""
+    names = [f"z{j + 1}" for j in range(len(us))]
     for v in names:
         if v not in window:
             raise ValueError(f"window missing bounds for {v}")
-    f_weights = sorted({key_weight(mod, key) for key in f})
+    f_weights = sorted(set(f_weights))
     states: Dict[Tuple[int, ...], WElem] = {(): dict(w)}
     for j in reversed(range(len(us))):
         lo, hi = window[names[j]]
@@ -276,7 +286,7 @@ def product_series_bruteforce(
                         for e, coeff in series.items():
                             add_terms(nxt.setdefault((e,) + tail, {}), coeff.items())
         states = {k: v for k, v in nxt.items() if v}
-    return LaurentPoly(names, {exps: pairing(f, elem) for exps, elem in states.items()})
+    return states
 
 
 def iterate_series_bruteforce(

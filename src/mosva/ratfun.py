@@ -2,10 +2,11 @@
 
 A RatFun is a polynomial numerator over the rationals divided by a product of
 linear pole factors, each either a single variable z_i or a difference
-(z_i - z_j).  The canonical form divides every pole factor out of the
-numerator as often as it goes, folds negative variable exponents into
-plain-variable poles, and normalizes (z_j - z_i) to -(z_i - z_j); with that,
-two RatFuns represent the same function iff their canonical data are equal.
+(z_i - z_j) with z_i first in canonical order (pole_diff writes any
+difference so).  The canonical form divides every pole factor out of the
+numerator as often as it goes and folds negative variable exponents into
+plain-variable poles; with that, two RatFuns represent the same function iff
+their canonical data are equal.
 
 Region expansion turns a RatFun into the iterated Laurent series valid when
 |z_{s(1)}| > ... > |z_{s(n)}| > 0, truncated to a finite exponent window:
@@ -105,13 +106,7 @@ class RatFun:
         return self.numer.is_zero()
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        return ratfun_arith(self, other, "add")
-
-    def __sub__(self, other: "RatFun") -> "RatFun":
-        return ratfun_arith(self, other, "sub")
-
-    def __mul__(self, other: "RatFun") -> "RatFun":
-        return ratfun_arith(self, other, "mul")
+        return ratfun_arith(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFun):
@@ -179,18 +174,9 @@ def _reduce(numer: LaurentPoly, poles: Dict[PoleFactor, int]):
     return numer, poles
 
 
-def ratfun_arith(lhs: RatFun, rhs: RatFun, op: str) -> RatFun:
-    """Exact add/sub/mul of rational functions with restricted pole factors."""
-    if op == "mul":
-        if lhs.is_zero() or rhs.is_zero():
-            return RatFun.zero()
-        poles = dict(lhs.poles)
-        add_terms(poles, rhs.poles.items())
-        return RatFun(lhs.numer * rhs.numer, poles)
-    if op not in ("add", "sub"):
-        raise ValueError(f"unknown op {op!r}")
-    rnum = rhs.numer if op == "add" else -rhs.numer
-    return ratfun_sum([(lhs.poles, lhs.numer), (rhs.poles, rnum)])
+def ratfun_arith(lhs: RatFun, rhs: RatFun) -> RatFun:
+    """The canonical sum of two rational functions."""
+    return ratfun_sum([(lhs.poles, lhs.numer), (rhs.poles, rhs.numer)])
 
 
 def _over_common(parts: Iterable[Part]) -> Tuple[LaurentPoly, Dict[PoleFactor, int]]:

@@ -12,11 +12,11 @@ up elsewhere: surviving factors keep their original order within each group,
 and that order is what the resulting creation words remember.
 
 A pair (left factor of order m at x, right factor of order n at y) contributes
-the scalar n * (a, b) * binom(-n-1, m-1) and the pole (x - y)^(m+n).  Products
-of several operators fold this two-group step left to right.  Iterates use the
-same pairing patterns with the pole on the inner variable; surviving left
-factors become fields evaluated at the shifted point, kept symbolic under a
-dedicated variable tag until matrix coefficients are extracted.
+the scalar n * (a, b) * binom(-n-1, m-1) and the pole (x - y)^(m+n), kept as
+("diff", x, y).  Products fold this step left to right over z1, z2, ..., so
+every pole is (z_i - z_j) with i < j.  An iterate contracts u1 at x2+x0
+against u2 at x2; with z1 = x2+x0 and z2 = x2 each pole x0 is (z1 - z2) and
+each survivor sits at z1 or z2, so its terms are the product's terms.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ from .modules import (
     key_weight,
 )
 from .fields import apply_modes, binomial
-from .ratfun import Part, PoleFactor, RatFun, pole_diff, pole_var, ratfun_sum
+from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
-
-SHIFTED_VAR = "x2+x0"  # evaluation point of surviving left factors of an iterate
-INNER_VAR = "x2"
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,8 @@ def _contract_tagged(
     """Every nonvanishing contraction pattern of two tagged groups.
 
     A pair of left factor at x and right factor at y contributes
-    (x - y)^-(m+n), stored over its normalized difference factor.  Each
-    term carries the given scalar and poles times its own.
+    (x - y)^-(m+n), stored as ("diff", x, y).  Each term carries the given
+    scalar and poles times its own.
     """
     out = []
     for pairs in _pattern_pairs(len(left), len(right)):
@@ -114,9 +111,8 @@ def _contract_tagged(
             c, exponent = commutator_pm(h, a, m, b, n)
             if not c:
                 break
-            factor, sign = pole_diff(lv, rv)
-            term_scalar *= -c if sign < 0 and exponent % 2 else c
-            add_into(term_poles, factor, exponent)
+            term_scalar *= c
+            add_into(term_poles, ("diff", lv, rv), exponent)
         else:
             used_p = {p for p, _ in pairs}
             used_q = {q for _, q in pairs}
@@ -132,13 +128,12 @@ def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
 
     Every contraction joins a factor of an earlier block to a factor of a
     later block; variable tags travel with their factors, so the merged
-    residual remembers where each survivor came from.
+    residual remembers where each survivor came from.  The blocks' variables
+    must be distinct and in canonical order, so every pole is canonical.
     """
-    seen = set()
-    for b in blocks:
-        if b.var in seen:
-            raise ValueError("blocks must carry distinct variables")
-        seen.add(b.var)
+    variables = tuple(b.var for b in blocks)
+    if sort_vars(variables) != variables:
+        raise ValueError("blocks must carry distinct variables in canonical order")
     if not blocks:
         return [ContractionTerm(Fraction(1), {}, ())]
     terms = [ContractionTerm(Fraction(1), {}, blocks[0].tagged())]
@@ -150,49 +145,21 @@ def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
     return terms
 
 
-def blocks_for_words(words: Sequence) -> List[Block]:
-    return [Block(f"z{j + 1}", tuple(word)) for j, word in enumerate(words)]
-
-
-def iterate_closed_form(h: HSpace, u1: FreeElem, u2: FreeElem) -> List[ContractionTerm]:
-    """Contraction expansion of an iterate, over the variables (x0, x2).
-
-    Factors of u1 are tagged at the shifted point x2+x0 (kept symbolic),
-    factors of u2 at x2.  A pair between them contributes
-    ((x2+x0) - x2)^-(m+n) = x0^-(m+n); surviving u1 factors remain
-    derivative fields at the shifted point.
-    """
-    x0_factor, sign = pole_diff(SHIFTED_VAR, INNER_VAR)
-    out: List[ContractionTerm] = []
-    for (word1, c1), (word2, c2) in iproduct(u1.items(), u2.items()):
-        left, right = Block(SHIFTED_VAR, word1).tagged(), Block(INNER_VAR, word2).tagged()
-        for scalar, poles, residual in _contract_tagged(h, left, right, c1 * c2):
-            k = poles.get(x0_factor, 0)
-            if sign < 0 and k % 2:
-                scalar = -scalar  # undo the normalization of the tag difference
-            out.append(ContractionTerm(scalar, {pole_var("x0"): k} if k else {}, residual))
-    return out
-
-
 # -- term sources: contraction terms with element coefficients included ----------
 
 
 def _product_terms(h: HSpace, us: Sequence[FreeElem]) -> Iterator[ContractionTerm]:
     for combo in iproduct(*[u.items() for u in us]):
         coeff = prod(c for _, c in combo)
-        for scalar, poles, residual in reduce_blocks(h, blocks_for_words([w for w, _ in combo])):
+        blocks = [Block(f"z{j + 1}", word) for j, (word, _) in enumerate(combo)]
+        for scalar, poles, residual in reduce_blocks(h, blocks):
             yield ContractionTerm(coeff * scalar, poles, residual)
 
 
 def _iterate_terms(h: HSpace, u1: FreeElem, u2: FreeElem) -> Iterator[ContractionTerm]:
-    """Iterate terms moved to (z1, z2): x2+x0 -> z1, x2 -> z2, x0 -> z1 - z2."""
-    diff12, _ = pole_diff("z1", "z2")
-    for term in iterate_closed_form(h, u1, u2):
-        residual = tuple(
-            ("z1" if v == SHIFTED_VAR else "z2", i, m) for v, i, m in term.residual
-        )
-        k = term.poles.get(pole_var("x0"), 0)
-        yield ContractionTerm(term.scalar, {diff12: k} if k else {}, residual)
+    """Terms of Y(Y(u1, x0)u2, x2) in (z1, z2): u1 at z1 = x2+x0 against u2 at
+    z2 = x2 makes each pole x0 = (z1 - z2), so these are the product's terms."""
+    return _product_terms(h, (u1, u2))
 
 
 # -- the table builder ---------------------------------------------------------
@@ -331,9 +298,11 @@ def matrix_coeff_iterate(
 ) -> RatFun:
     """Exact rational function <f, Y(Y(u1, z1-z2)u2, z2) w> in (z1, z2).
 
-    Shifted factors pair against f and w as fields in the atomic variable
-    x2+x0, which the final change of variables sends to z1; x2 goes to z2 and
-    each x0 pole becomes the (z1 - z2) pole of the same order.
+    u1 is contracted at z1 = x2+x0 against u2 at z2 = x2, so each x0 pole
+    is the (z1 - z2) pole of the same order and the terms are the product's:
+    the value equals matrix_coeff_product(h, mod, [u1, u2], f, w).  The
+    rationality-iterate check expands it in |x2| > |x0| > 0 against the
+    oracle iterate series.
     """
     return ratfun_sum(_paired(h, mod, _iterate_terms(h, u1, u2), f, w))
 

@@ -6,6 +6,7 @@ import pytest
 
 import mosva.checks
 import mosva.ratfun
+import mosva.wick
 from mosva.halgebra import HSpace, basis_words_up_to, vacuum_elem, word_elem
 from mosva.checks import (
     ConfigError,
@@ -223,6 +224,49 @@ def test_rationality_checks_fail_on_swapped_operands(monkeypatch):
     )
     assert not verify_rationality_product(H2, TRIV2, [u1, u2], f, w, window).passed
     assert not verify_rationality_iterate(H2, TRIV2, u1, u2, f, w, window).passed
+
+
+def test_rationality_samples_compare_coefficients_that_exist(monkeypatch):
+    # each sample's dual is a basis pair the product reaches, so the oracle
+    # series it is compared with is almost never all zero
+    counts = {}
+
+    def counting(name):
+        oracle = getattr(mosva.checks, name)
+
+        def wrapped(*args):
+            series = oracle(*args)
+            counts.setdefault(name, []).append(not series.is_zero())
+            return series
+
+        return wrapped
+
+    for name in ("product_series_bruteforce", "iterate_series_bruteforce"):
+        monkeypatch.setattr(mosva.checks, name, counting(name))
+    for seed in range(5):
+        config = SuiteConfig(
+            h=H2, module=TRIV1, seed=seed, checks=("rationality-product", "rationality-iterate")
+        )
+        assert all(r.passed for r in run_suite(config))
+    product, iterate = counts["product_series_bruteforce"], counts["iterate_series_bruteforce"]
+    assert (len(product), len(iterate)) == (40, 30)
+    assert sum(product) >= 0.85 * len(product) and sum(iterate) >= 0.9 * len(iterate)
+
+
+def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch):
+    # the duals come from the oracle's reach, not the engine's table, so a
+    # basis pair the engine loses (here the vacuum of a full contraction)
+    # is still sampled
+    checks = ("rationality-product", "rationality-iterate")
+    configs = [SuiteConfig(h=H1, module=TRIV1, seed=seed, checks=checks) for seed in range(3)]
+    assert all(r.passed for config in configs for r in run_suite(config))
+    full = mosva.wick._pattern_pairs
+    monkeypatch.setattr(
+        mosva.wick, "_pattern_pairs",
+        lambda k, l: (pairs for pairs in full(k, l) if not (pairs and len(pairs) == k == l)),
+    )
+    for config in configs:
+        assert not all(r.passed for r in run_suite(config)), config.seed
 
 
 def test_rationality_checks_report_the_pairs_they_checked():

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -222,6 +223,33 @@ def test_product_on_a_state_with_a_huge_mode_is_quick():
     assert (done.returncode, done.stdout.strip()) == (0, "0")
 
 
+@pytest.mark.parametrize("command", ["product", "iterate"])
+def test_operand_weight_bound_refuses_a_huge_mode_quickly(command):
+    # the scalars of a huge mode have tens of millions of digits: the bound
+    # refuses before any contraction
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mosva.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "mosva.cli", command, *DIM1,
+         "-u", "a1(-99999999)1", "-u", "a1(-99999999)1"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 2 and done.stderr.startswith("error: -u: ")
+
+
+@pytest.mark.parametrize("command", ["product", "iterate"])
+@pytest.mark.parametrize("u1, u2", [
+    ("a1(-6000)1", "a1(-6000)1"),
+    ("a1(-6000)1 + a1(-3000)1", "a1(-6000)1"),  # two parts over one denominator
+    ("a1(-3000)a1(-3000)1", "a1(-3000)a1(-3000)1"),  # balanced orders
+])
+def test_operand_weight_bound_admits(command, u1, u2, capsys):
+    # at the bound the printed scalars keep a margin under Python's
+    # 4,300-digit limit for integer strings
+    code, out = run_cli(capsys, command, *DIM1, "-u", u1, "-u", u2)
+    assert code == 0 and out.strip().endswith("/ ((z1 - z2)^12000)")
+    assert max(map(len, re.findall(r"\d+", out))) < 3700
+
+
 def test_cmd_check_passes(capsys):
     code, out = run_cli(
         capsys, "check",
@@ -404,6 +432,8 @@ FLAG_ERRORS = {
         "suite.window",
     ),
     "iterate-three-u": (["iterate", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "-u", "1"], "-u"),
+    "product-above-weight-bound": (["product", *DIM1, "-u", "a1(-7200)1", "-u", "a1(-7200)1"], "-u"),
+    "iterate-above-weight-bound": (["iterate", *DIM1, "-u", "a1(-7200)1", "-u", "a1(-7200)1"], "-u"),
     "series-two-u": (["series", *DIM1, "-u", "a1(-1)1", "-u", "a1(-2)1"], "-u"),
 }
 

@@ -14,10 +14,10 @@ PUBLIC = [
     "WElem", "apply_D", "apply_d", "apply_mode", "basis_words", "basis_words_up_to",
     "checks", "commutator_pm", "dual_term", "expand_in_region", "field_coefficient",
     "fields", "free_add", "free_mul", "free_scale", "graded_dimension", "halgebra",
-    "iterate_closed_form", "laurent", "matrix_coeff_iterate", "matrix_coeff_product",
+    "laurent", "matrix_coeff_iterate", "matrix_coeff_product",
     "mode", "modules", "noncommutativity_witness", "pairing",
     "pbw_normal_form", "pole_diff", "pole_var", "product_series_bruteforce",
-    "project_to_sym", "ratfun", "ratfun_arith", "ratfun_eq", "reduce_blocks",
+    "project_to_sym", "ratfun", "ratfun_eq", "reduce_blocks",
     "render_free_elem", "render_pbw_elem", "run_suite", "series_lower_bound", "state",
     "vacuum_elem", "vacuum_state", "validate_hspace", "validate_module", "vertex_series",
     "weight", "wick", "word_elem",

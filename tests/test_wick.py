@@ -19,7 +19,6 @@ from mosva.ratfun import (
     RatFun,
     expand_in_region,
     pole_diff,
-    pole_var,
     ratfun_eq,
     ratfun_sum,
     uniform_window,
@@ -27,12 +26,12 @@ from mosva.ratfun import (
 from mosva.wick import (
     Block,
     ContractionTerm,
-    SHIFTED_VAR,
     _contract_tagged,
+    _iterate_terms,
     _paired,
     _pairing_table_cached,
+    _product_terms,
     commutator_pm,
-    iterate_closed_form,
     iterate_table_raw,
     matrix_coeff_iterate,
     matrix_coeff_product,
@@ -146,6 +145,30 @@ def test_reduce_three_single_blocks():
 def test_blocks_need_distinct_variables():
     with pytest.raises(ValueError):
         reduce_blocks(H1, [Block("z1", ((0, 1),)), Block("z1", ((0, 1),))])
+    # out of canonical order, a pole would read (z2 - z1)
+    with pytest.raises(ValueError):
+        reduce_blocks(H1, [Block("z2", ((0, 1),)), Block("z1", ((0, 1),))])
+
+
+def random_elem(rng, dim, k):
+    words = [w for w in basis_words_up_to(dim, 4) if w]
+    return {rng.choice(words): Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(k)}
+
+
+def test_property_every_pole_is_left_minus_right_in_canonical_order():
+    # a pole is (left - right) as contracted, and the left factor's variable
+    # always comes first in canonical order
+    rng = random.Random(36)
+    for _ in range(20):
+        dim = rng.choice([1, 2])
+        h = HSpace.identity(dim) if dim == 1 else RATIONAL_FORM
+        us = [random_elem(rng, dim, rng.randint(1, 3)) for _ in range(rng.choice([2, 3]))]
+        terms = list(_product_terms(h, us))
+        if len(us) == 2:
+            terms += list(_iterate_terms(h, *us))
+        for term in terms:
+            for factor in term.poles:
+                assert factor[0] == "diff" and pole_diff(*factor[1:]) == (factor, 1), factor
 
 
 # -- matrix coefficients of residuals ----------------------------------------------
@@ -214,27 +237,27 @@ def test_product_noncommutativity_witness():
 # -- iterates --------------------------------------------------------------------
 
 
-def test_iterate_closed_form_shape():
+def test_iterate_terms_shape():
     u = word_elem(((0, 1),))
-    terms = iterate_closed_form(H1, u, u)
+    terms = list(_iterate_terms(H1, u, u))
     assert len(terms) == 2
     full = next(t for t in terms if not t.residual)
-    assert full.poles == {pole_var("x0"): 2} and full.scalar == 1
+    assert full.poles == {DIFF12: 2} and full.scalar == 1
     open_term = next(t for t in terms if t.residual)
-    assert open_term.residual == ((SHIFTED_VAR, 0, 1), ("x2", 0, 1))
+    assert open_term.residual == (("z1", 0, 1), ("z2", 0, 1))
 
 
 def test_iterate_identity_left():
     u2 = word_elem(((0, 2), (0, 1)))
-    terms = iterate_closed_form(H1, vacuum_elem(), u2)
+    terms = list(_iterate_terms(H1, vacuum_elem(), u2))
     assert len(terms) == 1
-    assert terms[0].residual == (("x2", 0, 2), ("x2", 0, 1))
+    assert terms[0].residual == (("z2", 0, 2), ("z2", 0, 1))
 
 
 def test_iterate_identity_right_shifts_fields():
     u1 = word_elem(((0, 2),))
-    terms = iterate_closed_form(H1, u1, vacuum_elem())
-    assert terms[0].residual == ((SHIFTED_VAR, 0, 2),)
+    terms = list(_iterate_terms(H1, u1, vacuum_elem()))
+    assert terms[0].residual == (("z1", 0, 2),)
     # the shifted field's matrix coefficient is the plain one with z1 powers
     rf = matrix_coeff_iterate(H1, TRIV1, u1, vacuum_elem(), dual_term(((0, 2),)), vacuum_state())
     assert rf == RatFun.const(1)
