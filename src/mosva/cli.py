@@ -20,9 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .halgebra import (
@@ -66,6 +67,9 @@ MAX_SERIES_COEFF_BITS = 512
 # a1(-3000)1 against a1(-6000)1, and a1(-3000)a1(-3000)1 twice, print at most
 # 3,616, inside Python's 4,300-digit limit for printing an integer
 MAX_PRODUCT_WEIGHT = 12000
+# a1(-1)^6 1 twice contracts in 13,327 patterns and 0.7 s, a1(-1)^7 1 twice in
+# 130,922 and 6.5 s (one run each, 2-core shared host)
+MAX_PRODUCT_PATTERNS = 20000
 
 
 class ElemParseError(ValueError):
@@ -423,7 +427,33 @@ def _parse_operands(args, config: SuiteConfig) -> List[FreeElem]:
     total = sum(max(map(word_weight, u), default=0) for u in us)
     if total > MAX_PRODUCT_WEIGHT:
         raise ConfigError("-u", f"operand weights must sum to at most {MAX_PRODUCT_WEIGHT}, got {total}")
+    if _fold_patterns(us) > MAX_PRODUCT_PATTERNS:
+        raise ConfigError("-u", f"operands must contract in at most {MAX_PRODUCT_PATTERNS} patterns")
     return us
+
+
+def _fold_patterns(us: Sequence[FreeElem]) -> int:
+    """Contraction patterns of the left-to-right fold, every pairing taken as
+    nonzero; counting stops once past MAX_PRODUCT_PATTERNS.
+
+    A residual of r letters meets a word of l letters in
+    sum_i C(r, i) C(l, i) i! patterns, each leaving r + l - 2i letters.
+    """
+    # residuals maps letters left to the ways of reaching them
+    residuals, *steps = [Counter(len(word) for word in u) for u in us]
+    total = 0
+    for step in steps:
+        reached = Counter()
+        for r, paths in residuals.items():
+            for l, words in step.items():
+                for i in range(min(r, l) + 1):
+                    ways = paths * words * comb(r, i) * comb(l, i) * factorial(i)
+                    total += ways
+                    if total > MAX_PRODUCT_PATTERNS:
+                        return total
+                    reached[r + l - 2 * i] += ways
+        residuals = reached
+    return total
 
 
 def cmd_product(args, config: SuiteConfig) -> int:

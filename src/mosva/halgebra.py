@@ -49,6 +49,11 @@ class HSpace:
             raise ValueError("dimension must be positive")
         if len(self.form) != self.dim or any(len(row) != self.dim for row in self.form):
             raise ValueError("form matrix must be dim x dim")
+        # every memo keyed by the space would otherwise rehash each entry
+        object.__setattr__(self, "_hash", hash((self.dim, self.form)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, dim: int) -> "HSpace":

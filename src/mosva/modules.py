@@ -50,6 +50,13 @@ class ModulePresentation:
     action: Tuple[Matrix, ...]  # one dim x dim matrix per base-space direction
     dm: Matrix
 
+    def __post_init__(self):
+        # every memo keyed by the module would otherwise rehash each entry
+        object.__setattr__(self, "_hash", hash((self.dim, self.weights, self.action, self.dm)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def build(cls, weights, action, dm) -> "ModulePresentation":
         return cls(

@@ -17,6 +17,11 @@ the scalar n * (a, b) * binom(-n-1, m-1) and the pole (x - y)^(m+n), kept as
 every pole is (z_i - z_j) with i < j.  An iterate contracts u1 at x2+x0
 against u2 at x2; with z1 = x2+x0 and z2 = x2 each pole x0 is (z1 - z2) and
 each survivor sits at z1 or z2, so its terms are the product's terms.
+
+The fold depends only on the form and the creation words, not on the state,
+dual or module it is later paired with, so each tuple of words is contracted
+once, in a bounded memo, and each element's coefficients scale the shared
+terms.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class ContractionTerm(NamedTuple):
     """scalar * prod(pole factors)^(-exponent) * normal-ordered residual."""
 
     scalar: Fraction
-    poles: Dict[PoleFactor, int]
+    poles: Mapping[PoleFactor, int]
     residual: Tuple[TaggedFactor, ...]
 
 
@@ -148,11 +153,21 @@ def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
 # -- term sources: contraction terms with element coefficients included ----------
 
 
+@lru_cache(maxsize=1024)
+def _word_terms(h: HSpace, words: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Tuple[ContractionTerm, ...]:
+    """reduce_blocks on creation words at z1, z2, ...; every query on the same
+    form and words shares the entry, so its poles are read-only views."""
+    blocks = [Block(f"z{j + 1}", word) for j, word in enumerate(words)]
+    return tuple(
+        ContractionTerm(scalar, MappingProxyType(poles), residual)
+        for scalar, poles, residual in reduce_blocks(h, blocks)
+    )
+
+
 def _product_terms(h: HSpace, us: Sequence[FreeElem]) -> Iterator[ContractionTerm]:
     for combo in iproduct(*[u.items() for u in us]):
         coeff = prod(c for _, c in combo)
-        blocks = [Block(f"z{j + 1}", word) for j, (word, _) in enumerate(combo)]
-        for scalar, poles, residual in reduce_blocks(h, blocks):
+        for scalar, poles, residual in _word_terms(h, tuple(word for word, _ in combo)):
             yield ContractionTerm(coeff * scalar, poles, residual)
 
 
@@ -235,8 +250,9 @@ def _table_from_terms(
     when `keep` is None), its raw parts: one (poles, numerator) per pole
     signature, zero numerators dropped.
     """
-    # terms with equal poles and residual differ only in scalar; summing them
-    # first pairs each residual with w once (it halves criterion 3's terms)
+    # terms with equal poles and residual differ only in scalar, within one
+    # word tuple's contraction and across the elements' word tuples; summing
+    # them first pairs each residual with w once (it halves criterion 3's terms)
     merged: Dict[Tuple, list] = {}
     for scalar, poles, residual in terms:
         slot = merged.setdefault((tuple(sorted(poles.items())), residual), [0, poles])

@@ -253,10 +253,11 @@ def test_rationality_samples_compare_coefficients_that_exist(monkeypatch):
     assert sum(product) >= 0.85 * len(product) and sum(iterate) >= 0.9 * len(iterate)
 
 
-def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch):
+def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch, fresh_word_terms):
     # the duals come from the oracle's reach, not the engine's table, so a
     # basis pair the engine loses (here the vacuum of a full contraction)
-    # is still sampled
+    # is still sampled; the memo is emptied around the test, so the patched
+    # pattern set is contracted and never outlives it
     checks = ("rationality-product", "rationality-iterate")
     configs = [SuiteConfig(h=H1, module=TRIV1, seed=seed, checks=checks) for seed in range(3)]
     assert all(r.passed for config in configs for r in run_suite(config))
@@ -265,6 +266,7 @@ def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch):
         mosva.wick, "_pattern_pairs",
         lambda k, l: (pairs for pairs in full(k, l) if not (pairs and len(pairs) == k == l)),
     )
+    fresh_word_terms.cache_clear()  # drop the terms the unpatched runs contracted
     for config in configs:
         assert not all(r.passed for r in run_suite(config)), config.seed
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -248,6 +249,26 @@ def test_operand_weight_bound_admits(command, u1, u2, capsys):
     code, out = run_cli(capsys, command, *DIM1, "-u", u1, "-u", u2)
     assert code == 0 and out.strip().endswith("/ ((z1 - z2)^12000)")
     assert max(map(len, re.findall(r"\d+", out))) < 3700
+
+
+@pytest.mark.parametrize("command", ["product", "iterate"])
+def test_pattern_bound_refuses_many_letters_quickly(command, capsys):
+    # a1(-1)^7 1 twice contracts in 130,922 patterns, about 6.5 s; the bound
+    # counts them from the letters before any contraction
+    word = "a1(-1)" * 7 + "1"
+    start = time.perf_counter()
+    code = main([command, *DIM1, "-u", word, "-u", word])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and capsys.readouterr().err.startswith("error: -u: ")
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("command", ["product", "iterate"])
+def test_pattern_bound_admits(command, capsys):
+    # a1(-1)^6 1 twice: 13,327 patterns
+    word = "a1(-1)" * 6 + "1"
+    code, out = run_cli(capsys, command, *DIM1, "-u", word, "-u", word)
+    assert (code, out.strip()) == (0, "720 / ((z1 - z2)^12)")
 
 
 def test_cmd_check_passes(capsys):

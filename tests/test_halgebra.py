@@ -1,6 +1,7 @@
 """Free tensor words, block rewriting, and graded dimensions."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,20 @@ H2 = HSpace.identity(2)
 
 def test_validate_identity_passes_both_flags():
     assert validate_hspace(H2, True, True) == []
+
+
+def test_equal_spaces_hash_equal_and_share_a_memo_entry(fresh_word_terms):
+    built = HSpace.from_rows([[1, 0], [0, 1]])
+    assert built is not H2 and built == H2 and hash(built) == hash(H2)
+    words = (((0, 1),), ((1, 1),))
+    assert fresh_word_terms(built, words) is fresh_word_terms(H2, words)
+    assert fresh_word_terms.cache_info().currsize == 1
+
+
+def test_replace_rehashes_the_space():
+    rational = HSpace.from_rows([[1, Fraction(1, 2)], [Fraction(1, 3), 2]])
+    h = replace(H2, form=rational.form)
+    assert h == rational and hash(h) == hash(rational) and hash(h) != hash(H2)
 
 
 def test_validate_degenerate_form():

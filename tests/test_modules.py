@@ -1,6 +1,7 @@
 """Module presentations, mode actions, and the dual pairing."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from mosva.modules import (
     welem_add,
     welem_scale,
 )
+from mosva.wick import _pairing_table_cached
 
 H1 = HSpace.identity(1)
 H2 = HSpace.identity(2)
@@ -28,6 +30,20 @@ TRIV2 = ModulePresentation.trivial(2)
 
 
 # -- validation ----------------------------------------------------------------
+
+
+def test_equal_modules_hash_equal_and_share_a_memo_entry():
+    built = ModulePresentation.build([0], [[[0]], [[0]]], [[0]])
+    assert built is not TRIV2 and built == TRIV2 and hash(built) == hash(TRIV2)
+    args = ((("z1", 0, 1),), tuple(sorted(vacuum_state().items())), (-1,))
+    assert _pairing_table_cached(H2, built, *args) is _pairing_table_cached(H2, TRIV2, *args)
+
+
+def test_replace_rehashes_the_module():
+    graded = ModulePresentation.build([0, 1], [[[0, 0], [0, 0]]], [[0, 0], [1, 0]])
+    mod = replace(graded, dm=((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))))
+    rebuilt = ModulePresentation.build([0, 1], [[[0, 0], [0, 0]]], [[0, 0], [2, 0]])
+    assert mod == rebuilt and hash(mod) == hash(rebuilt) and hash(mod) != hash(graded)
 
 
 def test_validate_trivial_module():

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as iproduct
+from math import prod
 
 import pytest
 
@@ -150,8 +151,8 @@ def test_blocks_need_distinct_variables():
         reduce_blocks(H1, [Block("z2", ((0, 1),)), Block("z1", ((0, 1),))])
 
 
-def random_elem(rng, dim, k):
-    words = [w for w in basis_words_up_to(dim, 4) if w]
+def random_elem(rng, dim, k, max_weight=4):
+    words = [w for w in basis_words_up_to(dim, max_weight) if w]
     return {rng.choice(words): Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(k)}
 
 
@@ -169,6 +170,45 @@ def test_property_every_pole_is_left_minus_right_in_canonical_order():
         for term in terms:
             for factor in term.poles:
                 assert factor[0] == "diff" and pole_diff(*factor[1:]) == (factor, 1), factor
+
+
+# -- the contraction memo ----------------------------------------------------------
+
+
+def test_product_and_iterate_contract_their_words_once(fresh_word_terms):
+    u1, u2 = word_elem(((0, 1), (1, 2))), word_elem(((1, 1),))
+    f, w = dual_term(((1, 2),)), vacuum_state()
+    matrix_coeff_product(RATIONAL_FORM, TRIV2, [u1, u2], f, w)
+    matrix_coeff_iterate(RATIONAL_FORM, TRIV2, u1, u2, f, w)
+    info = fresh_word_terms.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_memoized_terms_are_read_only(fresh_word_terms):
+    # cached terms are shared by every later query on the same words
+    words = (((0, 1),), ((0, 1),))
+    full = next(t for t in fresh_word_terms(H1, words) if not t.residual)
+    with pytest.raises(TypeError):
+        full.poles[DIFF12] = 3
+    assert full.poles == {DIFF12: 2}
+    assert full in fresh_word_terms(H1, words)
+
+
+def test_property_memoized_terms_are_the_fresh_contraction(fresh_word_terms):
+    # cold or warm, the memo hands back reduce_blocks' terms, in order, with
+    # the product of the element coefficients applied
+    rng = random.Random(37)
+    for _ in range(20):
+        us = [random_elem(rng, 2, 2, max_weight=3) for _ in range(rng.choice([2, 3]))]
+        fresh = [
+            (prod(c for _, c in combo) * scalar, poles, residual)
+            for combo in iproduct(*[u.items() for u in us])
+            for scalar, poles, residual in reduce_blocks(
+                RATIONAL_FORM, [Block(f"z{j + 1}", word) for j, (word, _) in enumerate(combo)]
+            )
+        ]
+        for _ in range(2):
+            assert [(s, dict(p), r) for s, p, r in _product_terms(RATIONAL_FORM, us)] == fresh
 
 
 # -- matrix coefficients of residuals ----------------------------------------------
