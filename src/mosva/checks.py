@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import floor, prod
+from math import prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .halgebra import (
@@ -35,6 +35,7 @@ from .halgebra import (
     render_free_elem,
     render_word,
     vacuum_elem,
+    weight,
     word_elem,
     word_weight,
 )
@@ -124,6 +125,11 @@ _INT_BOUNDS = {
     "pbw_words": (1, None),
     "sample_pairs": (1, None),
 }
+# the lowest lo and highest hi of the window: the suite's cost grows at both
+# ends.  The dim-2 default suite, one run each on a 2-core host: [-6, 16]
+# 3.8 s, [-1000, 2] 1.3 s, [-1000, 16] 8.6 s, against [-6, 24] 8.1 s and
+# [-5000, 2] 4.4 s; [-6, 48] took 54 s
+WINDOW_BOUNDS = (-1000, 16)
 
 
 @dataclass(frozen=True)
@@ -153,9 +159,12 @@ class SuiteConfig:
             not isinstance(window, (list, tuple))
             or len(window) != 2
             or not all(_is_int(x) for x in window)
-            or window[0] > window[1]
+            or not WINDOW_BOUNDS[0] <= window[0] <= window[1] <= WINDOW_BOUNDS[1]
         ):
-            raise ConfigError("window", "must be [lo, hi] integers with lo <= hi")
+            lo, hi = WINDOW_BOUNDS
+            raise ConfigError(
+                "window", f"must be [lo, hi] integers with {lo} <= lo <= hi <= {hi}, got {window!r}"
+            )
         object.__setattr__(self, "window", tuple(window))
         if self.checks is not None:
             valid = f"valid names: {', '.join(CHECKS)}"
@@ -221,10 +230,9 @@ def verify_d_bracket(
 ) -> CheckReport:
     """[grading, Y(u, x)] = Y(grading u, x) + x d/dx Y(u, x), coefficientwise."""
     params = {"u": render_free_elem(u), "span": span}
-    weights = {word_weight(word) for word in u} or {0}
-    if len(weights) != 1:
+    wt_u = weight(u)
+    if wt_u is None:
         return CheckReport("grading-bracket", params, False, "u is inhomogeneous")
-    wt_u = weights.pop()
     on_w = vertex_series(h, mod, u, w, *span)
     on_dw = vertex_series(h, mod, u, apply_d(mod, w), *span)
     for e in range(span[0], span[1] + 1):
@@ -621,9 +629,10 @@ def _reached_sample(s: _Samples, rng: random.Random, u1: FreeElem, u2: FreeElem)
     product of u1 and u2 reaches on it in the window, preferring the sampled
     words; with no such pair, a dual of the sampled words."""
     c, w = s.config, rng.choice(s.states)
-    weights = [wt + n for wt in c.module.weights for n in range(floor(c.dual_weight_cap - wt) + 1)]
     window = uniform_window(("z1", "z2"), *c.window)
-    states = product_series_states(c.h, c.module, [u1, u2], w, weights, window)
+    states = product_series_states(
+        c.h, c.module, [u1, u2], w, (c.module.min_weight, c.dual_weight_cap), window
+    )
     keys = sorted({key for elem in states.values() for key in elem})
     keys = [key for key in keys if key[0] in s.words] or keys
     if keys:

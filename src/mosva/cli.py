@@ -50,7 +50,7 @@ from .modules import (
     validate_module,
 )
 from .scalars import format_rational, parse_rational, render_signed_sum
-from .wick import matrix_coeff_iterate, matrix_coeff_product
+from .wick import matrix_coeff_product
 
 
 # a series costs about one creation fill per way to spread its top exponent
@@ -367,17 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cmd_check)
     p.add_argument("--seed", type=int, default=None, help="overrides suite.seed")
 
-    p = sub.add_parser("product", help="matrix coefficient of a product of operators")
-    _add_common(p, cmd_product)
-    p.add_argument("-u", action="append", required=True, help="operator element, outermost first")
-    p.add_argument("--dual", default=None, help="dual-basis combination")
-    p.add_argument("--state", default=None, help="starting state")
-
-    p = sub.add_parser("iterate", help="matrix coefficient of an iterate of two operators")
-    _add_common(p, cmd_iterate)
-    p.add_argument("-u", action="append", required=True)
-    p.add_argument("--dual", default=None)
-    p.add_argument("--state", default=None)
+    for name, what in (("product", "a product of operators"), ("iterate", "an iterate of two operators")):
+        p = sub.add_parser(name, help=f"matrix coefficient of {what}")
+        _add_common(p, cmd_product)
+        p.add_argument("-u", action="append", required=True, help="operator element, outermost first")
+        p.add_argument("--dual", default=None, help="dual-basis combination")
+        p.add_argument("--state", default=None, help="starting state")
 
     p = sub.add_parser("series", help="coefficients of one vertex operator series")
     _add_common(p, cmd_series)
@@ -457,21 +452,13 @@ def _fold_patterns(us: Sequence[FreeElem]) -> int:
 
 
 def cmd_product(args, config: SuiteConfig) -> int:
+    # an iterate's rational function is the product's; only its region differs
+    if args.command == "iterate" and len(args.u) != 2:
+        raise ConfigError("-u", "iterate needs exactly two elements")
     us = _parse_operands(args, config)
     f = _parse_state_arg(args.dual, config)
     w = _parse_state_arg(args.state, config)
     rf = matrix_coeff_product(config.h, config.module, us, f, w)
-    _emit(args, rf.render(), rf.to_json())
-    return 0
-
-
-def cmd_iterate(args, config: SuiteConfig) -> int:
-    if len(args.u) != 2:
-        raise ConfigError("-u", "iterate needs exactly two elements")
-    u1, u2 = _parse_operands(args, config)
-    f = _parse_state_arg(args.dual, config)
-    w = _parse_state_arg(args.state, config)
-    rf = matrix_coeff_iterate(config.h, config.module, u1, u2, f, w)
     _emit(args, rf.render(), rf.to_json())
     return 0
 

@@ -20,7 +20,7 @@ word's letters; positive and zero modes commute, so a pattern acts right to
 left in its given order, which is its normal-ordered action.  Everything here
 is the direct, series-level evaluation; the closed-form contraction engine is
 checked against it.  The product and iterate series enumerate no exponent
-that cannot reach the dual's weights.
+that cannot reach the interval between the dual's least and greatest weight.
 """
 
 from __future__ import annotations
@@ -246,8 +246,10 @@ def product_series_bruteforce(
     on a basis pair has weight wt(u word) + wt(pair) + e, and the operators
     left of position j add a weight in [sum_t<j (lo_t + min wt u_t),
     sum_t<j (hi_t + max wt u_t)].  So each (word of u_j, state key) is asked
-    only for the exponents from which a weight of f is still reachable: at
-    the leftmost operator, exactly the exponents that land on one.
+    only for the exponents from which a weight between f's least and
+    greatest is still reachable: at the leftmost operator, exactly the
+    exponents that land in that interval.  A state inside the interval whose
+    weight f does not carry pairs to zero.
     """
     names = [f"z{j + 1}" for j in range(len(us))]
     states = product_series_states(h, mod, us, w, {key_weight(mod, key) for key in f}, window)
@@ -258,33 +260,29 @@ def product_series_states(
     h: HSpace, mod: ModulePresentation, us: Sequence[FreeElem], w: WElem, f_weights, window: Window
 ) -> Dict[Tuple[int, ...], WElem]:
     """The window's coefficients of Y(u_1, z1)...Y(u_n, zn) w, by exponent
-    tuple, keeping the states whose weight is in f_weights."""
+    tuple, keeping the states whose weight lies between the least and the
+    greatest of f_weights (none when f_weights is empty)."""
     names = [f"z{j + 1}" for j in range(len(us))]
     for v in names:
         if v not in window:
             raise ValueError(f"window missing bounds for {v}")
-    f_weights = sorted(set(f_weights))
+    if not f_weights:
+        return {}
+    f_lo, f_hi = min(f_weights), max(f_weights)
     states: Dict[Tuple[int, ...], WElem] = {(): dict(w)}
     for j in reversed(range(len(us))):
         lo, hi = window[names[j]]
         s0 = sum(window[names[t]][0] + min(map(word_weight, us[t]), default=0) for t in range(j))
         s1 = sum(window[names[t]][1] + max(map(word_weight, us[t]), default=0) for t in range(j))
-        targets = []  # disjoint intervals of weights from which f stays reachable
-        for fw in f_weights:
-            if targets and fw - s1 <= targets[-1][1]:
-                targets[-1][1] = fw - s0
-            else:
-                targets.append([fw - s1, fw - s0])
         nxt: Dict[Tuple[int, ...], WElem] = {}
         for tail, elem in states.items():
             for (uword, uc), (key, c) in product(us[j].items(), elem.items()):
                 base = word_weight(uword) + key_weight(mod, key)
-                for a, b in targets:
-                    e_lo, e_hi = max(lo, ceil(a - base)), min(hi, floor(b - base))
-                    if e_lo <= e_hi:
-                        series = vertex_series(h, mod, {uword: uc}, {key: c}, e_lo, e_hi)
-                        for e, coeff in series.items():
-                            add_terms(nxt.setdefault((e,) + tail, {}), coeff.items())
+                e_lo, e_hi = max(lo, ceil(f_lo - s1 - base)), min(hi, floor(f_hi - s0 - base))
+                if e_lo <= e_hi:
+                    series = vertex_series(h, mod, {uword: uc}, {key: c}, e_lo, e_hi)
+                    for e, coeff in series.items():
+                        add_terms(nxt.setdefault((e,) + tail, {}), coeff.items())
         states = {k: v for k, v in nxt.items() if v}
     return states
 

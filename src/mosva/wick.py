@@ -171,12 +171,6 @@ def _product_terms(h: HSpace, us: Sequence[FreeElem]) -> Iterator[ContractionTer
             yield ContractionTerm(coeff * scalar, poles, residual)
 
 
-def _iterate_terms(h: HSpace, u1: FreeElem, u2: FreeElem) -> Iterator[ContractionTerm]:
-    """Terms of Y(Y(u1, x0)u2, x2) in (z1, z2): u1 at z1 = x2+x0 against u2 at
-    z2 = x2 makes each pole x0 = (z1 - z2), so these are the product's terms."""
-    return _product_terms(h, (u1, u2))
-
-
 # -- the table builder ---------------------------------------------------------
 
 
@@ -316,28 +310,13 @@ def matrix_coeff_iterate(
 
     u1 is contracted at z1 = x2+x0 against u2 at z2 = x2, so each x0 pole
     is the (z1 - z2) pole of the same order and the terms are the product's:
-    the value equals matrix_coeff_product(h, mod, [u1, u2], f, w).  The
-    rationality-iterate check expands it in |x2| > |x0| > 0 against the
-    oracle iterate series.
+    the value is the product's rational function.  The rationality-iterate
+    check expands it in |x2| > |x0| > 0 against the oracle iterate series.
     """
-    return ratfun_sum(_paired(h, mod, _iterate_terms(h, u1, u2), f, w))
+    return matrix_coeff_product(h, mod, (u1, u2), f, w)
 
 
 # -- bulk tables: one pass for every dual word up to a weight cap ----------------
-
-
-def _capped_table(
-    h: HSpace, mod: ModulePresentation, terms: Iterable[ContractionTerm], w: WElem, weight_cap
-) -> Dict[Tuple[Tuple, int], List[Part]]:
-    cap = Fraction(weight_cap)
-    weights = {key_weight(mod, key_w) for key_w in w}
-    totals = set()
-    for ww in weights:
-        totals.update(range(ceil(ww - cap), floor(ww - mod.min_weight) + 1))
-    # a total t takes a w term of weight ww to weight ww - t, which the range
-    # keeps within the cap; only another term's totals can overshoot it
-    keep = None if len(weights) <= 1 else (lambda key: key_weight(mod, key) <= cap)
-    return _table_from_terms(h, mod, terms, w, totals, keep)
 
 
 def product_table_raw(
@@ -352,7 +331,15 @@ def product_table_raw(
     Each pair maps to raw (poles, numerator) parts, never canonicalized; their
     ratfun_sum is matrix_coeff_product against that pair's dual basis element.
     """
-    return _capped_table(h, mod, _product_terms(h, us), w, weight_cap)
+    cap = Fraction(weight_cap)
+    weights = {key_weight(mod, key_w) for key_w in w}
+    totals = set()
+    for ww in weights:
+        totals.update(range(ceil(ww - cap), floor(ww - mod.min_weight) + 1))
+    # a total t takes a w term of weight ww to weight ww - t, which the range
+    # keeps within the cap; only another term's totals can overshoot it
+    keep = None if len(weights) <= 1 else (lambda key: key_weight(mod, key) <= cap)
+    return _table_from_terms(h, mod, _product_terms(h, us), w, totals, keep)
 
 
 def iterate_table_raw(
@@ -363,5 +350,6 @@ def iterate_table_raw(
     w: WElem,
     weight_cap: Fraction,
 ) -> Dict[Tuple[Tuple, int], List[Part]]:
-    """Iterate-side analogue of product_table_raw, already in (z1, z2)."""
-    return _capped_table(h, mod, _iterate_terms(h, u1, u2), w, weight_cap)
+    """Iterate-side analogue of product_table_raw, already in (z1, z2): the
+    iterate's terms are the product's, so this is the product's table."""
+    return product_table_raw(h, mod, (u1, u2), w, weight_cap)

@@ -414,11 +414,13 @@ def test_run_suite_symmetric_form_cross_check():
 @pytest.mark.parametrize(
     "field, value",
     [("max_weight", 6), ("max_weight", 0), ("sample_pairs", 0), ("pbw_words", 0),
-     ("seed", 1.5), ("window", (3, 1)), ("checks", ("asociativity",))],
+     ("seed", 1.5), ("window", (3, 1)), ("checks", ("asociativity",)),
+     ("window", (-6, 17)), ("window", (-1001, 2))],
 )
 def test_suite_config_rejects_out_of_domain_values(field, value):
     # library callers get the same bounds as the CLI: max_weight 6 would
-    # exhaust memory in the oracle, and a count of 0 checks nothing
+    # exhaust memory in the oracle, a count of 0 checks nothing, and the
+    # suite's cost grows at both ends of the window
     with pytest.raises(ConfigError) as err:
         SuiteConfig(h=H2, module=TRIV2, **{field: value})
     assert err.value.path == field

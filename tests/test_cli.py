@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mosva
-from mosva.checks import CHECKS, MAX_DIM
+from mosva.checks import CHECKS, MAX_DIM, WINDOW_BOUNDS
 from mosva.cli import (
     MODULE_KEYS,
     SUITE_KEYS,
@@ -344,6 +344,9 @@ BAD_CONFIGS = {
     "pairs-bool": ('{"dim": 2, "suite": {"sample_pairs": true}}', "suite.sample_pairs"),
     "seed-string": ('{"dim": 2, "suite": {"seed": "7"}}', "suite.seed"),
     "window-reversed": ('{"dim": 2, "suite": {"window": [2, -6]}}', "suite.window"),
+    # each ran past 120 s before the window was bounded
+    "window-hi-above-bound": ('{"dim": 1, "suite": {"window": [-6, 128]}}', "suite.window"),
+    "window-lo-below-bound": ('{"dim": 1, "suite": {"window": [-2000000, 2]}}', "suite.window"),
     "json-too-deep": ('{"dim": ' + "[" * 50000, "<json>"),
     "unknown-top-key": ('{"dim": 2, "sute": {}}', "sute"),
     "unknown-module-key": (
@@ -373,6 +376,11 @@ def test_dim_bound_is_inclusive():
 
 def test_dual_weight_cap_bound_is_inclusive():
     assert parse_config('{"dim": 2, "suite": {"dual_weight_cap": 12}}').dual_weight_cap == 12
+
+
+def test_window_bounds_are_inclusive():
+    lo, hi = WINDOW_BOUNDS
+    assert parse_config(json.dumps({"dim": 1, "suite": {"window": [lo, hi]}})).window == (lo, hi)
 
 
 def test_unknown_check_lists_valid_names(capsys):
@@ -450,6 +458,10 @@ FLAG_ERRORS = {
     ),
     "config-window-above-bound": (
         ["series", "-c", '{"dim": 1, "suite": {"window": [0, 65]}}', "-u", "a1(-1)a1(-1)a1(-1)1"],
+        "suite.window",
+    ),
+    "config-window-above-series-bound": (
+        ["series", "-c", '{"dim": 1, "suite": {"window": [0, 16]}}', "-u", "a1(-1)" * 7 + "1"],
         "suite.window",
     ),
     "iterate-three-u": (["iterate", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "-u", "1"], "-u"),

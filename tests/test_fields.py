@@ -23,6 +23,7 @@ from mosva.fields import (
     field_coefficient,
     iterate_series_bruteforce,
     product_series_bruteforce,
+    product_series_states,
     series_lower_bound,
     vertex_series,
 )
@@ -458,3 +459,26 @@ def test_pruned_exponents_are_never_asked_for(monkeypatch):
     outer = [(lo, hi) for mod, _, lo, hi in calls if mod is DIM4]
     assert not iterate.is_zero() and outer
     assert all(lo == hi for lo, hi in outer)
+
+
+def test_gapped_dual_weights_keep_every_state_between_them():
+    # the dual's least and greatest weight bound the states kept, so against
+    # weights {0, 3} the states of weight 1 and 2 are kept too
+    us = [word_elem(((0, 1),)), word_elem(((1, 2), (0, 1)))]
+    w, window = vacuum_state(), {"z1": (-4, 2), "z2": (-4, 2)}
+    unpinned = {(): w}
+    for name, u in reversed(list(zip(("z1", "z2"), us))):
+        unpinned = {
+            (e,) + tail: elem
+            for tail, elem_in in unpinned.items()
+            for e, elem in vertex_series(RATIONAL_FORM, DIM4, u, elem_in, *window[name]).items()
+        }
+    expect = {}
+    for exps, elem in unpinned.items():
+        kept = {key: c for key, c in elem.items() if c and 0 <= key_weight(DIM4, key) <= 3}
+        if kept:
+            expect[exps] = kept
+    weights = {key_weight(DIM4, key) for elem in expect.values() for key in elem}
+    assert weights == {0, 1, 2, 3}
+    assert product_series_states(RATIONAL_FORM, DIM4, us, w, {0, 3}, window) == expect
+    assert product_series_states(RATIONAL_FORM, DIM4, us, w, (), window) == {}

@@ -1,11 +1,14 @@
 """The public surface of the package, and no dead definitions behind it."""
 
 import ast
+import importlib
 import os
+import re
 
 import mosva
 
 SRC = os.path.dirname(mosva.__file__)
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 # the names `from mosva import *` provides; change this list deliberately
 PUBLIC = [
@@ -104,3 +107,26 @@ def test_every_import_has_a_use_in_its_module():
         if imported - loaded:
             unused[name] = sorted(imported - loaded)
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    # `module.name` with a package module first, and any `mosva.module.NAME`;
+    # config paths such as `suite.seed` and file names such as `wick.py` are
+    # neither
+    modules = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")} - {"__init__"}
+    for module in modules:
+        importlib.import_module(f"mosva.{module}")
+    checked, missing = 0, []
+    for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", open(README).read()):
+        parts = dotted.split(".")
+        if parts[0] == "mosva":
+            parts = parts[1:]
+        elif parts[0] not in modules or parts[-1] == "py":
+            continue
+        obj = mosva
+        for part in parts:
+            obj = getattr(obj, part, None)
+        checked += 1
+        if obj is None:
+            missing.append(dotted)
+    assert checked and not missing, f"README names that do not resolve: {missing}"

@@ -28,7 +28,6 @@ from mosva.wick import (
     Block,
     ContractionTerm,
     _contract_tagged,
-    _iterate_terms,
     _paired,
     _pairing_table_cached,
     _product_terms,
@@ -164,10 +163,7 @@ def test_property_every_pole_is_left_minus_right_in_canonical_order():
         dim = rng.choice([1, 2])
         h = HSpace.identity(dim) if dim == 1 else RATIONAL_FORM
         us = [random_elem(rng, dim, rng.randint(1, 3)) for _ in range(rng.choice([2, 3]))]
-        terms = list(_product_terms(h, us))
-        if len(us) == 2:
-            terms += list(_iterate_terms(h, *us))
-        for term in terms:
+        for term in _product_terms(h, us):
             for factor in term.poles:
                 assert factor[0] == "diff" and pole_diff(*factor[1:]) == (factor, 1), factor
 
@@ -279,7 +275,7 @@ def test_product_noncommutativity_witness():
 
 def test_iterate_terms_shape():
     u = word_elem(((0, 1),))
-    terms = list(_iterate_terms(H1, u, u))
+    terms = list(_product_terms(H1, (u, u)))
     assert len(terms) == 2
     full = next(t for t in terms if not t.residual)
     assert full.poles == {DIFF12: 2} and full.scalar == 1
@@ -289,14 +285,14 @@ def test_iterate_terms_shape():
 
 def test_iterate_identity_left():
     u2 = word_elem(((0, 2), (0, 1)))
-    terms = list(_iterate_terms(H1, vacuum_elem(), u2))
+    terms = list(_product_terms(H1, (vacuum_elem(), u2)))
     assert len(terms) == 1
     assert terms[0].residual == (("z2", 0, 2), ("z2", 0, 1))
 
 
 def test_iterate_identity_right_shifts_fields():
     u1 = word_elem(((0, 2),))
-    terms = list(_iterate_terms(H1, u1, vacuum_elem()))
+    terms = list(_product_terms(H1, (u1, vacuum_elem())))
     assert terms[0].residual == (("z1", 0, 2),)
     # the shifted field's matrix coefficient is the plain one with z1 powers
     rf = matrix_coeff_iterate(H1, TRIV1, u1, vacuum_elem(), dual_term(((0, 2),)), vacuum_state())
