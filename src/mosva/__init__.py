@@ -34,7 +34,6 @@ from .ratfun import (
     RatFun,
     expand_in_region,
     pole_diff,
-    pole_var,
     ratfun_eq,
 )
 from .modules import (

@@ -70,6 +70,12 @@ MAX_PRODUCT_WEIGHT = 12000
 # a1(-1)^6 1 twice contracts in 13,327 patterns and 0.7 s, a1(-1)^7 1 twice in
 # 130,922 and 6.5 s (one run each, 2-core shared host)
 MAX_PRODUCT_PATTERNS = 20000
+# normal ordering follows every rewrite path, one per choice of contracted
+# pairs of a positive mode before a negative mode of equal magnitude: on
+# {"dim": 1}, a1(1)^6 a1(-1)^7 (42 pairs) took 0.92 s, a1(1)^7 a1(-1)^6 0.68 s
+# and a1(1)^6 a1(-1)^6 (36) 0.25 s, where a1(1)^7 a1(-1)^7 (49) took 3.2 s and
+# a1(1)^8 a1(-1)^8 (64) 39.6 s (one run each, 2-core shared host)
+MAX_NORMALFORM_PAIRS = 42
 
 
 class ElemParseError(ValueError):
@@ -500,6 +506,18 @@ def cmd_series(args, config: SuiteConfig) -> int:
 
 def cmd_normalform(args, config: SuiteConfig) -> int:
     gens = parse_hat_word(args.expr, config.h.dim)
+    positives: Dict[int, int] = {}
+    pairs = 0
+    for g in gens:
+        if g[0] == "m" and g[2] > 0:
+            positives[g[2]] = positives.get(g[2], 0) + 1
+        elif g[0] == "m":
+            pairs += positives.get(-g[2], 0)
+    if pairs > MAX_NORMALFORM_PAIRS:
+        raise ConfigError(
+            "expr", f"at most {MAX_NORMALFORM_PAIRS} pairs of a positive mode before a negative "
+            f"mode of equal magnitude, got {pairs}"
+        )
     out = pbw_normal_form(gens, config.h)
     text = render_pbw_elem(out)
     payload = [

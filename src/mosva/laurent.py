@@ -85,12 +85,6 @@ class LaurentPoly:
             return cls(variables, {})
         return cls(variables, {(0,) * len(sort_vars(variables)): c})
 
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Mapping[str, int], c=1) -> "LaurentPoly":
-        svars = sort_vars(variables)
-        vec = tuple(exps.get(v, 0) for v in svars)
-        return cls(svars, {vec: Fraction(c)})
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -175,36 +169,29 @@ class LaurentPoly:
     # -- exact division by a difference factor ----------------------------
 
     def _div_linear(self, a: str, b: str) -> Optional["LaurentPoly"]:
-        """Exact quotient by (a - b), a RatFun's difference factor; None when
-        not divisible.
+        """Exact quotient of a nonzero self by (a - b), a RatFun's difference
+        factor; None when not divisible.
 
         Synthetic division of self viewed as a polynomial in `a` with Laurent
-        coefficients in the remaining variables; requires exponents of `a`
-        to be nonnegative.
+        coefficients in the remaining variables, from the lowest power lo of
+        `a` up: a^lo is a unit, so negative exponents divide as any others.
         """
-        if self.is_zero():
-            return LaurentPoly(self.vars, {})
         ia = self.vars.index(a)
         ib = self.vars.index(b)
-        if min(e[ia] for e in self.terms) < 0:
-            return None
-        degree = max(e[ia] for e in self.terms)
-        if degree == 0:
-            return None
         coeffs: Dict[int, Dict[Exponents, Fraction]] = {}
         for e, c in self.terms.items():
-            k = e[ia]
             rest = e[:ia] + (0,) + e[ia + 1:]
-            coeffs.setdefault(k, {})[rest] = c
+            coeffs.setdefault(e[ia], {})[rest] = c
+        lo = min(coeffs)
 
         # self = (a - b) * q + r with r = self evaluated at a = b
         q: Dict[int, Dict[Exponents, Fraction]] = {}
         carry: Dict[Exponents, Fraction] = {}
-        for k in range(degree, 0, -1):
+        for k in range(max(coeffs), lo, -1):
             add_terms(carry, coeffs.get(k, {}).items())
             q[k - 1] = carry
             carry = {e[:ib] + (e[ib] + 1,) + e[ib + 1:]: c for e, c in carry.items()}
-        add_terms(carry, coeffs.get(0, {}).items())
+        add_terms(carry, coeffs[lo].items())
         if carry:
             return None
         terms: Dict[Exponents, Fraction] = {}

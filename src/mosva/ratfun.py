@@ -1,12 +1,13 @@
 """Exact rational functions with poles confined to z_i = 0 and z_i = z_j.
 
-A RatFun is a polynomial numerator over the rationals divided by a product of
-linear pole factors, each either a single variable z_i or a difference
-(z_i - z_j) with z_i first in canonical order (pole_diff writes any
-difference so).  The canonical form divides every pole factor out of the
-numerator as often as it goes and folds negative variable exponents into
-plain-variable poles; with that, two RatFuns represent the same function iff
-their canonical data are equal.
+A RatFun is a Laurent numerator over the rationals divided by a product of
+difference factors (z_i - z_j), each stored as the pair (z_i, z_j) with z_i
+first in canonical order (pole_diff writes any difference so).  Over Laurent
+polynomials every z_i is a unit, so a pole at z_i = 0 is a negative exponent
+of the numerator.  The canonical form divides every difference factor out of
+the numerator as often as it goes; with that, two RatFuns represent the same
+function iff their canonical data are equal.  Printing shows each variable's
+most negative exponent as a z_i^k pole.
 
 Region expansion turns a RatFun into the iterated Laurent series valid when
 |z_{s(1)}| > ... > |z_{s(n)}| > 0, truncated to a finite exponent window:
@@ -26,47 +27,33 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .halgebra import add_into, add_terms
 from .laurent import LaurentPoly, Window, sort_vars, var_sort_key
 
-# ("var", v) | ("diff", a, b), names ordered a < b canonically
-PoleFactor = Tuple[str, ...]
+# (a, b) stands for (a - b), names ordered a < b canonically
+PoleFactor = Tuple[str, str]
 # one term of a sum of rational functions: (poles, numerator)
 Part = Tuple[Mapping[PoleFactor, int], LaurentPoly]
-
-_KIND_ORDER = {"var": 0, "diff": 1}
-
-
-def pole_var(v: str) -> PoleFactor:
-    return ("var", v)
 
 
 def pole_diff(a: str, b: str) -> Tuple[PoleFactor, int]:
     """Normalized difference factor and the sign of the normalization.
 
     pole_diff(a, b) stands for (a - b); if the canonical variable order puts
-    b first, the stored factor is (b - a) and the sign is -1.
+    b first, the stored factor is (b, a) and the sign is -1.
     """
     if a == b:
         raise ValueError("difference factor needs distinct variables")
     if var_sort_key(a) <= var_sort_key(b):
-        return ("diff", a, b), 1
-    return ("diff", b, a), -1
+        return (a, b), 1
+    return (b, a), -1
 
 
 def pole_sort_key(f: PoleFactor):
-    return (_KIND_ORDER[f[0]],) + tuple(var_sort_key(v) for v in f[1:])
-
-
-def pole_vars(f: PoleFactor) -> Tuple[str, ...]:
-    return f[1:]
+    return var_sort_key(f[0]), var_sort_key(f[1])
 
 
 def pole_poly(f: PoleFactor, k: int, variables: Sequence[str]) -> LaurentPoly:
-    """The polynomial factor**k of a var or diff factor over the given variables."""
-    universe = sort_vars(tuple(variables) + pole_vars(f))
-    if f[0] == "var":
-        return LaurentPoly.monomial(universe, {f[1]: k})
-    if f[0] != "diff":
-        raise ValueError(f"no polynomial for pole factor {f!r}")
-    a, b = f[1], f[2]
+    """The polynomial (a - b)**k of the factor f = (a, b) over the given variables."""
+    universe = sort_vars(tuple(variables) + f)
+    a, b = f
     terms = {}
     for t in range(k + 1):
         exps = {a: k - t, b: t}
@@ -76,15 +63,15 @@ def pole_poly(f: PoleFactor, k: int, variables: Sequence[str]) -> LaurentPoly:
 
 
 class RatFun:
-    """Canonical rational function: polynomial numerator over pole factors."""
+    """Canonical rational function: Laurent numerator over difference factors."""
 
     __slots__ = ("numer", "poles")
 
     def __init__(self, numer: LaurentPoly, poles: Mapping[PoleFactor, int] = ()):
         poles = dict(poles)
         for f, k in poles.items():
-            if f[0] not in _KIND_ORDER:
-                raise ValueError(f"unknown pole factor kind {f!r}")
+            if len(f) != 2 or pole_diff(*f) != (f, 1):
+                raise ValueError(f"pole factor {f!r} is not a canonical difference")
             if k <= 0:
                 raise ValueError("pole exponents must be positive")
         numer, poles = _reduce(numer, poles)
@@ -116,61 +103,51 @@ class RatFun:
     def __hash__(self):
         raise TypeError("RatFun is not hashable")
 
+    def _printed(self):
+        """The numerator and pole factors as printed, each factor as its
+        (JSON, text) pair: every variable's most negative exponent shows as a
+        var pole, first and in variable order, then the difference factors."""
+        numer, factors = self.numer, []
+        for v in numer.vars:
+            k = -numer.min_exp(v)
+            if k > 0:
+                numer = numer.shift(v, k)
+                factors.append(({"kind": "var", "var": v, "exponent": k}, f"{v}^{k}"))
+        for (a, b), k in sorted(self.poles.items(), key=lambda kv: pole_sort_key(kv[0])):
+            factors.append(({"kind": "diff", "a": a, "b": b, "exponent": k}, f"({a} - {b})^{k}"))
+        return numer, factors
+
     def render(self) -> str:
-        num = self.numer.render()
-        if not self.poles:
+        numer, factors = self._printed()
+        num = numer.render()
+        if not factors:
             return num
-        if len(self.numer.terms) > 1:
+        if len(numer.terms) > 1:
             num = f"({num})"
-        parts = []
-        for f, k in sorted(self.poles.items(), key=lambda kv: pole_sort_key(kv[0])):
-            if f[0] == "var":
-                parts.append(f"{f[1]}^{k}")
-            else:
-                parts.append(f"({f[1]} - {f[2]})^{k}")
-        return f"{num} / ({' * '.join(parts)})"
+        return f"{num} / ({' * '.join(text for _, text in factors)})"
 
     def __repr__(self):
         return f"RatFun({self.render()!r})"
 
     def to_json(self):
-        factors = []
-        for f, k in sorted(self.poles.items(), key=lambda kv: pole_sort_key(kv[0])):
-            if f[0] == "var":
-                factors.append({"kind": "var", "var": f[1], "exponent": k})
-            else:
-                factors.append({"kind": f[0], "a": f[1], "b": f[2], "exponent": k})
-        return {"numerator": self.numer.to_json(), "poles": factors}
+        numer, factors = self._printed()
+        return {"numerator": numer.to_json(), "poles": [j for j, _ in factors]}
 
 
 def _reduce(numer: LaurentPoly, poles: Dict[PoleFactor, int]):
-    """Canonicalize over every variable of numerator and poles: one shift per
-    variable folds its negative exponents into its pole and cancels what the
-    pole divides, then each difference factor is divided out while it goes."""
+    """Canonicalize over every variable of numerator and poles: each
+    difference factor is divided out of the numerator while it goes."""
     if numer.is_zero():
         return LaurentPoly.zero(), {}
-    universe = sort_vars(
-        tuple(numer.vars) + tuple(v for f in poles for v in pole_vars(f))
-    )
-    numer = numer.align(universe)
-    for v in universe:
-        f = pole_var(v)
-        k = poles.pop(f, 0)
-        d = min(numer.min_exp(v), k)
-        numer = numer.shift(v, -d) if d else numer
-        if k > d:
-            poles[f] = k - d
-    for f in [f for f in poles if f[0] == "diff"]:
-        k = poles[f]
-        while k > 0:
-            q = numer._div_linear(f[1], f[2])
+    numer = numer.align(numer.vars + tuple(v for f in poles for v in f))
+    for f in list(poles):
+        k = poles.pop(f)
+        while k:
+            q = numer._div_linear(*f)
             if q is None:
+                poles[f] = k
                 break
             numer, k = q, k - 1
-        if k:
-            poles[f] = k
-        else:
-            del poles[f]
     return numer, poles
 
 
@@ -189,7 +166,7 @@ def _over_common(parts: Iterable[Part]) -> Tuple[LaurentPoly, Dict[PoleFactor, i
         for f, k in poles.items():
             if k > common.get(f, 0):
                 common[f] = k
-    universe = sort_vars(names + [v for f in common for v in pole_vars(f)])
+    universe = sort_vars(names + [v for f in common for v in f])
     terms: Dict[Tuple[int, ...], Fraction] = {}
     for poles, numer in parts:
         numer = numer.align(universe)
@@ -234,15 +211,11 @@ def expand_raw(
 ) -> LaurentPoly:
     """Expansion of numer / prod(poles) without requiring canonical form.
 
-    The poles are var and diff factors.  Expansion is linear in the
-    numerator, so each numerator monomial's expansion comes from the memoized
-    unit-monomial kernel, scaled.
+    Expansion is linear in the numerator, so each numerator monomial's
+    expansion comes from the memoized unit-monomial kernel, scaled.
     """
-    for f in poles:
-        if f[0] not in _KIND_ORDER:
-            raise ValueError(f"cannot expand pole factor {f!r}")
     region = tuple(region)
-    missing = (set(numer.vars) | {v for f in poles for v in pole_vars(f)}) - set(region)
+    missing = (set(numer.vars) | {v for f in poles for v in f}) - set(region)
     if missing:
         raise ValueError(f"region omits variables {sorted(missing)}")
     for v in region:
@@ -286,16 +259,12 @@ def _expand_monomial(
     window = {slot[v]: b for v, b in zip(region, bounds)}
     base, sign = list(exps), 1
     mixed = []  # (rank of big, big slot, small slot, N)
-    for f, k in poles:
-        if f[0] == "var":
-            base[slot[f[1]]] -= k
-        else:
-            a, b = f[1], f[2]
-            big, small = (a, b) if rank[a] < rank[b] else (b, a)
-            # (a-b)^-k = (-1)^k (b-a)^-k when b is the bigger variable
-            if big == b and k % 2:
-                sign = -sign
-            mixed.append((rank[big], slot[big], slot[small], k))
+    for (a, b), k in poles:
+        big, small = (a, b) if rank[a] < rank[b] else (b, a)
+        # (a-b)^-k = (-1)^k (b-a)^-k when b is the bigger variable
+        if big == b and k % 2:
+            sign = -sign
+        mixed.append((rank[big], slot[big], slot[small], k))
     mixed.sort()
     pending = [0] * len(universe)  # pole orders of the factors still to come, by big slot
     last = {}  # slot -> index of the last factor that moves it
@@ -334,24 +303,22 @@ def expand_iterate(
     """Expansion of numer / prod(poles) over (z1, z2) in |x2| > |x0| > 0
     under z1 = x2 + x0, z2 = x2, cut to the window of x0 and x2.
 
-    The poles z1, z2 and z1 - z2 become x2 + x0, x2 and x0; any other pole
-    factor raises ValueError.  Each numerator monomial z1^a z2^b over
-    z1^p z2^q (z1 - z2)^k is (x2 + x0)^e x2^(b-q) x0^-k with e = a - p, and
-    (x2 + x0)^e = sum_t C(e, t) x0^t x2^(e-t), which stops at t = e when e is
-    nonnegative.  Numerator exponents may be negative.
+    The pole z1 - z2 becomes x0; any other pole factor raises ValueError.
+    Each numerator monomial z1^a z2^b over (z1 - z2)^k is
+    (x2 + x0)^a x2^b x0^-k, and (x2 + x0)^a = sum_t C(a, t) x0^t x2^(a-t),
+    which stops at t = a when a is nonnegative.
     """
-    mapped = (pole_var("z1"), pole_var("z2"), ("diff", "z1", "z2"))
-    other = set(poles) - set(mapped)
+    other = set(poles) - {("z1", "z2")}
     if other:
         raise ValueError(f"pole factors {sorted(other)} have no image in (x0, x2)")
-    p, q, k = (poles.get(f, 0) for f in mapped)
+    k = poles.get(("z1", "z2"), 0)
     (lo0, hi0), (lo2, hi2) = window["x0"], window["x2"]
     terms: Dict[Tuple[int, ...], Fraction] = {}
     for (a, b), c in numer.align(("z1", "z2")).terms.items():
-        e, s = a - p, a - p + b - q  # the t-th term sits at x0^(t-k) x2^(s-t)
-        top = min(hi0 + k, s - lo2) if e < 0 else min(hi0 + k, s - lo2, e)
+        s = a + b  # the t-th term sits at x0^(t-k) x2^(s-t)
+        top = min(hi0 + k, s - lo2) if a < 0 else min(hi0 + k, s - lo2, a)
         for t in range(max(0, lo0 + k, s - hi2), top + 1):
-            binom = comb(e, t) if e >= 0 else (-1) ** t * comb(t - e - 1, t)
+            binom = comb(a, t) if a >= 0 else (-1) ** t * comb(t - a - 1, t)
             add_into(terms, (t - k, s - t), c * binom)
     return LaurentPoly._raw(("x0", "x2"), terms)
 

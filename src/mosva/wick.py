@@ -13,7 +13,7 @@ and that order is what the resulting creation words remember.
 
 A pair (left factor of order m at x, right factor of order n at y) contributes
 the scalar n * (a, b) * binom(-n-1, m-1) and the pole (x - y)^(m+n), kept as
-("diff", x, y).  Products fold this step left to right over z1, z2, ..., so
+the pair (x, y).  Products fold this step left to right over z1, z2, ..., so
 every pole is (z_i - z_j) with i < j.  An iterate contracts u1 at x2+x0
 against u2 at x2; with z1 = x2+x0 and z2 = x2 each pole x0 is (z1 - z2) and
 each survivor sits at z1 or z2, so its terms are the product's terms.
@@ -103,7 +103,7 @@ def _contract_tagged(
     """Every nonvanishing contraction pattern of two tagged groups.
 
     A pair of left factor at x and right factor at y contributes
-    (x - y)^-(m+n), stored as ("diff", x, y).  Each term carries the given
+    (x - y)^-(m+n), stored as the pair (x, y).  Each term carries the given
     scalar and poles times its own.
     """
     out = []
@@ -117,7 +117,7 @@ def _contract_tagged(
             if not c:
                 break
             term_scalar *= c
-            add_into(term_poles, ("diff", lv, rv), exponent)
+            add_into(term_poles, (lv, rv), exponent)
         else:
             used_p = {p for p, _ in pairs}
             used_q = {q for _, q in pairs}

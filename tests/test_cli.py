@@ -179,6 +179,16 @@ def test_cmd_normalform(capsys):
     assert out.strip() == "a1(-1)a1(1) + 1*k"
 
 
+# 36 pairs of a1(1) before a1(-1) answer in about 0.3 s; 42 is the bound
+@pytest.mark.parametrize(
+    "expr", ["a1(1)" * 6 + "a1(-1)" * 6, "a1(1)" * 42 + "a1(-1)"], ids=["36-pairs", "42-pairs"]
+)
+def test_normalform_pair_bound_admits(expr, capsys):
+    code, out = run_cli(capsys, "normalform", "-c", '{"dim": 1}', expr)
+    assert code == 0
+    assert out.startswith("a1(-1)")
+
+
 def test_cmd_quotient(capsys):
     code, out = run_cli(
         capsys, "quotient", "-c", '{"dim": 2}',
@@ -304,6 +314,46 @@ def test_cmd_product_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["poles"] == [{"a": "z1", "b": "z2", "exponent": 2, "kind": "diff"}]
+
+
+# the nonsymmetric form and dim-4 module of the benchmark's check-cli workload
+CHECK_CLI_CONFIG = json.dumps({
+    "dim": 2,
+    "form": [["1", "1/2"], ["1/3", "2"]],
+    "module": {
+        "weights": ["0", "0", "1", "1"],
+        "action": [
+            [["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "0", "0"]],
+            [["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"]],
+        ],
+        "Dm": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+    },
+})
+
+
+def test_cmd_product_prints_var_and_diff_poles(capsys):
+    # zero modes that act leave z1 and z2 in the denominator next to (z1 - z2)
+    argv = ["product", "-c", CHECK_CLI_CONFIG, "-u", "a1(-1)1", "-u", "a2(-1)1"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.strip() == "(z1^2 - 3/2*z1*z2 + z2^2) / (z1^1 * z2^1 * (z1 - z2)^2)"
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "numerator": {
+            "variables": ["z1", "z2"],
+            "terms": [
+                {"exponents": [2, 0], "coeff": "1"},
+                {"exponents": [1, 1], "coeff": "-3/2"},
+                {"exponents": [0, 2], "coeff": "1"},
+            ],
+        },
+        "poles": [
+            {"kind": "var", "var": "z1", "exponent": 1},
+            {"kind": "var", "var": "z2", "exponent": 1},
+            {"kind": "diff", "a": "z1", "b": "z2", "exponent": 2},
+        ],
+    }
 
 
 def test_usage_error_exit_code(capsys):
@@ -468,6 +518,8 @@ FLAG_ERRORS = {
     "product-above-weight-bound": (["product", *DIM1, "-u", "a1(-7200)1", "-u", "a1(-7200)1"], "-u"),
     "iterate-above-weight-bound": (["iterate", *DIM1, "-u", "a1(-7200)1", "-u", "a1(-7200)1"], "-u"),
     "series-two-u": (["series", *DIM1, "-u", "a1(-1)1", "-u", "a1(-2)1"], "-u"),
+    "normalform-above-pair-bound": (["normalform", *DIM1, "a1(1)" * 8 + "a1(-1)" * 8], "expr"),
+    "normalform-above-pair-bound-edge": (["normalform", *DIM1, "a1(1)" * 43 + "a1(-1)"], "expr"),
 }
 
 

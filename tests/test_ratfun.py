@@ -19,7 +19,6 @@ from mosva.ratfun import (
     parts_eq,
     pole_diff,
     pole_poly,
-    pole_var,
     ratfun_eq,
     ratfun_sum,
     uniform_window,
@@ -82,17 +81,18 @@ def test_add_zero_is_identity():
 
 
 def test_add_cross_multiplies():
-    # 1/(z1-z2) + 1/z1 = (2*z1 - z2) / (z1 * (z1 - z2)), worked by hand
+    # 1/(z1-z2) + 1/z1 = (2*z1 - z2) / (z1 * (z1 - z2)), worked by hand; the
+    # z1 = 0 pole is the numerator's z1^-1
     a = one_over_diff()
-    b = RatFun(LaurentPoly.const(1, ("z1",)), {pole_var("z1"): 1})
+    b = RatFun(lp(("z1",), {(-1,): 1}))
     out = a + b
-    assert out.numer == lp(Z, {(1, 0): 2, (0, 1): -1})
-    assert out.poles == {pole_var("z1"): 1, DIFF12: 1}
+    assert out.numer == lp(Z, {(0, 0): 2, (-1, 1): -1})
+    assert out.poles == {DIFF12: 1}
     assert out.render() == "(2*z1 - z2) / (z1^1 * (z1 - z2)^1)"
 
 
 def test_sub_self_is_zero():
-    r = RatFun(lp(Z, {(2, 1): 5}), {DIFF12: 3, pole_var("z2"): 1})
+    r = RatFun(lp(Z, {(2, 1): 5, (0, -1): 1}), {DIFF12: 3})
     assert minus(r, r).is_zero()
 
 
@@ -106,7 +106,7 @@ def test_canonicalize_cancels_common_factor():
 
 
 def test_canonicalize_zero():
-    r = RatFun(LaurentPoly.zero(("z1",)), {pole_var("z1"): 2})
+    r = RatFun(LaurentPoly.zero(Z), {DIFF12: 2})
     assert r.is_zero()
     assert r.poles == {}
 
@@ -121,24 +121,33 @@ def test_canonicalize_division_oracle():
 
 
 def test_canonicalize_idempotent():
-    r = RatFun(lp(Z, {(2, 0): 1, (1, 1): -1}), {DIFF12: 1, pole_var("z1"): 2})
+    r = RatFun(lp(Z, {(0, 0): 1, (-1, 1): -1}), {DIFF12: 1})
     again = RatFun(r.numer, r.poles)
     assert again.numer == r.numer and again.poles == r.poles
 
 
 def test_ratfun_refuses_sum_poles():
-    # a RatFun holds var and diff poles, and the sums of parts behind it
-    # refuse to clear an (a + b)
-    with pytest.raises(ValueError):
-        RatFun(LaurentPoly.const(1, Z), {SUM12: 1})
+    # a RatFun holds canonical difference pairs only, and the sums of parts
+    # behind it refuse to clear an (a + b)
+    for factor in (SUM12, ("z2", "z1"), ("z1",), ("z1", "z1")):
+        with pytest.raises(ValueError):
+            RatFun(LaurentPoly.const(1, Z), {factor: 1})
     with pytest.raises(ValueError):
         parts_eq([({SUM12: 1}, LaurentPoly.const(1, Z))], [({SUM12: 2}, lp(Z, {(1, 0): 1, (0, 1): 1}))])
 
 
 def test_negative_exponents_fold_into_var_poles():
-    r = RatFun(lp(("z1",), {(-2,): 1}), {})
-    assert r.poles == {pole_var("z1"): 2}
-    assert r.numer == LaurentPoly.const(1, ("z1",))
+    # z1 is a unit: its negative exponents stay in the numerator, and print
+    # as a var pole
+    r = RatFun(lp(Z, {(-1, 0): 1, (-2, 1): -1}), {DIFF12: 2})
+    assert r.poles == {DIFF12: 1}
+    assert r.numer == lp(Z, {(-2, 0): 1})
+    assert r.render() == "1 / (z1^2 * (z1 - z2)^1)"
+    assert r.to_json()["poles"] == [
+        {"kind": "var", "var": "z1", "exponent": 2},
+        {"kind": "diff", "a": "z1", "b": "z2", "exponent": 1},
+    ]
+    assert r.to_json()["numerator"]["terms"] == [{"exponents": [0, 0], "coeff": "1"}]
 
 
 # -- equality ---------------------------------------------------------------
@@ -170,8 +179,8 @@ def test_parts_eq_ignores_how_poles_are_split():
 
 
 def test_parts_eq_sees_one_scalar():
-    base = [({DIFF12: 1}, LaurentPoly.const(1, Z)), ({pole_var("z1"): 2}, lp(Z, {(0, 1): 3}))]
-    off = [base[0], ({pole_var("z1"): 2}, lp(Z, {(0, 1): 4}))]
+    base = [({DIFF12: 1}, LaurentPoly.const(1, Z)), ({}, lp(Z, {(-2, 1): 3}))]
+    off = [base[0], ({}, lp(Z, {(-2, 1): 4}))]
     assert parts_eq(base, base[::-1])
     assert not parts_eq(base, off)
     assert not parts_eq(off, base)
@@ -190,7 +199,7 @@ def test_parts_eq_empty_side_is_zero():
 
 def test_diff_double_negation_round_trip():
     f1, s1 = pole_diff("z2", "z1")
-    f2, s2 = pole_diff(*f1[1:])
+    f2, s2 = pole_diff(*f1)
     assert f2 == f1 and s1 == -1 and s2 == 1
 
 
@@ -205,7 +214,7 @@ def test_expand_binomial_series():
 
 
 def test_expand_pure_var_pole():
-    r = RatFun(LaurentPoly.const(1, ("z1",)), {pole_var("z1"): 1})
+    r = RatFun(lp(("z1",), {(-1,): 1}))
     out = expand_in_region(r, ("z1",), {"z1": (-3, 3)})
     assert out == lp(("z1",), {(-1,): 1})
 
@@ -265,18 +274,14 @@ def naive_expansion(exps, poles, region, window):
     rank = {v: i for i, v in enumerate(region)}
     slot = {v: i for i, v in enumerate(Z3)}
     terms = {tuple(exps): 1}  # integer coefficients throughout
-    for f, k in poles.items():
-        if f[0] == "var":
-            series = [({f[1]: -k}, 1)]
-        else:
-            a, b = f[1], f[2]
-            big, small = sorted((a, b), key=rank.get)
-            # f = s * (big - small), so f^-k = s^k big^-k (1 - small/big)^-k
-            s = -1 if big == b else 1
-            series = [
-                ({big: -k - t, small: t}, s ** k * comb(k - 1 + t, t))
-                for t in range(REF_ORDER + 1)
-            ]
+    for (a, b), k in poles.items():
+        big, small = sorted((a, b), key=rank.get)
+        # f = s * (big - small), so f^-k = s^k big^-k (1 - small/big)^-k
+        s = -1 if big == b else 1
+        series = [
+            ({big: -k - t, small: t}, s ** k * comb(k - 1 + t, t))
+            for t in range(REF_ORDER + 1)
+        ]
         nxt = {}
         for e, coeff in terms.items():
             for shift, sc in series:
@@ -296,14 +301,11 @@ def naive_expansion(exps, poles, region, window):
 def test_expand_raw_matches_naive_series_reference(seed):
     rng = random.Random(seed)
     for case in range(300):
-        exps = [rng.randint(-2, 3) for _ in Z3]
+        # down to -5, so poles at z_i = 0 of order up to 3 are drawn too
+        exps = [rng.randint(-5, 3) for _ in Z3]
         poles = {}
         for _ in range(rng.randint(1, 4)):
-            if rng.random() < 1 / 3:
-                f = pole_var(rng.choice(Z3))
-            else:
-                f = pole_diff(*rng.sample(Z3, 2))[0]
-            poles[f] = rng.randint(1, 3)
+            poles[pole_diff(*rng.sample(Z3, 2))[0]] = rng.randint(1, 3)
         region = tuple(rng.sample(Z3, 3))
         window = {}
         for v in Z3:
@@ -326,7 +328,7 @@ def test_substitute_var_pole_to_sum_factor():
     # 1/z1 is 1/(x2+x0) = sum (-1)^t x2^(-1-t) x0^t for |x2|>|x0|, the
     # geometric series
     window = {"x0": (0, 3), "x2": (-4, 0)}
-    out = expand_iterate(LaurentPoly.const(1, ("z1",)), {pole_var("z1"): 1}, window)
+    out = expand_iterate(lp(("z1",), {(-1,): 1}), {}, window)
     expect = {(t, -1 - t): (-1) ** t for t in range(4)}
     assert out == lp(X, expect)
     # multiplying the truncated series by (x2+x0) gives 1 up to window edge
@@ -346,10 +348,16 @@ def test_iterate_vars_expands_numerator_binomially():
     )
 
 
-@pytest.mark.parametrize("pole", [pole_var("z3"), pole_diff("z1", "z3")[0], SUM12])
+# poles at z3 = 0, at z1 = z3 and at z1 = -z2, as (poles, numerator) parts
+@pytest.mark.parametrize("pole", [
+    ({}, lp(Z3, {(0, 0, -1): 1})),
+    ({pole_diff("z1", "z3")[0]: 1}, LaurentPoly.const(1, Z)),
+    ({SUM12: 1}, LaurentPoly.const(1, Z)),
+])
 def test_iterate_vars_rejects_other_poles(pole):
+    poles, numer = pole
     with pytest.raises(ValueError):
-        expand_iterate(LaurentPoly.const(1, Z), {pole: 1}, uniform_window(X, -2, 2))
+        expand_iterate(numer, poles, uniform_window(X, -2, 2))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -381,17 +389,14 @@ def ratfuns(draw, max_vars=3):
     nterms = draw(st.integers(1, 3))
     terms = {}
     for _ in range(nterms):
-        e = tuple(draw(st.integers(0, 2)) for _ in names)
+        # a z_i = 0 pole is a negative exponent
+        e = tuple(draw(st.integers(-2, 2)) for _ in names)
         c = draw(st.integers(-4, 4))
         if c:
             terms[e] = Fraction(c)
     if not terms:
         terms[(0,) * nvars] = Fraction(1)
     poles = {}
-    for v in names:
-        k = draw(st.integers(0, 2))
-        if k:
-            poles[pole_var(v)] = k
     for a, b in [("z1", "z2"), ("z1", "z3"), ("z2", "z3")][: nvars - 1]:
         k = draw(st.integers(0, 2))
         if k:
@@ -408,12 +413,8 @@ def leading_exponent(r, region):
     """
     rank = {v: i for i, v in enumerate(region)}
     lead = {v: 0 for v in region}
-    for f, k in r.poles.items():
-        if f[0] == "var":
-            lead[f[1]] -= k
-        else:
-            big = f[1] if rank[f[1]] < rank[f[2]] else f[2]
-            lead[big] -= k
+    for (a, b), k in r.poles.items():
+        lead[a if rank[a] < rank[b] else b] -= k
     numer_lead = max(
         tuple(e[r.numer.vars.index(v)] if v in r.numer.vars else 0 for v in region)
         for e in r.numer.terms
@@ -462,37 +463,31 @@ def evaluate(poles, numer, point):
         (c * prod(point[v] ** k for v, k in zip(numer.vars, e)) for e, c in numer.terms.items()),
         Fraction(0),
     )
-    for f, k in poles.items():
-        a = point[f[1]]
-        b = 0 if f[0] == "var" else point[f[2]] * (-1 if f[0] == "diff" else 1)
-        value /= (a + b) ** k
+    for (a, b), k in poles.items():
+        value /= (point[a] - point[b]) ** k
     return value
 
 
 nonzero_rationals = st.fractions(-5, 5, max_denominator=7).filter(bool)
 
 
-def linear_power(f, k):
-    """f**k over X for the iterate's pole factors x0, x2 and (x0 + x2)."""
-    if f[0] == "var":
-        return LaurentPoly.monomial(X, {f[1]: k})
-    return lp(X, {(t, k - t): comb(k, t) for t in range(k + 1)})
-
-
-# z1 = x2 + x0 and z2 = x2, so z1 - z2 = x0: each pole's image
-IMAGE = {
-    pole_var("z1"): ("sum", "x0", "x2"), pole_var("z2"): pole_var("x2"), DIFF12: pole_var("x0"),
-}
-
-
 def iterate_image(r):
-    """A canonical r(z1, z2) as one (poles, numerator) part over X, each
-    numerator monomial z1^a z2^b expanded to sum_t C(a, t) x0^t x2^(a-t+b)."""
+    """A canonical r(z1, z2) as numerator and denominator polynomials over X.
+
+    With z1^-p and z2^-q the lowest powers in r's numerator, z1^p z2^q times
+    it maps monomial by monomial, z1^a z2^b to sum_t C(a, t) x0^t x2^(a-t+b),
+    over the image (x2 + x0)^p x2^q x0^k of z1^p z2^q (z1 - z2)^k.
+    """
+    numer = r.numer.align(Z)
+    p, q = (max(0, -numer.min_exp(v)) for v in Z)
     terms = {}
-    for (a, b), c in r.numer.align(Z).terms.items():
+    for (a, b), c in numer.terms.items():
+        a, b = a + p, b + q
         for t in range(a + 1):
             terms[(t, a - t + b)] = terms.get((t, a - t + b), 0) + c * comb(a, t)
-    return {IMAGE[f]: k for f, k in r.poles.items()}, lp(X, terms)
+    k = r.poles.get(DIFF12, 0)
+    denominator = lp(X, {(t + k, p - t + q): comb(p, t) for t in range(p + 1)})
+    return lp(X, terms), denominator
 
 
 @settings(max_examples=100, deadline=None)
@@ -500,23 +495,23 @@ def iterate_image(r):
 def test_property_iterate_vars_agrees_pointwise(r, a, b):
     # z1 = x2 + x0, z2 = x2 at x2 = a, x0 = b; a, b and a + b keep off every pole
     assume(a + b)
-    poles, numer = iterate_image(r)
-    assert evaluate(r.poles, r.numer, {"z1": a + b, "z2": a}) == evaluate(
-        poles, numer, {"x0": b, "x2": a}
+    numer, denominator = iterate_image(r)
+    at = {"x0": b, "x2": a}
+    assert evaluate(r.poles, r.numer, {"z1": a + b, "z2": a}) == evaluate({}, numer, at) / evaluate(
+        {}, denominator, at
     )
     # the expansion times the image's denominator is the image's numerator,
     # wherever the series cut at the window floor cannot reach
     window = uniform_window(X, -8, 8)
     out = expand_iterate(r.numer, r.poles, window)
-    denominator = LaurentPoly.const(1, X)
-    for f, k in poles.items():
-        denominator = denominator * linear_power(f, k)
     inner = {v: (-8 + max(e[i] for e in denominator.terms), 8) for i, v in enumerate(X)}
     assert (out * denominator).filter_window(inner) == numer.filter_window(inner)
-    # a raw part with a negative numerator exponent expands as its canonical form
-    raw = r.numer.align(Z).shift("z1", -1)
-    canon = RatFun(raw, r.poles)
-    assert expand_iterate(raw, r.poles, window) == expand_iterate(canon.numer, canon.poles, window)
+    # a raw part, with a negative numerator exponent and a factor its poles
+    # share, expands as its canonical form
+    raw = (r.numer * pole_poly(DIFF12, 1, Z)).shift("z1", -1)
+    poles = {DIFF12: r.poles.get(DIFF12, 0) + 1}
+    canon = RatFun(raw, poles)
+    assert expand_iterate(raw, poles, window) == expand_iterate(canon.numer, canon.poles, window)
 
 
 @st.composite
@@ -529,7 +524,7 @@ def parts(draw):
     r = draw(ratfuns())
     numer = r.numer.shift("z1", draw(st.integers(-1, 1)))
     poles = dict(r.poles)
-    f = draw(st.sampled_from([pole_var("z1"), DIFF12]))
+    f = draw(st.sampled_from([DIFF12, pole_diff("z1", "z3")[0]]))
     if draw(st.booleans()):
         numer = numer * pole_poly(f, 1, r.numer.vars)
         poles[f] = poles.get(f, 0) + 1
@@ -563,7 +558,7 @@ def part_lists(draw):
         return lhs, draw(st.lists(parts(), max_size=3))
     rhs = []
     for poles, numer in lhs[::-1]:
-        f = draw(st.sampled_from([pole_var("z2"), DIFF12]))
+        f = draw(st.sampled_from([pole_diff("z2", "z3")[0], DIFF12]))
         rhs.append(({**poles, f: poles.get(f, 0) + 1}, numer * pole_poly(f, 1, numer.vars)))
     if rhs and draw(st.booleans()):
         rhs[0] = (rhs[0][0], rhs[0][1] * LaurentPoly.const(draw(st.sampled_from([-1, 2]))))

@@ -19,7 +19,7 @@ PUBLIC = [
     "fields", "free_add", "free_mul", "free_scale", "graded_dimension", "halgebra",
     "laurent", "matrix_coeff_iterate", "matrix_coeff_product",
     "mode", "modules", "noncommutativity_witness", "pairing",
-    "pbw_normal_form", "pole_diff", "pole_var", "product_series_bruteforce",
+    "pbw_normal_form", "pole_diff", "product_series_bruteforce",
     "project_to_sym", "ratfun", "ratfun_eq", "reduce_blocks",
     "render_free_elem", "render_pbw_elem", "run_suite", "series_lower_bound", "state",
     "vacuum_elem", "vacuum_state", "validate_hspace", "validate_module", "vertex_series",
