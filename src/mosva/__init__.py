@@ -71,5 +71,7 @@ from .checks import (
     run_suite,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a submodule binds its name here too; scalars is imported only by
+# the other modules, and is reached as mosva.scalars, not re-exported
+__all__ = [name for name in dir() if not name.startswith("_") and name != "scalars"]
 __version__ = "0.1.0"

@@ -286,7 +286,7 @@ def verify_D_properties(
     # they are pinned on the trivial-module realization
     triv = ModulePresentation.trivial(h.dim)
     for (word, _s) in list(w)[:4]:
-        wv = {(word, 0): Fraction(1)}
+        wv = {(word, 0): 1}
         for i in range(h.dim):
             for m in range(1, 4):
                 for n in (-m, m):
@@ -487,7 +487,7 @@ def noncommutativity_witness(
                 lhs, rhs = direct.get(key, []), swapped.get(key, [])
                 if not parts_eq(lhs, rhs):
                     return Witness(
-                        u1, u2, {key: Fraction(1)}, w, ratfun_sum(lhs), ratfun_sum(rhs)
+                        u1, u2, {key: 1}, w, ratfun_sum(lhs), ratfun_sum(rhs)
                     )
     return None
 
@@ -556,7 +556,7 @@ def verify_sym_crosscheck(h: HSpace, max_weight: int, span: Tuple[int, int]) -> 
             for e in range(span[0], span[1] + 1):
                 tensor_side = project_to_sym(state_to_free(series.get(e, {})))
                 sym_side = sym_vertex_coefficient(
-                    h, sym_word(uword), -e - 1, {sym_word(vword): Fraction(1)}
+                    h, sym_word(uword), -e - 1, {sym_word(vword): 1}
                 )
                 sym_side = {k: c for k, c in sym_side.items() if c}
                 if tensor_side != sym_side:
@@ -663,9 +663,8 @@ def _associativity(s: _Samples) -> CheckReport:
         for w1, w2 in s.pairs:
             u1, u2 = word_elem(w1), word_elem(w2)
             for w in s.states[:3]:
-                cap = Fraction(c.dual_weight_cap)
-                prod = product_table_raw(c.h, c.module, [u1, u2], w, cap)
-                it = iterate_table_raw(c.h, c.module, u1, u2, w, cap)
+                prod = product_table_raw(c.h, c.module, [u1, u2], w, c.dual_weight_cap)
+                it = iterate_table_raw(c.h, c.module, u1, u2, w, c.dual_weight_cap)
                 for key in set(prod) | set(it):
                     checked += 1
                     if not parts_eq(prod.get(key, []), it.get(key, [])):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import fields, replace
@@ -144,7 +145,7 @@ def parse_elem(text: str, dim: int) -> FreeElem:
     """Parse a creation-word combination; raises ElemParseError with offset."""
     sc = _Scanner(text)
     out: FreeElem = {}
-    sign = Fraction(1)
+    sign = 1
     while True:
         sc.skip_ws()
         coeff = sign
@@ -180,17 +181,17 @@ def parse_elem(text: str, dim: int) -> FreeElem:
             return out
 
 
-def _next_sign(sc: _Scanner) -> Optional[Fraction]:
+def _next_sign(sc: _Scanner) -> Optional[int]:
     sc.skip_ws()
     if sc.pos >= len(sc.text):
         return None
     ch = sc.peek()
     if ch == "+":
         sc.pos += 1
-        return Fraction(1)
+        return 1
     if ch == "-":
         sc.pos += 1
-        return Fraction(-1)
+        return -1
     raise ElemParseError(sc.text, sc.pos, "expected '+', '-', or end of input")
 
 
@@ -349,7 +350,7 @@ def state_to_json(welem, mod: ModulePresentation):
 
 
 def _parse_state_arg(text: Optional[str], config: SuiteConfig):
-    elem = parse_elem(text, config.h.dim) if text else {(): Fraction(1)}
+    elem = parse_elem(text, config.h.dim) if text else {(): 1}
     return free_to_state(elem)
 
 
@@ -398,10 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, text_value: str, json_value) -> None:
-    if args.format == "json":
-        print(json.dumps(json_value, indent=2, sort_keys=True))
-    else:
-        print(text_value)
+    """Print a command's output.  When the reader closes the pipe early, the
+    rest is dropped and the command still returns its own exit code."""
+    text = json.dumps(json_value, indent=2, sort_keys=True) if args.format == "json" else text_value
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left goes nowhere, so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_check(args, config: SuiteConfig) -> int:

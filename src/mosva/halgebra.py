@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .scalars import q, render_signed_sum
+
 # a_i(-m) with m >= 1; the empty tuple is the vacuum word
 NegWord = Tuple[Tuple[int, int], ...]
 FreeElem = Dict[NegWord, Fraction]
@@ -49,6 +51,7 @@ class HSpace:
             raise ValueError("dimension must be positive")
         if len(self.form) != self.dim or any(len(row) != self.dim for row in self.form):
             raise ValueError("form matrix must be dim x dim")
+        object.__setattr__(self, "form", tuple(tuple(q(x) for x in row) for row in self.form))
         # every memo keyed by the space would otherwise rehash each entry
         object.__setattr__(self, "_hash", hash((self.dim, self.form)))
 
@@ -57,14 +60,11 @@ class HSpace:
 
     @classmethod
     def identity(cls, dim: int) -> "HSpace":
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-        )
-        return cls(dim, rows)
+        return cls(dim, tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "HSpace":
-        return cls(len(rows), tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(len(rows), rows)
 
     def pairing(self, i: int, j: int) -> Fraction:
         return self.form[i][j]
@@ -73,11 +73,11 @@ class HSpace:
 def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     m = [list(row) for row in matrix]
     n = len(m)
-    out = Fraction(1)
+    out = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             out = -out
@@ -117,11 +117,11 @@ def word_weight(word: NegWord) -> int:
 
 
 def vacuum_elem() -> FreeElem:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 def word_elem(word: Iterable[Tuple[int, int]], coeff=1) -> FreeElem:
-    c = Fraction(coeff)
+    c = q(coeff)
     return {tuple(word): c} if c else {}
 
 
@@ -167,7 +167,7 @@ def free_add(u: FreeElem, v: FreeElem) -> FreeElem:
 
 
 def free_scale(u: FreeElem, c) -> FreeElem:
-    c = Fraction(c)
+    c = q(c)
     if not c:
         return {}
     return {w: c * x for w, x in u.items()}
@@ -230,6 +230,24 @@ def _split_blocks(word: Tuple[HatGen, ...]) -> PBWWord:
     return (tuple(neg), tuple(pos), tuple(zero), c)
 
 
+def _contractible(word: Tuple[HatGen, ...], h: HSpace) -> bool:
+    """Whether some a_i(m), m > 0, stands left of an a_j(-m) with (a_i, a_j) != 0.
+
+    Only such a pair pays a contraction scalar when sorting brings it
+    together; sorting never inverts a pair, so without one the word's block
+    normal form is its stable sort by rank.
+    """
+    positives: Dict[int, set] = {}  # order m -> basis indices of the a_i(m) seen
+    for g in word:
+        if g[0] == "m":
+            n = g[2]
+            if n > 0:
+                positives.setdefault(n, set()).add(g[1])
+            elif -n in positives and any(h.pairing(i, g[1]) for i in positives[-n]):
+                return True
+    return False
+
+
 def pbw_normal_form(
     gens: Sequence[HatGen], h: HSpace, strategy: str = "leftmost"
 ) -> PBWElem:
@@ -240,22 +258,24 @@ def pbw_normal_form(
     and an annihilation mode commutes past a creation mode up to the
     contraction scalar m*(a,b) when the orders cancel.  Adjacent factors
     inside one block are never exchanged, so the result is a combination of
-    words shaped (negatives)(positives)(zeros)(central power).
+    words shaped (negatives)(positives)(zeros)(central power).  A word with no
+    contractible pair left is sorted at once; the others swap the strategy's
+    first adjacent inversion.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     result: PBWElem = {}
-    stack: List[Tuple[Tuple[HatGen, ...], Fraction]] = [(tuple(gens), Fraction(1))]
+    stack: List[Tuple[Tuple[HatGen, ...], Fraction]] = [(tuple(gens), 1)]
     while stack:
         word, coeff = stack.pop()
+        if not _contractible(word, h):
+            add_into(result, _split_blocks(word), coeff)
+            continue
         ranks = [_rank(g) for g in word]
         positions = range(len(word) - 1)
         if strategy == "rightmost":
             positions = reversed(positions)
-        idx = next((p for p in positions if ranks[p] > ranks[p + 1]), None)
-        if idx is None:
-            add_into(result, _split_blocks(word), coeff)
-            continue
+        idx = next(p for p in positions if ranks[p] > ranks[p + 1])
         x, y = word[idx], word[idx + 1]
         stack.append((word[:idx] + (y, x) + word[idx + 2:], coeff))
         if x[0] == "m" and y[0] == "m" and x[2] > 0 and x[2] + y[2] == 0:
@@ -310,8 +330,6 @@ def word_sort_key(word: NegWord):
 
 
 def render_free_elem(u: FreeElem) -> str:
-    from .scalars import render_signed_sum
-
     return render_signed_sum((u[word], render_word(word)) for word in sorted(u, key=word_sort_key))
 
 
@@ -328,8 +346,6 @@ def render_pbw_word(word: PBWWord) -> str:
 
 
 def render_pbw_elem(u: PBWElem) -> str:
-    from .scalars import render_signed_sum
-
     # scalar shown for pure central/identity words (no mode factor), so "k"
     # reads as "1*k"
     return render_signed_sum(

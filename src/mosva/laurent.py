@@ -19,6 +19,7 @@ from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .halgebra import add_terms
+from .scalars import format_rational, q, render_signed_sum
 
 Exponents = Tuple[int, ...]
 Window = Mapping[str, Tuple[int, int]]
@@ -57,7 +58,7 @@ class LaurentPoly:
             if len(e) != len(svars):
                 raise ValueError("exponent vector length does not match variables")
             if c:
-                clean[tuple(e)] = c if isinstance(c, Fraction) else Fraction(c)
+                clean[tuple(e)] = q(c)
         object.__setattr__(self, "vars", svars)
         object.__setattr__(self, "terms", clean)
 
@@ -80,7 +81,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c, variables: Sequence[str] = ()) -> "LaurentPoly":
-        c = Fraction(c)
+        c = q(c)
         if not c:
             return cls(variables, {})
         return cls(variables, {(0,) * len(sort_vars(variables)): c})
@@ -184,18 +185,18 @@ class LaurentPoly:
             coeffs.setdefault(e[ia], {})[rest] = c
         lo = min(coeffs)
 
-        # self = (a - b) * q + r with r = self evaluated at a = b
-        q: Dict[int, Dict[Exponents, Fraction]] = {}
+        # self = (a - b) * quot + r with r = self evaluated at a = b
+        quot: Dict[int, Dict[Exponents, Fraction]] = {}
         carry: Dict[Exponents, Fraction] = {}
         for k in range(max(coeffs), lo, -1):
             add_terms(carry, coeffs.get(k, {}).items())
-            q[k - 1] = carry
+            quot[k - 1] = carry
             carry = {e[:ib] + (e[ib] + 1,) + e[ib + 1:]: c for e, c in carry.items()}
         add_terms(carry, coeffs[lo].items())
         if carry:
             return None
         terms: Dict[Exponents, Fraction] = {}
-        for k, d in q.items():
+        for k, d in quot.items():
             for e, c in d.items():
                 terms[e[:ia] + (k,) + e[ia + 1:]] = c
         return LaurentPoly(self.vars, terms)
@@ -209,8 +210,6 @@ class LaurentPoly:
         )
 
     def render(self) -> str:
-        from .scalars import render_signed_sum
-
         return render_signed_sum(
             (c, "*".join((v if k == 1 else f"{v}^{k}") for v, k in zip(self.vars, e) if k))
             for e, c in self.sorted_terms()
@@ -220,8 +219,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()!r}, vars={self.vars})"
 
     def to_json(self):
-        from .scalars import format_rational
-
         return {
             "variables": list(self.vars),
             "terms": [

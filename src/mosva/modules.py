@@ -24,21 +24,16 @@ from typing import Dict, List, Tuple
 from .halgebra import (
     FreeElem, HSpace, NegWord, add_into, derivative_elem, free_add, free_scale, word_weight,
 )
+from .scalars import q
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 WKey = Tuple[NegWord, int]
 WElem = Dict[WKey, Fraction]
 DualFunctional = Dict[WKey, Fraction]
 
-_ONE = Fraction(1)
-
 
 def _matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def zero_matrix(r: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(r)) for _ in range(r))
+    return tuple(tuple(q(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -51,6 +46,9 @@ class ModulePresentation:
     dm: Matrix
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(q(w) for w in self.weights))
+        object.__setattr__(self, "action", tuple(_matrix(m) for m in self.action))
+        object.__setattr__(self, "dm", _matrix(self.dm))
         # every memo keyed by the module would otherwise rehash each entry
         object.__setattr__(self, "_hash", hash((self.dim, self.weights, self.action, self.dm)))
 
@@ -59,18 +57,13 @@ class ModulePresentation:
 
     @classmethod
     def build(cls, weights, action, dm) -> "ModulePresentation":
-        return cls(
-            dim=len(weights),
-            weights=tuple(Fraction(w) for w in weights),
-            action=tuple(_matrix(m) for m in action),
-            dm=_matrix(dm),
-        )
+        return cls(len(weights), weights, action, dm)
 
     @classmethod
     def trivial(cls, hdim: int) -> "ModulePresentation":
         """The one-dimensional weight-0 module with all zero-mode matrices 0."""
-        zero = zero_matrix(1)
-        return cls(1, (Fraction(0),), tuple(zero for _ in range(hdim)), zero)
+        zero = ((0,),)
+        return cls(1, (0,), tuple(zero for _ in range(hdim)), zero)
 
     @property
     def min_weight(self) -> Fraction:
@@ -120,7 +113,7 @@ def validate_module(mod: ModulePresentation) -> List[str]:
 
 
 def state(word: NegWord = (), index: int = 0, coeff=1) -> WElem:
-    c = Fraction(coeff)
+    c = q(coeff)
     return {(tuple(word), index): c} if c else {}
 
 
@@ -161,7 +154,7 @@ def apply_mode_term(
     if not 0 <= i < h.dim:
         raise IndexError(f"basis index {i} out of range for dim {h.dim}")
     if n < 0:
-        return [(((i, -n),) + word, index, _ONE)]
+        return [(((i, -n),) + word, index, 1)]
     if n == 0:
         column = mod.action[i]
         return [
@@ -199,7 +192,7 @@ def apply_D(mod: ModulePresentation, w: WElem) -> WElem:
     """Translation operator: the mode-bumping derivation plus the module part."""
     out: WElem = {}
     for (word, s), c in w.items():
-        for word2, c2 in derivative_elem({word: Fraction(1)}).items():
+        for word2, c2 in derivative_elem({word: 1}).items():
             add_into(out, (word2, s), c * c2)
         for t in range(mod.dim):
             entry = mod.dm[t][s]
@@ -212,7 +205,7 @@ def pairing(f: DualFunctional, w: WElem) -> Fraction:
     """Restricted-dual pairing: coefficientwise dot product over shared keys."""
     if len(f) > len(w):
         f, w = w, f
-    total = Fraction(0)
+    total = 0
     for key, c in f.items():
         other = w.get(key)
         if other:

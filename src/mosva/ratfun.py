@@ -58,7 +58,7 @@ def pole_poly(f: PoleFactor, k: int, variables: Sequence[str]) -> LaurentPoly:
     for t in range(k + 1):
         exps = {a: k - t, b: t}
         vec = tuple(exps.get(v, 0) for v in universe)
-        terms[vec] = Fraction(comb(k, t) * (-1) ** t)
+        terms[vec] = comb(k, t) * (-1) ** t
     return LaurentPoly(universe, terms)
 
 
@@ -276,7 +276,7 @@ def _expand_monomial(
         final = {universe[s]: window[s] for s in slots}
         return LaurentPoly._raw(universe, terms).filter_window(final).terms
 
-    terms = cut({tuple(base): Fraction(sign)}, [s for s in range(len(universe)) if s not in last])
+    terms = cut({tuple(base): sign}, [s for s in range(len(universe)) if s not in last])
     for i, (_, big, small, n) in enumerate(mixed):
         pending[big] -= n
         floor = window[big][0] + n + pending[big]

@@ -1,13 +1,35 @@
-"""Exact rational scalars: parsing and rendering of p/q strings and sums."""
+"""Exact rational scalars: normalization, and parsing and rendering of p/q
+strings and sums.
+
+A coefficient is an int when it is integral and a Fraction otherwise; the two
+compare and hash equal, and int arithmetic skips Fraction's gcd work.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple, Union
+
+Scalar = Union[int, Fraction]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (optionally signed) into an exact Fraction.
+def q(x) -> Scalar:
+    """The exact scalar x: an int when integral, else a Fraction.
+
+    Accepts ints, Fractions and anything else Fraction takes exactly; raises
+    TypeError on a float or a bool, which would otherwise become a
+    coefficient silently.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"coefficients must be exact, got {type(x).__name__} {x!r}")
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def parse_rational(text: str) -> Scalar:
+    """Parse "p/q" or "p" (optionally signed) into an exact scalar.
 
     Raises ValueError on anything else; never produces a float.
     """
@@ -17,27 +39,27 @@ def parse_rational(text: str) -> Fraction:
     if "/" in s:
         num, _, den = s.partition("/")
         try:
-            p, q = int(num), int(den)
+            p, d = int(num), int(den)
         except ValueError:
             raise ValueError(f"bad rational literal {text!r}") from None
-        if q == 0:
+        if d == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(p, q)
+        return q(Fraction(p, d))
     try:
-        return Fraction(int(s))
+        return int(s)
     except ValueError:
         raise ValueError(f"bad rational literal {text!r}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
+def format_rational(x: Scalar) -> str:
+    """Render a scalar as "p/q", or "p" when the denominator is 1."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
 def render_signed_sum(
-    terms: Iterable[Tuple[Fraction, str]],
+    terms: Iterable[Tuple[Scalar, str]],
     show_unit: Optional[Callable[[str], bool]] = None,
 ) -> str:
     """Render (coefficient, body) terms as "b1 - 2*b2 + 1/2*b3"; "0" when empty.

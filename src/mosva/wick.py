@@ -44,6 +44,7 @@ from .modules import (
 )
 from .fields import apply_modes, binomial
 from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
+from .scalars import q
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
@@ -97,7 +98,7 @@ def _contract_tagged(
     h: HSpace,
     left: Sequence[TaggedFactor],
     right: Sequence[TaggedFactor],
-    scalar: Fraction = Fraction(1),
+    scalar: Fraction = 1,
     poles: Mapping[PoleFactor, int] = MappingProxyType({}),
 ) -> List[ContractionTerm]:
     """Every nonvanishing contraction pattern of two tagged groups.
@@ -140,8 +141,8 @@ def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
     if sort_vars(variables) != variables:
         raise ValueError("blocks must carry distinct variables in canonical order")
     if not blocks:
-        return [ContractionTerm(Fraction(1), {}, ())]
-    terms = [ContractionTerm(Fraction(1), {}, blocks[0].tagged())]
+        return [ContractionTerm(1, {}, ())]
+    terms = [ContractionTerm(1, {}, blocks[0].tagged())]
     for block in blocks[1:]:
         right = block.tagged()
         terms = [
@@ -331,7 +332,7 @@ def product_table_raw(
     Each pair maps to raw (poles, numerator) parts, never canonicalized; their
     ratfun_sum is matrix_coeff_product against that pair's dual basis element.
     """
-    cap = Fraction(weight_cap)
+    cap = q(weight_cap)
     weights = {key_weight(mod, key_w) for key_w in w}
     totals = set()
     for ww in weights:

@@ -189,6 +189,33 @@ def test_normalform_pair_bound_admits(expr, capsys):
     assert out.startswith("a1(-1)")
 
 
+def test_normalform_without_contractible_pairs_is_quick(capsys):
+    # a1(1) meets no a1(-1): the word sorts at once, not one swap at a time
+    expr = "a1(1)" * 400 + "a1(-2)" * 400
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "normalform", *DIM1, expr)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.strip() == "a1(-2)" * 400 + "a1(1)" * 400
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    # about 300 kB of output, far past a pipe's buffer, so later writes meet
+    # the closed pipe
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mosva.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mosva.cli", "series",
+         "-c", '{"dim": 2, "form": [["1","1/2"],["1/3","2"]]}',
+         "-u", "a1(-1)a2(-2)a1(-1)1", "--window=0:40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 0
+    assert head.startswith(b"x^") and "Traceback" not in err and not err
+
+
 def test_cmd_quotient(capsys):
     code, out = run_cli(
         capsys, "quotient", "-c", '{"dim": 2}',

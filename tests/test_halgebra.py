@@ -156,6 +156,53 @@ def test_pbw_confluence_of_strategies():
         assert left == right
 
 
+def swap_only_normal_form(gens, h, strategy):
+    """Reference: swap the strategy's first adjacent inversion until none is
+    left, contracting an a(m) a(-m) pair as it swaps."""
+    result = {}
+    stack = [(tuple(gens), 1)]
+    while stack:
+        word, coeff = stack.pop()
+        ranks = [3 if g[0] == "k" else 0 if g[2] < 0 else 1 if g[2] > 0 else 2 for g in word]
+        positions = range(len(word) - 1)
+        if strategy == "rightmost":
+            positions = reversed(positions)
+        idx = next((p for p in positions if ranks[p] > ranks[p + 1]), None)
+        if idx is None:
+            key = (
+                tuple((g[1], g[2]) for g in word if g[0] == "m" and g[2] < 0),
+                tuple((g[1], g[2]) for g in word if g[0] == "m" and g[2] > 0),
+                tuple(g[1] for g in word if g[0] == "m" and g[2] == 0),
+                sum(1 for g in word if g[0] == "k"),
+            )
+            result[key] = result.get(key, 0) + coeff
+            continue
+        x, y = word[idx], word[idx + 1]
+        stack.append((word[:idx] + (y, x) + word[idx + 2:], coeff))
+        if x[0] == "m" and y[0] == "m" and x[2] > 0 and x[2] + y[2] == 0:
+            scalar = coeff * x[2] * h.pairing(x[1], y[1])
+            if scalar:
+                stack.append((word[:idx] + (CENTRAL,) + word[idx + 2:], scalar))
+    return {key: c for key, c in result.items() if c}
+
+
+HAT_GENS = st.one_of(
+    st.just(CENTRAL), st.builds(mode, st.integers(0, 1), st.integers(-2, 2))
+)
+FORM_ENTRIES = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(HAT_GENS, max_size=7),
+    st.lists(FORM_ENTRIES, min_size=4, max_size=4),
+    st.sampled_from(["leftmost", "rightmost"]),
+)
+def test_pbw_matches_the_swap_only_reference(gens, entries, strategy):
+    h = HSpace.from_rows([entries[:2], entries[2:]])
+    assert pbw_normal_form(gens, h, strategy) == swap_only_normal_form(gens, h, strategy)
+
+
 def test_pbw_preserves_mode_multiset_up_to_contractions():
     rng = random.Random(11)
     for _ in range(200):

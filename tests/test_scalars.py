@@ -1,0 +1,81 @@
+"""Exact scalars: integral coefficients stay int, others are Fractions, and
+nothing inexact becomes a coefficient."""
+
+from fractions import Fraction
+
+import pytest
+
+from mosva.fields import product_series_bruteforce
+from mosva.halgebra import HSpace, free_scale, mode, pbw_normal_form, word_elem
+from mosva.laurent import LaurentPoly
+from mosva.modules import ModulePresentation, dual_term, vacuum_state
+from mosva.ratfun import ratfun_sum
+from mosva.scalars import parse_rational, q
+from mosva.wick import matrix_coeff_product, product_table_raw
+
+H2 = HSpace.identity(2)
+TRIV = ModulePresentation.trivial(2)
+U1 = word_elem(((0, 1), (1, 2)))
+U2 = word_elem(((1, 1), (0, 1)))
+
+
+def _types(values):
+    return {type(c) for c in values}
+
+
+def test_q_keeps_ints_and_reduces_integral_fractions():
+    assert q(7) == 7 and type(q(7)) is int
+    assert q(Fraction(6, 3)) == 2 and type(q(Fraction(6, 3))) is int
+    assert q(Fraction(1, 2)) == Fraction(1, 2) and type(q(Fraction(1, 2))) is Fraction
+    assert q("3/6") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False])
+def test_q_refuses_floats_and_bools(bad):
+    with pytest.raises(TypeError):
+        q(bad)
+
+
+def test_parse_rational_gives_an_int_for_an_integral_literal():
+    assert parse_rational("4/2") == 2 and type(parse_rational("4/2")) is int
+    assert type(parse_rational("-5")) is int
+    assert parse_rational("2/4") == Fraction(1, 2)
+
+
+def test_inexact_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        LaurentPoly(("z1",), {(1,): 0.5})
+    with pytest.raises(TypeError):
+        word_elem(((0, 1),), 0.25)
+    with pytest.raises(TypeError):
+        free_scale(word_elem(((0, 1),)), True)
+    with pytest.raises(TypeError):
+        HSpace(2, ((1, 0), (0, 1.0)))
+    with pytest.raises(TypeError):
+        ModulePresentation.build([0.5], [[[0]]], [[0]])
+
+
+def test_identity_form_coefficients_are_ints():
+    table = product_table_raw(H2, TRIV, [U1, U2], vacuum_state(), 6)
+    assert table
+    for parts in table.values():
+        for _, numer in parts:
+            assert _types(numer.terms.values()) == {int}
+        assert _types(ratfun_sum(parts).numer.terms.values()) == {int}
+    f = dual_term(((0, 1), (1, 2), (1, 1), (0, 1)))
+    rf = matrix_coeff_product(H2, TRIV, [U1, U2], f, vacuum_state())
+    assert not rf.is_zero() and _types(rf.numer.terms.values()) == {int}
+    window = {"z1": (-6, 2), "z2": (-6, 2)}
+    series = product_series_bruteforce(H2, TRIV, [U1, U2], vacuum_state(), f, window)
+    assert series.terms and _types(series.terms.values()) == {int}
+    nf = pbw_normal_form([mode(0, 2), mode(1, 1), mode(0, -2), mode(1, -1), mode(0, 0)], H2)
+    assert len(nf) > 1 and _types(nf.values()) == {int}
+
+
+def test_rational_form_keeps_fractions_exact():
+    h = HSpace.from_rows([["1", "1/2"], ["1/3", "2"]])
+    assert h.pairing(0, 1) == Fraction(1, 2) and type(h.pairing(0, 0)) is int
+    # a1(-1) against a2(-1) contracts to (a1, a2) / (z1 - z2)^2
+    us = [word_elem(((0, 1),)), word_elem(((1, 1),))]
+    rf = matrix_coeff_product(h, TRIV, us, vacuum_state(), vacuum_state())
+    assert rf.numer.terms == {(0, 0): Fraction(1, 2)} and rf.poles == {("z1", "z2"): 2}
