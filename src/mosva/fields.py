@@ -43,6 +43,7 @@ from .modules import (
     pairing,
     state_to_free,
 )
+from .scalars import check_exact
 
 
 @lru_cache(maxsize=65536)
@@ -198,6 +199,7 @@ def vertex_series(
     """
     if lo > hi:
         raise ValueError("empty exponent range")
+    check_exact(u, w)
     out: Dict[int, WElem] = {}
     allow_zero = mod.has_zero_mode_action()
     for uword, ucoeff in u.items():
@@ -251,6 +253,7 @@ def product_series_bruteforce(
     exponents that land in that interval.  A state inside the interval whose
     weight f does not carry pairs to zero.
     """
+    check_exact(*us, w, f)
     names = [f"z{j + 1}" for j in range(len(us))]
     states = product_series_states(h, mod, us, w, {key_weight(mod, key) for key in f}, window)
     return LaurentPoly(names, {exps: pairing(f, elem) for exps, elem in states.items()})

@@ -28,6 +28,15 @@ def q(x) -> Scalar:
     return f.numerator if f.denominator == 1 else f
 
 
+def check_exact(*elems) -> None:
+    """Raise q's TypeError if any element dict holds a float or bool
+    coefficient: hand-built elements do not pass through q."""
+    for elem in elems:
+        for c in elem.values():
+            if isinstance(c, (float, bool)):
+                q(c)
+
+
 def parse_rational(text: str) -> Scalar:
     """Parse "p/q" or "p" (optionally signed) into an exact scalar.
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from math import ceil, floor, prod
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .halgebra import FreeElem, HSpace, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -44,7 +44,7 @@ from .modules import (
 )
 from .fields import apply_modes, binomial
 from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
-from .scalars import q
+from .scalars import check_exact, q
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
@@ -211,40 +211,14 @@ def _pairing_table_cached(
     )
 
 
-def _merge_part(
-    acc: Dict, sig: Tuple, poles: Mapping[PoleFactor, int], poly: LaurentPoly, scale
-) -> None:
-    """Add scale * poly / poles into acc, one numerator per pole signature sig."""
-    slot = acc.get(sig)
-    if slot is None:
-        slot = acc[sig] = [poles, poly.vars, {}]
-    elif slot[1] != poly.vars:
-        union = sort_vars(slot[1] + poly.vars)
-        slot[2] = dict(LaurentPoly._raw(slot[1], slot[2]).align(union).terms)
-        slot[1] = union
-        poly = poly.align(union)
-    add_terms(slot[2], poly.terms.items(), scale)
-
-
-def _parts(acc: Dict) -> List[Part]:
-    return [(poles, LaurentPoly._raw(vs, terms)) for poles, vs, terms in acc.values() if terms]
-
-
-def _table_from_terms(
-    h: HSpace,
-    mod: ModulePresentation,
-    terms: Iterable[ContractionTerm],
-    w: WElem,
-    totals: Iterable[int],
-    keep: Optional[Callable[[Tuple[Tuple, int]], object]],
-) -> Dict[Tuple[Tuple, int], List[Part]]:
-    """The one builder behind every product and iterate entry point.
-
-    Pairs each term's residual with w over the given annihilation totals and
-    returns, for every resulting basis pair that `keep` accepts (every pair
-    when `keep` is None), its raw parts: one (poles, numerator) per pole
-    signature, zero numerators dropped.
-    """
+def _table_entries(
+    h: HSpace, mod: ModulePresentation, terms: Iterable[ContractionTerm], w: WElem, totals: Iterable[int]
+) -> Iterator[Tuple]:
+    """The one builder behind every product and iterate entry point: one pass
+    that pairs each term's residual with w over the given annihilation totals
+    and yields each pairing-table entry as (basis pair, pole signature, poles,
+    numerator, scalar).  Callers keep and weight the entries they need, one
+    part per (signature, variables)."""
     # terms with equal poles and residual differ only in scalar, within one
     # word tuple's contraction and across the elements' word tuples; summing
     # them first pairs each residual with w once (it halves criterion 3's terms)
@@ -254,34 +228,34 @@ def _table_from_terms(
         slot[0] += scalar
     w_items = tuple(sorted(w.items()))
     totals = tuple(sorted(set(totals)))
-    accs: Dict[Tuple[Tuple, int], Dict] = {}
     for (sig, residual), (scalar, poles) in merged.items():
-        if not scalar:
-            continue
-        for key, poly in _pairing_table_cached(h, mod, residual, w_items, totals).items():
-            if keep is None or keep(key):
-                _merge_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
-    return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
+        if scalar:
+            for key, poly in _pairing_table_cached(h, mod, residual, w_items, totals).items():
+                yield key, sig, poles, poly, scalar
 
 
-# -- matrix coefficients: the table over f's support, paired with f ----------------
-
-
-def _paired(
-    h: HSpace, mod: ModulePresentation, terms: Iterable[ContractionTerm], f: DualFunctional, w: WElem
-) -> List[Part]:
-    """Raw parts of <f, (sum of terms) w>: the table's entries weighted by f."""
+def _totals(mod: ModulePresentation, w: WElem, lo, hi) -> Set[int]:
+    """The annihilation totals that take a term of w to a weight in [lo, hi]."""
     totals = set()
-    for key_w in w:
-        for key_f in f:
-            t = key_weight(mod, key_w) - key_weight(mod, key_f)
-            if t.denominator == 1:
-                totals.add(int(t))
-    acc: Dict = {}
-    for key, parts in _table_from_terms(h, mod, terms, w, totals, f.get).items():
-        for poles, poly in parts:
-            _merge_part(acc, tuple(sorted(poles.items())), poles, poly, f[key])
-    return _parts(acc)
+    for key in w:
+        weight = key_weight(mod, key)
+        totals.update(range(ceil(weight - hi), floor(weight - lo) + 1))
+    return totals
+
+
+def _add_part(acc: Dict, sig: Tuple, poles: Mapping[PoleFactor, int], poly: LaurentPoly, scale):
+    """Add scale * poly / poles into acc, one numerator per (signature, variables)."""
+    slot = acc.get((sig, poly.vars))
+    if slot is None:
+        slot = acc[sig, poly.vars] = (poles, {})
+    add_terms(slot[1], poly.terms.items(), scale)
+
+
+def _parts(acc: Dict) -> List[Part]:
+    return [(poles, LaurentPoly._raw(vs, terms)) for (_, vs), (poles, terms) in acc.items() if terms]
+
+
+# -- matrix coefficients: the table over f's weights, paired with f ----------------
 
 
 def matrix_coeff_product(
@@ -296,7 +270,15 @@ def matrix_coeff_product(
     The region expansion of the result in |z1| > ... > |zn| > 0 agrees with
     the series-level evaluation; poles sit only at z_i = 0 and z_i = z_j.
     """
-    return ratfun_sum(_paired(h, mod, _product_terms(h, us), f, w))
+    check_exact(*us, f, w)
+    totals = set()
+    for weight in {key_weight(mod, key) for key in f}:
+        totals |= _totals(mod, w, weight, weight)
+    acc: Dict = {}
+    for key, sig, poles, poly, scalar in _table_entries(h, mod, _product_terms(h, us), w, totals):
+        if f.get(key):
+            _add_part(acc, sig, poles, poly, scalar * f[key])
+    return ratfun_sum(_parts(acc))
 
 
 def matrix_coeff_iterate(
@@ -333,14 +315,16 @@ def product_table_raw(
     ratfun_sum is matrix_coeff_product against that pair's dual basis element.
     """
     cap = q(weight_cap)
-    weights = {key_weight(mod, key_w) for key_w in w}
-    totals = set()
-    for ww in weights:
-        totals.update(range(ceil(ww - cap), floor(ww - mod.min_weight) + 1))
-    # a total t takes a w term of weight ww to weight ww - t, which the range
-    # keeps within the cap; only another term's totals can overshoot it
-    keep = None if len(weights) <= 1 else (lambda key: key_weight(mod, key) <= cap)
-    return _table_from_terms(h, mod, _product_terms(h, us), w, totals, keep)
+    # a total keeps its own w term within the cap; with mixed weights another
+    # term's totals can overshoot it
+    mixed = len({key_weight(mod, key) for key in w}) > 1
+    accs: Dict[Tuple[Tuple, int], Dict] = {}
+    for key, sig, poles, poly, scalar in _table_entries(
+        h, mod, _product_terms(h, us), w, _totals(mod, w, mod.min_weight, cap)
+    ):
+        if not mixed or key_weight(mod, key) <= cap:
+            _add_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
+    return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
 
 
 def iterate_table_raw(

@@ -33,12 +33,14 @@ from mosva.checks import (
     verify_quotient_homomorphism,
     verify_sym_crosscheck,
 )
-from mosva.fields import product_series_bruteforce, vertex_series
+from mosva.fields import product_series_bruteforce, product_series_states, vertex_series
 from mosva.modules import (
     ModulePresentation,
     dual_term,
+    free_to_state,
     key_weight,
     state,
+    state_to_free,
     vacuum_state,
     validate_module,
     welem_scale,
@@ -46,17 +48,14 @@ from mosva.modules import (
 from mosva.ratfun import (
     RatFun,
     expand_in_region,
+    expand_iterate,
     expand_raw,
     pole_diff,
     ratfun_eq,
     ratfun_sum,
     uniform_window,
 )
-from mosva.wick import (
-    iterate_table_raw,
-    matrix_coeff_product,
-    product_table_raw,
-)
+from mosva.wick import matrix_coeff_product, product_table_raw
 
 H1 = HSpace.identity(1)
 H2 = HSpace.identity(2)
@@ -94,26 +93,36 @@ def test_criterion_1_two_point_function():
 
 
 def test_criterion_2_associativity_all_pairs():
+    # every product-table entry, expanded in |x2| > |x0| > 0, is the oracle
+    # iterate <f, Y(Y(u1, x0)u2, x2)1> on its dual word.  The inner series is
+    # taken once per pair, over the x0 whose coefficients have weight 0 to 6;
+    # the x2 window holds every exponent and the oracle pins x2 by weight.
     with Timer() as t:
         words = basis_words_up_to(2, 3)
+        region = ("x0", "x2")
         comparisons = 0
         for w1 in words:
             for w2 in words:
                 u1, u2 = word_elem(w1), word_elem(w2)
-                prod = {
-                    key: ratfun_sum(parts)
-                    for key, parts in product_table_raw(H2, TRIV2, [u1, u2], vacuum_state(), 6).items()
-                }
-                it = {
-                    key: ratfun_sum(parts)
-                    for key, parts in iterate_table_raw(H2, TRIV2, u1, u2, vacuum_state(), 6).items()
-                }
-                for key in set(prod) | set(it):
+                wt = word_weight(w1) + word_weight(w2)
+                window = {"x0": (-wt, 6 - wt), "x2": (-6, 6)}
+                iterate = {}
+                inner = vertex_series(H2, TRIV2, u1, free_to_state(u2), *window["x0"])
+                for e0, velem in inner.items():
+                    outer = product_series_states(
+                        H2, TRIV2, [state_to_free(velem)], vacuum_state(), (0, 6), {"z1": window["x2"]}
+                    )
+                    for (e2,), elem in outer.items():
+                        for key, c in elem.items():
+                            iterate.setdefault(key, {})[(e0, e2)] = c
+                table = product_table_raw(H2, TRIV2, [u1, u2], vacuum_state(), 6)
+                for key in set(table) | set(iterate):
                     assert key_weight(TRIV2, key) <= 6
                     comparisons += 1
-                    assert ratfun_eq(
-                        prod.get(key, RatFun.zero()), it.get(key, RatFun.zero())
-                    ), (w1, w2, key)
+                    total = LaurentPoly.zero(region)
+                    for poles, numer in table.get(key, ()):
+                        total = total + expand_iterate(numer, poles, window)
+                    assert dict(total.align(region).terms) == iterate.get(key, {}), (w1, w2, key)
         assert comparisons >= 10_000
     report(
         "criterion-2 associativity sweep", t, 60.0,

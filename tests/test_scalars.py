@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from mosva.fields import product_series_bruteforce
+from mosva.fields import product_series_bruteforce, vertex_series
 from mosva.halgebra import HSpace, free_scale, mode, pbw_normal_form, word_elem
 from mosva.laurent import LaurentPoly
 from mosva.modules import ModulePresentation, dual_term, vacuum_state
 from mosva.ratfun import ratfun_sum
 from mosva.scalars import parse_rational, q
-from mosva.wick import matrix_coeff_product, product_table_raw
+from mosva.wick import matrix_coeff_iterate, matrix_coeff_product, product_table_raw
 
 H2 = HSpace.identity(2)
 TRIV = ModulePresentation.trivial(2)
@@ -53,6 +53,46 @@ def test_inexact_coefficients_are_refused():
         HSpace(2, ((1, 0), (0, 1.0)))
     with pytest.raises(TypeError):
         ModulePresentation.build([0.5], [[[0]]], [[0]])
+
+
+# hand-built element dicts do not pass through q; the entry points check them
+H1, TRIV1, A1 = HSpace.identity(1), ModulePresentation.trivial(1), word_elem(((0, 1),))
+KEY = (((0, 1),), 0)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_matrix_coeff_refuses_inexact_hand_built_elements(bad):
+    vac = vacuum_state()
+    for us, f, w in [
+        ([{((0, 1),): bad}, A1], vac, vac),
+        ([A1], {KEY: bad}, vac),
+        ([A1], vac, {KEY: bad}),
+    ]:
+        with pytest.raises(TypeError):
+            matrix_coeff_product(H1, TRIV1, us, f, w)
+        with pytest.raises(TypeError):
+            matrix_coeff_iterate(H1, TRIV1, us[0], A1, f, w)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_vertex_series_refuses_inexact_hand_built_elements(bad):
+    with pytest.raises(TypeError):
+        vertex_series(H1, TRIV1, {((0, 1),): bad}, vacuum_state(), -2, 2)
+    with pytest.raises(TypeError):
+        vertex_series(H1, TRIV1, A1, {KEY: bad}, -2, 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_product_series_refuses_inexact_hand_built_elements(bad):
+    window = {"z1": (-4, 2), "z2": (-4, 2)}
+    vac = vacuum_state()
+    for us, w, f in [
+        ([{((0, 1),): bad}, A1], vac, vac),
+        ([A1, A1], {KEY: bad}, {KEY: 1}),
+        ([A1, A1], vac, {KEY: bad}),
+    ]:
+        with pytest.raises(TypeError):
+            product_series_bruteforce(H1, TRIV1, us, w, f, window)
 
 
 def test_identity_form_coefficients_are_ints():

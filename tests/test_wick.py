@@ -7,12 +7,13 @@ from math import prod
 
 import pytest
 
-from mosva.halgebra import HSpace, basis_words_up_to, vacuum_elem, word_elem
-from mosva.laurent import LaurentPoly
+from mosva.halgebra import HSpace, add_terms, basis_words_up_to, vacuum_elem, word_elem
+from mosva.laurent import LaurentPoly, sort_vars
 from mosva.fields import iterate_series_bruteforce, product_series_bruteforce
 from mosva.modules import (
     ModulePresentation,
     dual_term,
+    key_weight,
     state,
     vacuum_state,
 )
@@ -29,9 +30,10 @@ from mosva.wick import (
     Block,
     ContractionTerm,
     _contract_tagged,
-    _paired,
     _pairing_table_cached,
     _product_terms,
+    _table_entries,
+    _totals,
     commutator_pm,
     iterate_table_raw,
     matrix_coeff_iterate,
@@ -58,9 +60,13 @@ NONCOMMUTING4 = ModulePresentation.build(
 
 
 def paired_residual(h, mod, residual, f, w):
-    """<f, :residual: w> as one Laurent polynomial in the residual's variables."""
-    parts = _paired(h, mod, [ContractionTerm(Fraction(1), {}, residual)], f, w)
-    return parts[0][1] if parts else LaurentPoly.zero()
+    """<f, :residual: w> as one Laurent polynomial in the residual's variables:
+    the builder's entries for the bare residual, weighted by f."""
+    totals = set().union(*(_totals(mod, w, wt, wt) for wt in {key_weight(mod, key) for key in f}))
+    terms = {}
+    for key, _, _, poly, scalar in _table_entries(h, mod, [ContractionTerm(1, {}, residual)], w, totals):
+        add_terms(terms, poly.terms.items(), scalar * f.get(key, 0))
+    return LaurentPoly(sort_vars(v for v, _, _ in residual), terms)
 
 
 def canonical_table(raw):
@@ -344,6 +350,29 @@ def test_product_matches_bruteforce_on_samples():
             f = {key: Fraction(1)}
             series = product_series_bruteforce(H2, TRIV2, [u1, u2], vacuum_state(), f, window)
             assert expand_in_region(rf, ("z1", "z2"), window) == series.align(("z1", "z2"))
+
+
+def test_two_parts_of_one_signature_over_different_variables():
+    # a (z1 - z2)^4 term leaves a residual at z1 and z2 and another a residual
+    # at z2 alone: one basis pair gets two parts of one signature
+    u1 = word_elem(((0, 1), (0, 1)))
+    u2 = word_elem(((0, 1), (0, 1), (0, 3)))
+    w = state(((0, 1),))
+    terms = _product_terms(H1, [u1, u2])
+    entries = _table_entries(H1, TRIV1, terms, w, _totals(TRIV1, w, 0, 6))
+    shapes = {(sig, poly.vars) for key, sig, _, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
+    assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
+    region = ("z1", "z2")
+    window = uniform_window(region, -10, 4)
+    raw = product_table_raw(H1, TRIV1, [u1, u2], w, 6)
+    for key, rf in canonical_table(raw).items():
+        series = product_series_bruteforce(H1, TRIV1, [u1, u2], w, {key: 1}, window)
+        assert expand_in_region(rf, region, window) == series.align(region), key
+    f = {(((0, 5), (0, 1)), 0): 1, (((0, 3), (0, 1)), 0): Fraction(-1, 2), (((0, 2),), 0): 3}
+    rf = matrix_coeff_product(H1, TRIV1, [u1, u2], f, w)
+    series = product_series_bruteforce(H1, TRIV1, [u1, u2], w, f, window)
+    assert not series.is_zero()
+    assert expand_in_region(rf, region, window) == series.align(region)
 
 
 def test_associativity_on_samples():
