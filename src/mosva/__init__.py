@@ -56,7 +56,6 @@ from .fields import (
     vertex_series,
 )
 from .wick import (
-    Block,
     ContractionTerm,
     commutator_pm,
     matrix_coeff_iterate,

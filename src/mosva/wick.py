@@ -26,7 +26,6 @@ terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
@@ -34,7 +33,7 @@ from math import ceil, floor, prod
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
-from .halgebra import FreeElem, HSpace, add_into, add_terms
+from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
 from .modules import (
     DualFunctional,
@@ -48,17 +47,6 @@ from .scalars import check_exact, q
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
-
-
-@dataclass(frozen=True)
-class Block:
-    """One normal-ordered group of derivative fields at a common variable."""
-
-    var: str
-    factors: Tuple[Tuple[int, int], ...]  # (basis index, order m >= 1)
-
-    def tagged(self) -> Tuple[TaggedFactor, ...]:
-        return tuple((self.var, i, m) for i, m in self.factors)
 
 
 class ContractionTerm(NamedTuple):
@@ -98,8 +86,8 @@ def _contract_tagged(
     h: HSpace,
     left: Sequence[TaggedFactor],
     right: Sequence[TaggedFactor],
-    scalar: Fraction = 1,
-    poles: Mapping[PoleFactor, int] = MappingProxyType({}),
+    scalar: Fraction,
+    poles: Mapping[PoleFactor, int],
 ) -> List[ContractionTerm]:
     """Every nonvanishing contraction pattern of two tagged groups.
 
@@ -129,22 +117,18 @@ def _contract_tagged(
     return out
 
 
-def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
-    """Left-to-right fold of the two-group contraction over n groups.
+def reduce_blocks(h: HSpace, words: Sequence[NegWord]) -> List[ContractionTerm]:
+    """Left-to-right fold of the two-group contraction over creation words.
 
-    Every contraction joins a factor of an earlier block to a factor of a
-    later block; variable tags travel with their factors, so the merged
-    residual remembers where each survivor came from.  The blocks' variables
-    must be distinct and in canonical order, so every pole is canonical.
+    Word j's factors sit at z(j+1); from the empty residual, each word is
+    contracted against the survivors of the words before it, so every pole
+    is (z_i - z_j) with i < j by construction.  Variable tags travel with
+    their factors, so the merged residual remembers where each survivor
+    came from.
     """
-    variables = tuple(b.var for b in blocks)
-    if sort_vars(variables) != variables:
-        raise ValueError("blocks must carry distinct variables in canonical order")
-    if not blocks:
-        return [ContractionTerm(1, {}, ())]
-    terms = [ContractionTerm(1, {}, blocks[0].tagged())]
-    for block in blocks[1:]:
-        right = block.tagged()
+    terms = [ContractionTerm(1, {}, ())]
+    for j, word in enumerate(words):
+        right = tuple((f"z{j + 1}", i, m) for i, m in word)
         terms = [
             new for t in terms for new in _contract_tagged(h, t.residual, right, t.scalar, t.poles)
         ]
@@ -158,10 +142,9 @@ def reduce_blocks(h: HSpace, blocks: Sequence[Block]) -> List[ContractionTerm]:
 def _word_terms(h: HSpace, words: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Tuple[ContractionTerm, ...]:
     """reduce_blocks on creation words at z1, z2, ...; every query on the same
     form and words shares the entry, so its poles are read-only views."""
-    blocks = [Block(f"z{j + 1}", word) for j, word in enumerate(words)]
     return tuple(
         ContractionTerm(scalar, MappingProxyType(poles), residual)
-        for scalar, poles, residual in reduce_blocks(h, blocks)
+        for scalar, poles, residual in reduce_blocks(h, words)
     )
 
 
@@ -314,6 +297,7 @@ def product_table_raw(
     Each pair maps to raw (poles, numerator) parts, never canonicalized; their
     ratfun_sum is matrix_coeff_product against that pair's dual basis element.
     """
+    check_exact(*us, w)
     cap = q(weight_cap)
     # a total keeps its own w term within the cap; with mixed weights another
     # term's totals can overshoot it

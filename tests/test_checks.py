@@ -376,6 +376,16 @@ def test_witness_on_noncommuting_zero_modes_is_the_first_word_pair():
     assert noncommutativity_witness(H2, mod, 0) is None
 
 
+def test_witness_report_names_a_dual_off_the_first_basis_vector():
+    # a dim-1 form on a two-dimensional module whose zero mode swaps the
+    # basis vectors: the witness dual sits on the second one
+    mod = ModulePresentation.build([0, 0], [[[0, 1], [1, 0]]], [[0, 0], [0, 0]])
+    config = SuiteConfig(h=H1, module=mod, checks=("noncommutativity-witness",))
+    report = next(r for r in run_suite(config) if r.name == "noncommutativity-witness")
+    assert report.passed
+    assert "dual=1@2:" in report.detail
+
+
 # -- structural checks ----------------------------------------------------------------
 
 

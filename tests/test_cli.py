@@ -318,6 +318,19 @@ def test_cmd_check_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_cmd_check_witness_on_a_two_dimensional_module(capsys):
+    # the witness dual sits on the module's second basis vector
+    config = {
+        "dim": 1,
+        "module": {"weights": ["0", "0"], "action": [[["0", "1"], ["1", "0"]]]},
+        "suite": {"checks": ["noncommutativity-witness"]},
+    }
+    code = main(["check", "-c", json.dumps(config)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "noncommutativity-witness" in captured.out
+
+
 def test_cmd_check_json_stable(capsys):
     argv = [
         "check",

@@ -95,6 +95,13 @@ def test_product_series_refuses_inexact_hand_built_elements(bad):
             product_series_bruteforce(H1, TRIV1, us, w, f, window)
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_product_table_refuses_inexact_hand_built_elements(bad):
+    for us, w in [([{((0, 1),): bad}, A1], vacuum_state()), ([A1, A1], {KEY: bad})]:
+        with pytest.raises(TypeError):
+            product_table_raw(H1, TRIV1, us, w, 4)
+
+
 def test_identity_form_coefficients_are_ints():
     table = product_table_raw(H2, TRIV, [U1, U2], vacuum_state(), 6)
     assert table

@@ -27,7 +27,6 @@ from mosva.ratfun import (
     uniform_window,
 )
 from mosva.wick import (
-    Block,
     ContractionTerm,
     _contract_tagged,
     _pairing_table_cached,
@@ -95,9 +94,7 @@ def test_commutator_derivative_annihilator():
 
 
 def test_two_blocks_one_factor_each():
-    left = Block("z1", ((0, 1),))
-    right = Block("z2", ((0, 1),))
-    terms = reduce_blocks(H1, [left, right])
+    terms = reduce_blocks(H1, [((0, 1),), ((0, 1),)])
     assert len(terms) == 2
     by_len = {len(t.residual): t for t in terms}
     full = by_len[0]
@@ -108,14 +105,12 @@ def test_two_blocks_one_factor_each():
 
 
 def test_two_blocks_orthogonal_directions():
-    terms = reduce_blocks(H2, [Block("z1", ((0, 1),)), Block("z2", ((1, 1),))])
+    terms = reduce_blocks(H2, [((0, 1),), ((1, 1),)])
     assert len(terms) == 1 and terms[0].poles == {}
 
 
 def test_two_blocks_pattern_enumeration():
-    left = Block("z1", ((0, 1), (1, 1)))
-    right = Block("z2", ((1, 1), (0, 1)))
-    terms = reduce_blocks(H2, [left, right])
+    terms = reduce_blocks(H2, [((0, 1), (1, 1)), ((1, 1), (0, 1))])
     sizes = sorted(len(t.residual) for t in terms)
     # i=0 once; i=1: four bijections, two mixed-direction ones vanish; i=2:
     # both bijections, the twice-crossing one vanishes on the identity form
@@ -125,15 +120,13 @@ def test_two_blocks_pattern_enumeration():
 
 
 def test_reduce_single_block_is_itself():
-    block = Block("z1", ((0, 2), (1, 1)))
-    terms = reduce_blocks(H2, [block])
+    terms = reduce_blocks(H2, [((0, 2), (1, 1))])
     assert len(terms) == 1
-    assert terms[0].scalar == 1 and terms[0].residual == block.tagged()
+    assert terms[0].scalar == 1 and terms[0].residual == (("z1", 0, 2), ("z1", 1, 1))
 
 
 def test_reduce_three_single_blocks():
-    blocks = [Block(f"z{j}", ((0, 1),)) for j in (1, 2, 3)]
-    terms = reduce_blocks(H1, blocks)
+    terms = reduce_blocks(H1, [((0, 1),)] * 3)
     pole_sets = sorted(
         tuple(sorted(t.poles.items())) for t in terms if len(t.residual) == 1
     )
@@ -147,14 +140,6 @@ def test_reduce_three_single_blocks():
     )
     assert sum(1 for t in terms if len(t.residual) == 3) == 1
     assert not any(len(t.residual) not in (1, 3) for t in terms)
-
-
-def test_blocks_need_distinct_variables():
-    with pytest.raises(ValueError):
-        reduce_blocks(H1, [Block("z1", ((0, 1),)), Block("z1", ((0, 1),))])
-    # out of canonical order, a pole would read (z2 - z1)
-    with pytest.raises(ValueError):
-        reduce_blocks(H1, [Block("z2", ((0, 1),)), Block("z1", ((0, 1),))])
 
 
 def random_elem(rng, dim, k, max_weight=4):
@@ -206,9 +191,7 @@ def test_property_memoized_terms_are_the_fresh_contraction(fresh_word_terms):
         fresh = [
             (prod(c for _, c in combo) * scalar, poles, residual)
             for combo in iproduct(*[u.items() for u in us])
-            for scalar, poles, residual in reduce_blocks(
-                RATIONAL_FORM, [Block(f"z{j + 1}", word) for j, (word, _) in enumerate(combo)]
-            )
+            for scalar, poles, residual in reduce_blocks(RATIONAL_FORM, [word for word, _ in combo])
         ]
         for _ in range(2):
             assert [(s, dict(p), r) for s, p, r in _product_terms(RATIONAL_FORM, us)] == fresh
@@ -430,7 +413,7 @@ def test_pattern_set_pinned_by_oracle():
     # only one order-reversing pairing per subset pair breaks the value
     left = tuple(("z1", 0, 1) for _ in range(2))
     right = tuple(("z2", 0, 1) for _ in range(2))
-    good = _contract_tagged(H1, left, right)
+    good = _contract_tagged(H1, left, right, 1, {})
     bad = restricted_contract(H1, left, right)
     full_good = sum(s for s, _, r in good if not r)
     full_bad = sum(s for s, _, r in bad if not r)
