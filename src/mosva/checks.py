@@ -37,7 +37,6 @@ from .halgebra import (
     vacuum_elem,
     weight,
     word_elem,
-    word_sort_key,
     word_weight,
 )
 from .fields import (
@@ -57,6 +56,7 @@ from .modules import (
     dual_term,
     free_to_state,
     key_weight,
+    render_pairs,
     state,
     state_to_free,
     vacuum_state,
@@ -72,7 +72,6 @@ from .ratfun import (
     ratfun_sum,
     uniform_window,
 )
-from .scalars import render_signed_sum
 from .wick import (
     iterate_table_raw,
     matrix_coeff_iterate,
@@ -459,13 +458,9 @@ class Witness:
     swapped: RatFun
 
     def describe(self) -> str:
-        # a dual pair off the first basis vector reads word@k, k 1-based
-        dual = render_signed_sum(
-            (self.f[key], render_word(key[0]) + (f"@{key[1] + 1}" if key[1] else ""))
-            for key in sorted(self.f, key=lambda k: (word_sort_key(k[0]), k[1]))
-        )
         return (
-            f"u1={render_free_elem(self.u1)} u2={render_free_elem(self.u2)} dual={dual}: "
+            f"u1={render_free_elem(self.u1)} u2={render_free_elem(self.u2)} "
+            f"dual={render_pairs(self.f)}: "
             f"{self.direct.render()} vs {self.swapped.render()}"
         )
 

@@ -3,11 +3,13 @@
 Element grammar (shared by every command):
 
     elem := term (('+'|'-') term)*
-    term := [rational '*']? word
+    term := [rational '*']? word ['@' INT]
     word := gen* '1'
     gen  := 'a' INDEX '(' '-'? INT ')'
 
 with rationals written p/q or as integers, e.g. ``1/2*a1(-1)a2(-2)1 + a2(-1)1``.
+Only --state and --dual take '@k': the term sits on the module's k-th basis
+vector, 1-based, and on the first without it.
 The normalform command instead takes a bare generator word over the full
 algebra: modes of any sign plus the central symbol ``k``, e.g. ``a1(1)a1(-1)``.
 
@@ -21,10 +23,9 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .halgebra import (
@@ -38,7 +39,6 @@ from .halgebra import (
     pbw_normal_form,
     render_free_elem,
     render_pbw_elem,
-    render_word,
     validate_hspace,
     word_sort_key,
     word_weight,
@@ -47,20 +47,17 @@ from .checks import MAX_DIM, ConfigError, SuiteConfig, _is_int, project_to_sym, 
 from .fields import series_lower_bound, vertex_series
 from .modules import (
     ModulePresentation,
-    free_to_state,
+    WElem,
+    render_pairs,
     validate_module,
 )
-from .scalars import format_rational, parse_rational, render_signed_sum
+from .scalars import MODE_TERMS, WorkLimit, format_rational, parse_rational, work_budget
 from .wick import matrix_coeff_product
 
 
-# a series costs about one creation fill per way to spread its top exponent
-# hi over the k letters of a word, comb(hi + k, k), and a fill's coefficient
-# is at most comb(W + hi - 1, hi) for a word of weight W, the sum of its
-# orders.  The limits: 3 letters at 0:64, about 1 s and 71 MB (0:200 took
-# 48 s and 1.7 GB), and 512 bits, which 1 letter of order 45 reaches at
-# 0:47904 in 1.4 s and 137 MB (order 1: 1.0 s and 104 MB)
-MAX_SERIES_FILLS = comb(67, 3)
+# a series coefficient is at most comb(W + hi - 1, hi) for a word of weight W,
+# the sum of its orders, at top exponent hi: 512 bits, which 1 letter of order
+# 45 reaches at 0:47904 in 1.4 s and 137 MB (order 1: 1.0 s and 104 MB)
 MAX_SERIES_COEFF_BITS = 512
 # a contraction of orders m and n carries n * C(m+n-1, m-1) < n * 2^(m+n-1),
 # and a term contracts each letter at most once, so a product whose operands'
@@ -68,15 +65,13 @@ MAX_SERIES_COEFF_BITS = 512
 # a1(-3000)1 against a1(-6000)1, and a1(-3000)a1(-3000)1 twice, print at most
 # 3,616, inside Python's 4,300-digit limit for printing an integer
 MAX_PRODUCT_WEIGHT = 12000
-# a1(-1)^6 1 twice contracts in 13,327 patterns and 0.7 s, a1(-1)^7 1 twice in
-# 130,922 and 6.5 s (one run each, 2-core shared host)
-MAX_PRODUCT_PATTERNS = 20000
-# normal ordering follows every rewrite path, one per choice of contracted
-# pairs of a positive mode before a negative mode of equal magnitude: on
-# {"dim": 1}, a1(1)^6 a1(-1)^7 (42 pairs) took 0.92 s, a1(1)^7 a1(-1)^6 0.68 s
-# and a1(1)^6 a1(-1)^6 (36) 0.25 s, where a1(1)^7 a1(-1)^7 (49) took 3.2 s and
-# a1(1)^8 a1(-1)^8 (64) 39.6 s (one run each, 2-core shared host)
-MAX_NORMALFORM_PAIRS = 42
+# work budgets per command, in the units the library charges (scalars.charge),
+# measured in-process, one run each, on a 2-core shared host: a1(-1)^6 1 twice
+# contracts in 13,328 patterns and 0.22 s (^7: 130,923 and 2.4 s); a series of
+# 3 letters at 0:64 applies comb(67, 3) = 47,905 mode terms in 0.5 s (4 letters:
+# 814,385 in 16 s); a1(1)^6 a1(-1)^6 rewrites 417,705 letters in 0.2 s (7 and 7:
+# 4,969,916 in 2.3 s).  check and quotient run unmetered
+WORK_BUDGETS = {"product": 20000, "iterate": 20000, "series": comb(67, 3), "normalform": 500000}
 
 
 class ElemParseError(ValueError):
@@ -143,12 +138,18 @@ def _parse_gen(sc: _Scanner, dim: int, require_negative: bool) -> Tuple[int, int
 
 def parse_elem(text: str, dim: int) -> FreeElem:
     """Parse a creation-word combination; raises ElemParseError with offset."""
+    return {word: c for (word, _), c in parse_state(text, dim, 0).items()}
+
+
+def parse_state(text: str, dim: int, mdim: int) -> WElem:
+    """Parse a combination of basis pairs word@k, k from 1 to mdim and 1 when
+    left off (mdim 0 takes no '@k'); raises ElemParseError with offset."""
     sc = _Scanner(text)
-    out: FreeElem = {}
+    out: WElem = {}
     sign = 1
-    while True:
+    while sign is not None:
         sc.skip_ws()
-        coeff = sign
+        coeff, word = sign, None
         if sc.peek().isdigit() or sc.peek() == "-":
             at = sc.pos
             rat = sc.scan_rational_text()
@@ -161,24 +162,26 @@ def parse_elem(text: str, dim: int) -> FreeElem:
                     raise ElemParseError(text, at, str(exc)) from None
                 sc.skip_ws()
             elif rat == "1":
-                add_into(out, (), coeff)
-                sign = _next_sign(sc)
-                if sign is None:
-                    return out
-                continue
+                word = ()
             else:
                 raise ElemParseError(text, at, "number must be a coefficient (p/q*) or the word '1'")
-        factors = []
-        while sc.peek() == "a":
-            factors.append(_parse_gen(sc, dim, require_negative=True))
-        at = sc.pos
-        if sc.peek() != "1":
-            raise ElemParseError(text, at, "word must end with '1'")
-        sc.pos += 1
-        add_into(out, tuple((i, -n) for i, n in factors), coeff)
+        if word is None:
+            factors = []
+            while sc.peek() == "a":
+                factors.append(_parse_gen(sc, dim, require_negative=True))
+            if sc.peek() != "1":
+                raise ElemParseError(text, sc.pos, "word must end with '1'")
+            sc.pos += 1
+            word = tuple((i, -n) for i, n in factors)
+        index = 0
+        if mdim and sc.peek() == "@":
+            at, sc.pos = sc.pos, sc.pos + 1
+            index = sc.scan_int() - 1
+            if not 0 <= index < mdim:
+                raise ElemParseError(text, at, f"index @{index + 1} out of range for module dim {mdim}")
+        add_into(out, (word, index), coeff)
         sign = _next_sign(sc)
-        if sign is None:
-            return out
+    return out
 
 
 def _next_sign(sc: _Scanner) -> Optional[int]:
@@ -331,27 +334,22 @@ DEFAULT_CONFIG = '{"dim": 2}'
 # -- rendering helpers --------------------------------------------------------------
 
 
-def render_state(welem, mod: ModulePresentation) -> str:
-    return render_signed_sum(
-        (welem[(word, s)], render_word(word) + (f"@{s + 1}" if mod.dim > 1 else ""))
-        for (word, s) in sorted(welem, key=lambda k: (word_sort_key(k[0]), k[1]))
-    )
-
-
-def state_to_json(welem, mod: ModulePresentation):
+def state_to_json(welem: WElem):
     return [
         {
             "word": [[i + 1, m] for i, m in word],
-            "index": s,
+            "index": s + 1,
             "coeff": format_rational(welem[(word, s)]),
         }
         for (word, s) in sorted(welem, key=lambda k: (word_sort_key(k[0]), k[1]))
     ]
 
 
-def _parse_state_arg(text: Optional[str], config: SuiteConfig):
-    elem = parse_elem(text, config.h.dim) if text else {(): 1}
-    return free_to_state(elem)
+def _parse_state_arg(text: Optional[str], flag: str, config: SuiteConfig) -> WElem:
+    try:
+        return parse_state(text or "1", config.h.dim, config.module.dim)
+    except ElemParseError as exc:
+        raise ConfigError(flag, str(exc)) from None
 
 
 # -- commands ------------------------------------------------------------------------
@@ -429,47 +427,16 @@ def cmd_check(args, config: SuiteConfig) -> int:
     return 0 if passed == len(reports) else 1
 
 
-def _parse_operands(args, config: SuiteConfig) -> List[FreeElem]:
-    us = [parse_elem(text, config.h.dim) for text in args.u]
-    total = sum(max(map(word_weight, u), default=0) for u in us)
-    if total > MAX_PRODUCT_WEIGHT:
-        raise ConfigError("-u", f"operand weights must sum to at most {MAX_PRODUCT_WEIGHT}, got {total}")
-    if _fold_patterns(us) > MAX_PRODUCT_PATTERNS:
-        raise ConfigError("-u", f"operands must contract in at most {MAX_PRODUCT_PATTERNS} patterns")
-    return us
-
-
-def _fold_patterns(us: Sequence[FreeElem]) -> int:
-    """Contraction patterns of the left-to-right fold, every pairing taken as
-    nonzero; counting stops once past MAX_PRODUCT_PATTERNS.
-
-    A residual of r letters meets a word of l letters in
-    sum_i C(r, i) C(l, i) i! patterns, each leaving r + l - 2i letters.
-    """
-    # residuals maps letters left to the ways of reaching them
-    residuals, *steps = [Counter(len(word) for word in u) for u in us]
-    total = 0
-    for step in steps:
-        reached = Counter()
-        for r, paths in residuals.items():
-            for l, words in step.items():
-                for i in range(min(r, l) + 1):
-                    ways = paths * words * comb(r, i) * comb(l, i) * factorial(i)
-                    total += ways
-                    if total > MAX_PRODUCT_PATTERNS:
-                        return total
-                    reached[r + l - 2 * i] += ways
-        residuals = reached
-    return total
-
-
 def cmd_product(args, config: SuiteConfig) -> int:
     # an iterate's rational function is the product's; only its region differs
     if args.command == "iterate" and len(args.u) != 2:
         raise ConfigError("-u", "iterate needs exactly two elements")
-    us = _parse_operands(args, config)
-    f = _parse_state_arg(args.dual, config)
-    w = _parse_state_arg(args.state, config)
+    us = [parse_elem(text, config.h.dim) for text in args.u]
+    total = sum(max(map(word_weight, u), default=0) for u in us)
+    if total > MAX_PRODUCT_WEIGHT:
+        raise ConfigError("-u", f"operand weights must sum to at most {MAX_PRODUCT_WEIGHT}, got {total}")
+    f = _parse_state_arg(args.dual, "--dual", config)
+    w = _parse_state_arg(args.state, "--state", config)
     rf = matrix_coeff_product(config.h, config.module, us, f, w)
     _emit(args, rf.render(), rf.to_json())
     return 0
@@ -479,7 +446,7 @@ def cmd_series(args, config: SuiteConfig) -> int:
     if len(args.u) != 1:
         raise ConfigError("-u", "series takes exactly one element")
     u = parse_elem(args.u[0], config.h.dim)
-    w = _parse_state_arg(args.state, config)
+    w = _parse_state_arg(args.state, "--state", config)
     lo, hi = config.window
     if args.window:
         try:
@@ -488,22 +455,17 @@ def cmd_series(args, config: SuiteConfig) -> int:
             raise ConfigError("--window", "must be lo:hi integers") from None
         if lo > hi:
             raise ConfigError("--window", f"must be lo:hi with lo <= hi, got {args.window}")
-    k, weight = max(map(len, u), default=0), max(map(word_weight, u), default=0)
-    fills = coeff = 1  # comb(t + k, k) and comb(weight + t - 1, t), from t = 0
-    for t in range(hi if k else 0):  # Y(1, x) is the identity
-        fills, coeff = fills * (t + 1 + k) // (t + 1), coeff * (weight + t) // (t + 1)
-        if fills > MAX_SERIES_FILLS or coeff.bit_length() > MAX_SERIES_COEFF_BITS:
-            raise ConfigError(
-                "--window" if args.window else "suite.window",
-                f"top exponent must be at most {t} for a {k}-letter word of weight {weight},"
-                f" got {hi}",
-            )
+    weight, cap = max(map(word_weight, u), default=0), MAX_SERIES_COEFF_BITS
+    least = min(hi, weight - 1)  # comb(weight + hi - 1, hi) has more bits than this
+    if least > 0 and (least >= cap or comb(weight + hi - 1, hi).bit_length() > cap):
+        raise ConfigError("--window" if args.window else "suite.window",
+                          f"coefficients pass {cap} bits at x^{hi} for weight {weight}")
     series = vertex_series(config.h, config.module, u, w, lo, hi)
     bound = series_lower_bound(config.h, config.module, u, w)
-    lines = [f"x^{e}: {render_state(series[e], config.module)}" for e in sorted(series)]
+    lines = [f"x^{e}: {render_pairs(series[e])}" for e in sorted(series)]
     lines.append(f"(coefficients vanish below exponent {bound})")
     payload = {
-        "coefficients": {str(e): state_to_json(series[e], config.module) for e in sorted(series)},
+        "coefficients": {str(e): state_to_json(series[e]) for e in sorted(series)},
         "lower_bound": bound,
     }
     _emit(args, "\n".join(lines), payload)
@@ -511,20 +473,7 @@ def cmd_series(args, config: SuiteConfig) -> int:
 
 
 def cmd_normalform(args, config: SuiteConfig) -> int:
-    gens = parse_hat_word(args.expr, config.h.dim)
-    positives: Dict[int, int] = {}
-    pairs = 0
-    for g in gens:
-        if g[0] == "m" and g[2] > 0:
-            positives[g[2]] = positives.get(g[2], 0) + 1
-        elif g[0] == "m":
-            pairs += positives.get(-g[2], 0)
-    if pairs > MAX_NORMALFORM_PAIRS:
-        raise ConfigError(
-            "expr", f"at most {MAX_NORMALFORM_PAIRS} pairs of a positive mode before a negative "
-            f"mode of equal magnitude, got {pairs}"
-        )
-    out = pbw_normal_form(gens, config.h)
+    out = pbw_normal_form(parse_hat_word(args.expr, config.h.dim), config.h)
     text = render_pbw_elem(out)
     payload = [
         {
@@ -561,10 +510,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.run(args, parse_config(args.config or DEFAULT_CONFIG))
+        with work_budget(WORK_BUDGETS.get(args.command)):
+            return args.run(args, parse_config(args.config or DEFAULT_CONFIG))
+    except WorkLimit as exc:
+        print(f"error: {_refusal(args, exc.args[0])}", file=sys.stderr)
+        return 2
     except (ConfigError, ElemParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _refusal(args, stage: str) -> str:
+    """Why the command's metered work stopped, led by the flag that sizes it."""
+    if args.command in ("product", "iterate"):
+        flag = "--dual/--state" if stage == MODE_TERMS else "-u"
+    elif args.command == "normalform":
+        flag = "expr"
+    else:
+        flag = "--window" if args.window else "suite.window"
+    return f"{flag}: {stage} pass the work budget of {WORK_BUDGETS[args.command]}"
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .modules import (
     pairing,
     state_to_free,
 )
-from .scalars import check_exact
+from .scalars import MODE_TERMS, charge, check_exact
 
 
 @lru_cache(maxsize=65536)
@@ -179,6 +179,8 @@ def apply_modes(
         for t in totals if slot_orders else (p_total,):
             if t > top:
                 break
+            # one fill per way to spread top - t over the slots, counted unbuilt
+            charge(binomial(top - t + len(slots) - 1, top - t) * len(applied), MODE_TERMS)
             for fill, fc in _mode_tuples(slot_orders, t - p_total):
                 modes = list(pattern)
                 for j, n in zip(slots, fill):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import q, render_signed_sum
+from .scalars import LETTERS, charge, q, render_signed_sum
 
 # a_i(-m) with m >= 1; the empty tuple is the vacuum word
 NegWord = Tuple[Tuple[int, int], ...]
@@ -268,6 +268,7 @@ def pbw_normal_form(
     stack: List[Tuple[Tuple[HatGen, ...], Fraction]] = [(tuple(gens), 1)]
     while stack:
         word, coeff = stack.pop()
+        charge(len(word), LETTERS)
         if not _contractible(word, h):
             add_into(result, _split_blocks(word), coeff)
             continue

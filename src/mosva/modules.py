@@ -22,9 +22,10 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .halgebra import (
-    FreeElem, HSpace, NegWord, add_into, derivative_elem, free_add, free_scale, word_weight,
+    FreeElem, HSpace, NegWord, add_into, derivative_elem, free_add, free_scale, render_word,
+    word_sort_key, word_weight,
 )
-from .scalars import q
+from .scalars import q, render_signed_sum
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 WKey = Tuple[NegWord, int]
@@ -138,6 +139,15 @@ def state_to_free(w: WElem) -> FreeElem:
             raise ValueError("state does not live over a one-dimensional module")
         out[word] = c
     return out
+
+
+def render_pairs(elem: WElem) -> str:
+    """A module element or dual as a signed sum of word@k, k the 1-based
+    basis index, written only for k > 1."""
+    return render_signed_sum(
+        (elem[key], render_word(key[0]) + (f"@{key[1] + 1}" if key[1] else ""))
+        for key in sorted(elem, key=lambda k: (word_sort_key(k[0]), k[1]))
+    )
 
 
 def key_weight(mod: ModulePresentation, key: WKey) -> Fraction:

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .halgebra import add_into, add_terms
 from .laurent import LaurentPoly, Window, sort_vars, var_sort_key
+from .scalars import NUMERATOR_TERMS, charge
 
 # (a, b) stands for (a - b), names ordered a < b canonically
 PoleFactor = Tuple[str, str]
@@ -171,8 +172,9 @@ def _over_common(parts: Iterable[Part]) -> Tuple[LaurentPoly, Dict[PoleFactor, i
     for poles, numer in parts:
         numer = numer.align(universe)
         for f, k in common.items():
-            if k > poles.get(f, 0):
-                numer = numer * pole_poly(f, k - poles.get(f, 0), universe)
+            if (k := k - poles.get(f, 0)) > 0:
+                charge(len(numer.terms) * (k + 1), NUMERATOR_TERMS)
+                numer = numer * pole_poly(f, k, universe)
         add_terms(terms, numer.terms.items())
     return LaurentPoly._raw(universe, terms), common
 

@@ -1,5 +1,5 @@
 """Exact rational scalars: normalization, and parsing and rendering of p/q
-strings and sums.
+strings and sums; and the work meter that bounds the library's loops.
 
 A coefficient is an int when it is integral and a Fraction otherwise; the two
 compare and hash equal, and int arithmetic skips Fraction's gcd work.
@@ -7,8 +7,9 @@ compare and hash equal, and int arithmetic skips Fraction's gcd work.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -88,3 +89,37 @@ def render_signed_sum(
         else:
             out = f"-{body}" if c < 0 else body
     return out or "0"
+
+
+# -- the work meter: the hot loops charge the work they are about to do, in
+# batches.  It is module state, so no loop takes a parameter for it; it is off
+# unless a work_budget block is open, and a memo hit charges nothing
+
+_left: Optional[int] = None  # what the open block's budget has left
+# the stages that charge, each in its own unit
+PATTERNS, MODE_TERMS = "contraction patterns", "applied mode terms"
+NUMERATOR_TERMS, LETTERS = "numerator terms", "rewritten letters"
+
+
+class WorkLimit(Exception):
+    """A work_budget block passed its budget; args[0] names the charging loop."""
+
+
+def charge(units: int, stage: str) -> None:
+    """Count units of work done by the loop `stage`: a None test while unmetered."""
+    global _left
+    if _left is not None:
+        _left -= units
+        if _left < 0:
+            raise WorkLimit(stage)
+
+
+@contextmanager
+def work_budget(units: Optional[int]) -> Iterator[None]:
+    """Meter the block's charges against `units` (None: off), restored on any exit."""
+    global _left
+    saved, _left = _left, units
+    try:
+        yield
+    finally:
+        _left = saved

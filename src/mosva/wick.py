@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
-from math import ceil, floor, prod
+from math import ceil, comb, factorial, floor, prod
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
@@ -43,7 +43,7 @@ from .modules import (
 )
 from .fields import apply_modes, binomial
 from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
-from .scalars import check_exact, q
+from .scalars import PATTERNS, charge, check_exact, q
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
@@ -73,8 +73,9 @@ def _pattern_pairs(k: int, l: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """Index pairings between a k-factor and an l-factor group.
 
     Every pair of equal-size subsets and every bijection between them, once
-    each.
+    each; their count is charged before the first.
     """
+    charge(sum(comb(k, i) * comb(l, i) * factorial(i) for i in range(min(k, l) + 1)), PATTERNS)
     for i in range(min(k, l) + 1):
         for ps in combinations(range(k), i):
             for qs in combinations(range(l), i):

@@ -9,6 +9,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,11 @@ from mosva.cli import (
     parse_config,
     parse_elem,
     parse_hat_word,
+    parse_state,
 )
-from mosva.halgebra import CENTRAL, mode, render_free_elem
+from mosva.halgebra import CENTRAL, HSpace, mode, pbw_normal_form, render_free_elem
+from mosva.modules import render_pairs
+from mosva.scalars import charge
 
 
 # -- element grammar ----------------------------------------------------------------
@@ -80,6 +84,34 @@ def test_parse_render_round_trip():
     # canonical strings render back to themselves
     canonical = render_free_elem(parse_elem("a2(-1)1 + 1/2*a1(-1)a2(-2)1", 2))
     assert render_free_elem(parse_elem(canonical, 2)) == canonical
+
+
+def test_parse_state_reads_basis_indices():
+    out = parse_state("1@2 - 1/2*a1(-1)1 + a2(-2)1@3", 2, 3)
+    assert out == {((), 1): 1, (((0, 1),), 0): Fraction(-1, 2), (((1, 2),), 2): 1}
+    assert parse_state("a1(-1)1@1", 2, 1) == {(((0, 1),), 0): 1}
+    with pytest.raises(ElemParseError, match="index @3 out of range for module dim 2"):
+        parse_state("a1(-1)1@3", 2, 2)
+    with pytest.raises(ElemParseError):  # operands carry no basis index
+        parse_elem("a1(-1)1@1", 2)
+
+
+# basis pairs of modules of dimension 1-4, over words of dim 2
+PAIRS = st.dictionaries(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(1, 3)), max_size=3).map(tuple),
+        st.integers(0, 3),
+    ),
+    st.fractions(max_denominator=5).filter(bool),
+    min_size=1,  # the zero element renders as "0", which is no term of the grammar
+    max_size=4,
+)
+
+
+@given(st.integers(1, 4), PAIRS)
+def test_state_parse_inverts_render(mdim, elem):
+    elem = {(word, s % mdim): c for (word, s), c in elem.items()}
+    assert parse_state(render_pairs(elem), 2, mdim) == elem
 
 
 def test_parse_hat_word_mixed_modes():
@@ -179,9 +211,13 @@ def test_cmd_normalform(capsys):
     assert out.strip() == "a1(-1)a1(1) + 1*k"
 
 
-# 36 pairs of a1(1) before a1(-1) answer in about 0.3 s; 42 is the bound
+# a1(1)^6 a1(-1)^6 rewrites 417,705 letters in about 0.3 s, and
+# a1(1)^n a1(-1) rewrites 2n^2 + 2n + 1: n = 499 is the largest under the
+# budget of 500,000 (FLAG_ERRORS has n = 500)
 @pytest.mark.parametrize(
-    "expr", ["a1(1)" * 6 + "a1(-1)" * 6, "a1(1)" * 42 + "a1(-1)"], ids=["36-pairs", "42-pairs"]
+    "expr",
+    ["a1(1)" * 6 + "a1(-1)" * 6, "a1(1)" * 42 + "a1(-1)", "a1(1)" * 43 + "a1(-1)", "a1(1)" * 499 + "a1(-1)"],
+    ids=["36-pairs", "42-pairs", "43-pairs", "budget-edge"],
 )
 def test_normalform_pair_bound_admits(expr, capsys):
     code, out = run_cli(capsys, "normalform", "-c", '{"dim": 1}', expr)
@@ -289,9 +325,9 @@ def test_operand_weight_bound_admits(command, u1, u2, capsys):
 
 
 @pytest.mark.parametrize("command", ["product", "iterate"])
-def test_pattern_bound_refuses_many_letters_quickly(command, capsys):
-    # a1(-1)^7 1 twice contracts in 130,922 patterns, about 6.5 s; the bound
-    # counts them from the letters before any contraction
+def test_pattern_bound_refuses_many_letters_quickly(command, capsys, fresh_word_terms):
+    # a1(-1)^7 1 twice charges 130,923 patterns, about 2.4 s of contraction;
+    # the fold charges a step's patterns before it enumerates them
     word = "a1(-1)" * 7 + "1"
     start = time.perf_counter()
     code = main([command, *DIM1, "-u", word, "-u", word])
@@ -302,7 +338,7 @@ def test_pattern_bound_refuses_many_letters_quickly(command, capsys):
 
 @pytest.mark.parametrize("command", ["product", "iterate"])
 def test_pattern_bound_admits(command, capsys):
-    # a1(-1)^6 1 twice: 13,327 patterns
+    # a1(-1)^6 1 twice charges 13,328 patterns
     word = "a1(-1)" * 6 + "1"
     code, out = run_cli(capsys, command, *DIM1, "-u", word, "-u", word)
     assert (code, out.strip()) == (0, "720 / ((z1 - z2)^12)")
@@ -318,17 +354,25 @@ def test_cmd_check_passes(capsys):
     assert "FAIL" not in out
 
 
+# a two-dimensional module on which the zero mode swaps the basis vectors
+SWAP_MODULE = {"weights": ["0", "0"], "action": [[["0", "1"], ["1", "0"]]]}
+
+
 def test_cmd_check_witness_on_a_two_dimensional_module(capsys):
     # the witness dual sits on the module's second basis vector
-    config = {
-        "dim": 1,
-        "module": {"weights": ["0", "0"], "action": [[["0", "1"], ["1", "0"]]]},
-        "suite": {"checks": ["noncommutativity-witness"]},
-    }
+    config = {"dim": 1, "module": SWAP_MODULE, "suite": {"checks": ["noncommutativity-witness"]}}
     code = main(["check", "-c", json.dumps(config)])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert "noncommutativity-witness" in captured.out
+    # the printed witness replays through `mosva product` to its direct value
+    code, out = run_cli(capsys, "check", "-c", json.dumps(config), "--format", "json")
+    detail = json.loads(out)[-1]["detail"]
+    u1, u2, dual, direct = re.fullmatch(r"u1=(\S+) u2=(\S+) dual=(\S+): (.*) vs .*", detail).groups()
+    assert dual == "1@2"
+    del config["suite"]
+    code, out = run_cli(capsys, "product", "-c", json.dumps(config), "-u", u1, "-u", u2, "--dual", dual)
+    assert (code, out.strip()) == (0, direct)
 
 
 def test_cmd_check_json_stable(capsys):
@@ -546,6 +590,12 @@ FLAG_ERRORS = {
     "window-above-bound-4-letters": (
         ["series", *DIM1, "-u", "a1(-1)a1(-1)a1(-1)a1(-1)1", "--window=0:64"], "--window",
     ),
+    # the vacuum's 3-letter edge spends the whole budget, so any other state
+    # passes it there
+    "window-at-vacuum-edge-on-a-state": (
+        ["series", *DIM1, "-u", "a1(-1)a1(-1)a1(-1)1", "--state", "a1(-1)1", "--window=0:64"],
+        "--window",
+    ),
     "config-window-above-bound": (
         ["series", "-c", '{"dim": 1, "suite": {"window": [0, 65]}}', "-u", "a1(-1)a1(-1)a1(-1)1"],
         "suite.window",
@@ -559,7 +609,12 @@ FLAG_ERRORS = {
     "iterate-above-weight-bound": (["iterate", *DIM1, "-u", "a1(-7200)1", "-u", "a1(-7200)1"], "-u"),
     "series-two-u": (["series", *DIM1, "-u", "a1(-1)1", "-u", "a1(-2)1"], "-u"),
     "normalform-above-pair-bound": (["normalform", *DIM1, "a1(1)" * 8 + "a1(-1)" * 8], "expr"),
-    "normalform-above-pair-bound-edge": (["normalform", *DIM1, "a1(1)" * 43 + "a1(-1)"], "expr"),
+    "normalform-above-work-budget-edge": (["normalform", *DIM1, "a1(1)" * 500 + "a1(-1)"], "expr"),
+    "dual-basis-index-above-module-dim": (
+        ["product", "-c", json.dumps({"dim": 1, "module": SWAP_MODULE}), "-u", "1", "-u", "1", "--dual", "1@3"],
+        "--dual",
+    ),
+    "state-basis-index-above-module-dim": (["series", *DIM1, "-u", "a1(-1)1", "--state", "1@2"], "--state"),
 }
 
 
@@ -570,6 +625,92 @@ def test_flag_error_exits_2_naming_flag(capsys, argv, flag):
     assert code == 2
     assert captured.err.startswith(f"error: {flag}: ")
     assert captured.out == ""
+
+
+def test_pairing_work_names_dual_and_state(capsys):
+    # the creation fills of a1 a1 against a1(-20002)1: 20,001 terms, past the
+    # budget on their own; a memo hit would charge nothing
+    mosva.wick._pairing_table_cached.cache_clear()
+    code = main(["product", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "--dual", "a1(-20002)1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --dual/--state: ")
+
+
+def _python(args):
+    """One Python process running the package, and its wall time."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mosva.__file__)))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=30, env=env)
+    return done, time.perf_counter() - start
+
+
+def _cli_process(argv):
+    return _python(["-m", "mosva.cli", *argv])
+
+
+@lru_cache(maxsize=None)
+def _startup_s():
+    """Wall time of a process that only imports the CLI, best of three."""
+    return min(_python(["-c", "import mosva.cli"])[1] for _ in range(3))
+
+
+LONG_STATE = "a1(-1)a2(-1)" * 20 + "1"
+# inputs that ran for seconds within every up-front bound the CLI had: five
+# operands spent 3 s bringing 210 parts over one denominator, the 40-letter
+# state 8 s at 0:40 and 22 s at 0:64, and a1(1)^6000 a1(-1) 21 s in 12,001
+# rewrites of 6,001 letters each
+METERED = {
+    "five-operands": (["product", *DIM1] + ["-u", "a1(-1)a1(-1)1"] * 5, "-u"),
+    "long-state-0:40": (
+        ["series", "-c", '{"dim": 2}', "-u", "a1(-1)a2(-2)a1(-1)1", "--state", LONG_STATE, "--window=0:40"],
+        "--window",
+    ),
+    "long-state-0:64": (
+        ["series", "-c", '{"dim": 2}', "-u", "a1(-1)a2(-2)a1(-1)1", "--state", LONG_STATE, "--window=0:64"],
+        "--window",
+    ),
+    "normalform-6000": (["normalform", *DIM1, "a1(1)" * 6000 + "a1(-1)"], "expr"),
+    # one total high above the series' lower bound holds comb(hi + k - 1, k - 1)
+    # fills, charged before they are built (50M for 3 letters here)
+    "narrow-window-3-letters": (
+        ["series", *DIM1, "-u", "a1(-1)a1(-1)a1(-1)1", "--window=10000:10000"], "--window",
+    ),
+    "narrow-window-4-letters": (
+        ["series", *DIM1, "-u", "a1(-1)a1(-1)a1(-1)a1(-1)1", "--window=400:400"], "--window",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, flag", list(METERED.values()), ids=list(METERED))
+def test_metered_inputs_end_quickly(argv, flag):
+    done, elapsed = _cli_process(argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"error: {flag}: ")
+    assert elapsed - _startup_s() < 1
+
+
+def test_a_refused_input_ends_the_same_way_twice():
+    first, _ = _cli_process(METERED["five-operands"][0])
+    second, _ = _cli_process(METERED["five-operands"][0])
+    assert (first.returncode, first.stderr) == (second.returncode, second.stderr)
+    assert first.returncode == 2
+
+
+def test_the_library_runs_unmetered():
+    # past normalform's budget, which only the CLI sets
+    out = pbw_normal_form(parse_hat_word("a1(1)" * 500 + "a1(-1)", 1), HSpace.identity(1))
+    assert out == {(((0, -1),), ((0, 1),) * 500, (), 0): 1, ((), ((0, 1),) * 499, (), 1): 500}
+
+
+@pytest.mark.parametrize("argv", [
+    SUBCOMMANDS["normalform"][0],  # success
+    FLAG_ERRORS["normalform-above-work-budget-edge"][0],  # refused by the meter
+    ["product", *DIM1, "-u", "a9(-1)1"],  # a parse error inside the metered block
+], ids=["success", "refusal", "parse-error"])
+def test_no_budget_outlives_a_cli_run(argv, capsys):
+    main(argv)
+    charge(10**18, "test")  # raises only under a budget
 
 
 JSON_VALUES = st.recursive(

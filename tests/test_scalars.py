@@ -1,5 +1,5 @@
 """Exact scalars: integral coefficients stay int, others are Fractions, and
-nothing inexact becomes a coefficient."""
+nothing inexact becomes a coefficient; and the work meter beside them."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from mosva.halgebra import HSpace, free_scale, mode, pbw_normal_form, word_elem
 from mosva.laurent import LaurentPoly
 from mosva.modules import ModulePresentation, dual_term, vacuum_state
 from mosva.ratfun import ratfun_sum
-from mosva.scalars import parse_rational, q
+from mosva.scalars import LETTERS, WorkLimit, charge, parse_rational, q, work_budget
 from mosva.wick import matrix_coeff_iterate, matrix_coeff_product, product_table_raw
 
 H2 = HSpace.identity(2)
@@ -126,3 +126,33 @@ def test_rational_form_keeps_fractions_exact():
     us = [word_elem(((0, 1),)), word_elem(((1, 1),))]
     rf = matrix_coeff_product(h, TRIV, us, vacuum_state(), vacuum_state())
     assert rf.numer.terms == {(0, 0): Fraction(1, 2)} and rf.poles == {("z1", "z2"): 2}
+
+
+def test_work_budget_admits_its_budget_and_refuses_past_it():
+    with work_budget(10):
+        charge(4, "a")
+        charge(6, "b")  # exactly the budget
+        with pytest.raises(WorkLimit) as err:
+            charge(1, "c")
+    assert err.value.args == ("c",)
+    charge(10**18, "unmetered")  # the block's exit turned the meter off
+
+
+def test_work_budget_restores_the_meter_it_found():
+    with work_budget(5):
+        with pytest.raises(WorkLimit):
+            with work_budget(None):
+                charge(100, "free under None")
+                raise WorkLimit("raised inside")
+        charge(5, "the outer budget is back")
+        with pytest.raises(WorkLimit):
+            charge(1, "past it")
+
+
+def test_a_metered_library_loop_stops_at_its_budget():
+    # a1(1)^2 a1(-1) pops words of 3, 2, 3, 2 and 3 letters
+    gens = [mode(0, 1), mode(0, 1), mode(0, -1)]
+    with work_budget(13):
+        assert pbw_normal_form(gens, H2)
+    with work_budget(12), pytest.raises(WorkLimit, match=LETTERS):
+        pbw_normal_form(gens, H2)
