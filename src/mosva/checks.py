@@ -149,6 +149,8 @@ class SuiteConfig:
     checks: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
+        if len(self.module.action) != self.h.dim:
+            raise ConfigError("module", f"needs {self.h.dim} action matrices, got {len(self.module.action)}")
         for name, (lo, hi) in _INT_BOUNDS.items():
             value = getattr(self, name)
             if not _is_int(value) or (lo is not None and value < lo) or (hi is not None and value > hi):

@@ -9,27 +9,29 @@ total of n_j + m_j.
 
 Enumeration of contributing mode tuples terminates because creation totals
 are fixed by the requested power while annihilation totals are capped by how
-far the target state sits above the module's minimum weight.  It runs
-pattern-first: each split of the factors into annihilating modes n >= 0 and
-creation slots is applied once, and since creation modes only prepend letters
-to a word, every creation fill of the slots (each n <= -m, from _mode_tuples)
-is one prepend and one scaling of that result.  A mode -m < n < 0 has a
-vanishing coefficient, so the two parts miss no tuple.  A positive mode only
-removes a letter of its own order, so the annihilating modes come from the
-word's letters; positive and zero modes commute, so a pattern acts right to
-left in its given order, which is its normal-ordered action.  Everything here
-is the direct, series-level evaluation; the closed-form contraction engine is
-checked against it.  The product and iterate series enumerate no exponent
-that cannot reach the interval between the dual's least and greatest weight.
+far the target state sits above the module's minimum weight.  The factors
+split into annihilating modes n >= 0 and creation slots (each n <= -m); a
+mode -m < n < 0 has a vanishing coefficient, so the two parts miss no tuple.
+A positive mode only removes a letter of its own order, so the annihilating
+modes come from the word's letters, and positive and zero modes commute, so
+acting right to left is the normal-ordered action.  The splits grow from the
+rightmost factor leftwards and each annihilating step acts once on the
+element of its right part, so splits sharing a right part share its action
+and a step that kills the pair ends every split that extends it.  Creation
+modes only prepend letters to a word, so every creation fill of a split's
+slots (from _mode_tuples) is one prepend and one scaling of its element.
+Everything here is the direct, series-level evaluation; the closed-form
+contraction engine is checked against it.  The product and iterate series
+enumerate no exponent that cannot reach the interval between the dual's
+least and greatest weight.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import ceil, comb, floor
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_terms, word_weight
 from .laurent import LaurentPoly, Window
@@ -65,26 +67,6 @@ def field_coefficient(m: int, n: int) -> int:
     return binomial(-n - 1, m - 1)
 
 
-def apply_monomial(
-    h: HSpace,
-    mod: ModulePresentation,
-    mono: Sequence[Tuple[int, int]],
-    word: NegWord,
-    index: int,
-    coeff: Fraction,
-) -> WElem:
-    """Apply a monomial of annihilating modes (each n >= 0) to one basis pair.
-
-    The rightmost factor acts first.  Positive modes remove letters and zero
-    modes act on the module leg, so the two kinds commute, and positive modes
-    commute with each other: this order gives the normal-ordered action.
-    """
-    current: WElem = {(word, index): coeff}
-    for i, n in reversed(mono):
-        current = apply_mode(h, mod, i, n, current)
-    return current
-
-
 @lru_cache(maxsize=120000)
 def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """Creation fills of the derivative orders m_j: each n_j <= -m_j, total sum.
@@ -107,36 +89,6 @@ def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, 
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _annihilation_patterns(
-    orders: Tuple[int, ...], letters: Tuple[int, ...], budget: int, allow_zero: bool
-) -> Tuple[Tuple[Tuple[Optional[int], ...], int, int, Tuple[int, ...]], ...]:
-    """Every split of the positions into annihilating modes and creation slots.
-
-    A pattern gives each position a mode n >= 0, or None for a creation slot.
-    A positive mode acts only by removing a letter of its order, so it is one
-    of the word's sorted distinct letter orders `letters`; the positive part
-    is at most budget and zero modes appear only when allowed.  Returns
-    (pattern, annihilation total, prod binom(-n-1, m-1) over the annihilating
-    positions, orders of the slots) per pattern.
-    """
-    modes = ((0,) if allow_zero else ()) + letters
-    out = [((), 0, 1)]
-    for m in orders:
-        nxt = []
-        for pattern, total, c in out:
-            nxt.append((pattern + (None,), total, c))
-            for n in modes:
-                if total + n > budget:
-                    break
-                nxt.append((pattern + (n,), total + n, c * field_coefficient(m, n)))
-        out = nxt
-    return tuple(
-        (pattern, total, c, tuple(m for m, n in zip(orders, pattern) if n is None))
-        for pattern, total, c in out
-    )
-
-
 def apply_modes(
     h: HSpace,
     mod: ModulePresentation,
@@ -156,37 +108,53 @@ def apply_modes(
     basis pair (word, index), times prod binom(-n_j-1, m_j-1); tuples that
     kill the pair are skipped.
 
-    Enumeration is pattern-first: each annihilation pattern is applied once,
-    rightmost first, and a pattern that kills the pair skips all its
-    completions.  The creation fills of the slots per admissible total come
-    from _mode_tuples, each completion a prepend and a scaling.
+    The splits of the positions into annihilating modes and creation slots
+    grow from the rightmost factor leftwards, from the pair itself.  A slot
+    leaves a split's element as it is; an annihilating mode (0 when allowed,
+    else one of the word's letter orders, within the height) acts on it once
+    through apply_mode, so splits sharing a right part share its action, and
+    a split whose element dies drops with all its extensions.  Each surviving
+    step charges its applied terms.  The creation fills of the slots per
+    admissible total come from _mode_tuples, each a prepend and a scaling.
     """
     if not totals:
         return
-    orders = tuple(m for _, m in factors)
     # annihilation totals are integers, so the pair's height rounds down
     budget = int(key_weight(mod, (word, index)) - mod.min_weight)
-    letters = tuple(sorted({m for _, m in word}))
-    for pattern, p_total, c, slot_orders in _annihilation_patterns(orders, letters, budget, allow_zero):
-        top = p_total - sum(slot_orders)  # largest total the slots can reach
-        if totals[0] > top or (not slot_orders and p_total not in totals):
+    admissible = ((0,) if allow_zero else ()) + tuple(sorted({m for _, m in word}))
+    # (split of the positions so far, None per slot; its annihilation total;
+    # its slots' orders summed; prod binom(-n-1, m-1) over its modes; its
+    # element), ordered by split with None before the modes, so the leftmost
+    # position decides first
+    splits = [((), 0, 0, 1, {(word, index): 1})]
+    for i, m in reversed(factors):
+        grown = [((None,) + split, total, s + m, c, elem) for split, total, s, c, elem in splits]
+        for n in admissible:
+            for split, total, s, c, elem in splits:
+                if total + n <= budget:
+                    applied = apply_mode(h, mod, i, n, elem)
+                    if applied:
+                        charge(len(applied), MODE_TERMS)
+                        grown.append(((n,) + split, total + n, s, c * field_coefficient(m, n), applied))
+        splits = grown
+    for split, p_total, s, c, applied in splits:
+        top = p_total - s  # largest total the slots can reach
+        if totals[0] > top or (not s and p_total not in totals):
             continue
-        mono = tuple((i, n) for (i, _), n in zip(factors, pattern) if n is not None)
-        applied = apply_monomial(h, mod, mono, word, index, c)
-        if not applied:
-            continue
-        slots = [j for j, n in enumerate(pattern) if n is None]
-        for t in totals if slot_orders else (p_total,):
+        slots = [j for j, n in enumerate(split) if n is None]
+        slot_orders = tuple(factors[j][1] for j in slots)
+        for t in totals if slots else (p_total,):
             if t > top:
                 break
             # one fill per way to spread top - t over the slots, counted unbuilt
             charge(binomial(top - t + len(slots) - 1, top - t) * len(applied), MODE_TERMS)
             for fill, fc in _mode_tuples(slot_orders, t - p_total):
-                modes = list(pattern)
+                modes = list(split)
                 for j, n in zip(slots, fill):
                     modes[j] = n
                 prefix = tuple((factors[j][0], -n) for j, n in zip(slots, fill))
-                yield tuple(modes), {(prefix + w2, s2): v * fc for (w2, s2), v in applied.items()}
+                scale = c * fc
+                yield tuple(modes), {(prefix + w2, s2): v * scale for (w2, s2), v in applied.items()}
 
 
 def vertex_series(
@@ -196,8 +164,6 @@ def vertex_series(
 
     One apply_modes pass per (word of u, term of w): the x-exponent of a mode
     tuple is -(sum of n_j + m_j), so the range pins an interval of totals.
-    Each annihilation pattern acts on the term once; the creation modes of
-    every tuple sharing it are prepends to that result.
     """
     if lo > hi:
         raise ValueError("empty exponent range")

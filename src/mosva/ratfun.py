@@ -56,10 +56,11 @@ def pole_poly(f: PoleFactor, k: int, variables: Sequence[str]) -> LaurentPoly:
     universe = sort_vars(tuple(variables) + f)
     a, b = f
     terms = {}
+    c = 1  # (-1)^t binom(k, t), one row step per term
     for t in range(k + 1):
         exps = {a: k - t, b: t}
-        vec = tuple(exps.get(v, 0) for v in universe)
-        terms[vec] = comb(k, t) * (-1) ** t
+        terms[tuple(exps.get(v, 0) for v in universe)] = c
+        c = -c * (k - t) // (t + 1)
     return LaurentPoly(universe, terms)
 
 

@@ -243,7 +243,7 @@ def test_rationality_samples_compare_coefficients_that_exist(monkeypatch):
         monkeypatch.setattr(mosva.checks, name, counting(name))
     for seed in range(5):
         config = SuiteConfig(
-            h=H2, module=TRIV1, seed=seed, checks=("rationality-product", "rationality-iterate")
+            h=H2, module=TRIV2, seed=seed, checks=("rationality-product", "rationality-iterate")
         )
         assert all(r.passed for r in run_suite(config))
     product, iterate = counts["product_series_bruteforce"], counts["iterate_series_bruteforce"]
@@ -432,6 +432,14 @@ def test_suite_config_rejects_out_of_domain_values(field, value):
     with pytest.raises(ConfigError) as err:
         SuiteConfig(h=H2, module=TRIV2, **{field: value})
     assert err.value.path == field
+
+
+def test_suite_config_rejects_a_module_of_another_dimension():
+    # a dim-1 module on a dim-2 form has no zero mode for a2: the suite would
+    # fail inside lower-bound instead of naming the module
+    with pytest.raises(ConfigError) as err:
+        SuiteConfig(h=H2, module=ModulePresentation.trivial(1))
+    assert err.value.path == "module"
 
 
 def test_suite_config_normalizes_lists():

@@ -656,6 +656,7 @@ def _startup_s():
 
 
 LONG_STATE = "a1(-1)a2(-1)" * 20 + "1"
+FIVE_ORDERS = "a1(-1)a1(-2)a1(-3)a1(-4)a1(-5)1"
 # inputs that ran for seconds within every up-front bound the CLI had: five
 # operands spent 3 s bringing 210 parts over one denominator, the 40-letter
 # state 8 s at 0:40 and 22 s at 0:64, and a1(1)^6000 a1(-1) 21 s in 12,001
@@ -679,6 +680,16 @@ METERED = {
     "narrow-window-4-letters": (
         ["series", *DIM1, "-u", "a1(-1)a1(-1)a1(-1)a1(-1)1", "--window=400:400"], "--window",
     ),
+    # each annihilating step charges its applied terms as the splits grow:
+    # enumerated up front, the 12-letter word's splits ran past 60 s
+    "annihilation-12-letters": (
+        ["series", *DIM1, "-u", "a1(-1)" * 12 + "1", "--state", FIVE_ORDERS, "--window=-20:-10"], "--window",
+    ),
+    "annihilation-30-letters": (
+        ["series", *DIM1, "-u", "a1(-1)" * 30 + "1", "--state", FIVE_ORDERS, "--window=-20:-10"], "--window",
+    ),
+    # a pole of order 6,000: its binomial row took 2.4 s built term by term
+    "four-operands-a1(-3000)": (["product", *DIM1] + ["-u", "a1(-3000)1"] * 4, "-u"),
 }
 
 

@@ -19,7 +19,6 @@ from mosva.halgebra import (
 from mosva.laurent import LaurentPoly
 from mosva.fields import (
     apply_modes,
-    apply_monomial,
     field_coefficient,
     iterate_series_bruteforce,
     product_series_bruteforce,
@@ -165,36 +164,41 @@ def test_annihilating_modes_commute_but_for_the_zero_modes_order(pair, mono, rng
     # positive modes commute with them and among themselves: any reordering
     # that keeps the zero modes in order acts alike, and so does the normal
     # order, positive modes left of the zero modes
-    word, index = pair
-    got = apply_monomial(RATIONAL_FORM, DIM4, mono, word, index, Fraction(1))
+    def act(monomial):  # the rightmost mode acts first
+        elem = {pair: 1}
+        for i, n in reversed(monomial):
+            elem = apply_mode(RATIONAL_FORM, DIM4, i, n, elem)
+        return elem
+
+    got = act(mono)
     zeros = iter([f for f in mono if f[1] == 0])
     slots = [f if f[1] > 0 else None for f in mono]
     rng.shuffle(slots)
-    shuffled = [f or next(zeros) for f in slots]
-    assert apply_monomial(RATIONAL_FORM, DIM4, shuffled, word, index, Fraction(1)) == got
-    elem = {(word, index): Fraction(1)}
-    for i, n in reversed(sorted(mono, key=lambda f: f[1] == 0)):
-        elem = apply_mode(RATIONAL_FORM, DIM4, i, n, elem)
-    assert elem == got
+    assert act([f or next(zeros) for f in slots]) == got
+    assert act(sorted(mono, key=lambda f: f[1] == 0)) == got
 
 
-def test_each_annihilation_pattern_applied_once(monkeypatch):
-    # a1(-1)a2(-1)a1(-1)1 on a1(-2)1 over x^-4 .. x^3: totals -6 .. 1, height 2
+def test_each_right_part_meets_each_mode_once(monkeypatch):
+    # a1(-1)a2(-1)a1(-1)1 on a1(-1)a2(-1)a1(-1)a2(-1)1 (height 4), totals -6 .. 3:
+    # the only annihilating mode is 1, and every split survives.  The right
+    # parts of 0, 1 and 2 positions, each position a slot or the mode 1, meet
+    # that mode once each: 1 + 2 + 4 applications, against 12 for applying
+    # each of the 8 splits from the pair
     factors = ((0, 1), (1, 1), (0, 1))
-    word = ((0, 2),)
+    word = ((0, 1), (1, 1), (0, 1), (1, 1))
     calls = []
-    real = mosva.fields.apply_monomial
+    real = mosva.fields.apply_mode
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(mosva.fields, "apply_monomial", counted)
-    series = vertex_series(H2, TRIV2, word_elem(factors), state(word), -4, 3)
-    tuples = [modes for modes, _ in reference_mode_tuples(TRIV2, factors, range(-6, 2), False, word, 0)]
-    patterns = {tuple(n if n >= 0 else None for n in modes) for modes in tuples}
-    assert series and len(tuples) > 4 * len(patterns)
-    assert len(calls) <= len(patterns)
+    monkeypatch.setattr(mosva.fields, "apply_mode", counted)
+    args = (H2, TRIV2, factors, range(-6, 4), False, word, 0)
+    got = dict(apply_modes(*args))
+    assert got == reference_apply_modes(*args)
+    assert {tuple(n if n >= 0 else None for n in modes) for modes in got} == set(product([None, 1], repeat=3))
+    assert len(calls) <= 1 + 2 + 4
 
 
 # -- single coefficients -----------------------------------------------------
