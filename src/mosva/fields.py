@@ -19,7 +19,8 @@ rightmost factor leftwards and each annihilating step acts once on the
 element of its right part, so splits sharing a right part share its action
 and a step that kills the pair ends every split that extends it.  Creation
 modes only prepend letters to a word, so every creation fill of a split's
-slots (from _mode_tuples) is one prepend and one scaling of its element.
+slots (from _mode_tuples) is one prepend and one scaling of its element, and
+a dual basis pair's leading letters fix the one fill that can reach it.
 Everything here is the direct, series-level evaluation; the closed-form
 contraction engine is checked against it.  The product and iterate series
 enumerate no exponent that cannot reach the interval between the dual's
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import ceil, comb, floor
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_terms, word_weight
 from .laurent import LaurentPoly, Window
@@ -89,6 +90,45 @@ def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, 
     return tuple(out)
 
 
+def annihilation_splits(
+    h: HSpace,
+    mod: ModulePresentation,
+    factors: Sequence[Tuple[int, int]],
+    allow_zero: bool,
+    word: NegWord,
+    index: int,
+) -> List[Tuple[Tuple, int, int, int, WElem]]:
+    """The splits of the fields `factors` into annihilating modes and creation
+    slots, each applied to the basis pair (word, index).
+
+    The splits grow from the rightmost factor leftwards, from the pair itself.
+    A slot leaves a split's element as it is; an annihilating mode (0 when
+    allow_zero, else one of the word's letter orders, within the pair's height
+    above the module's weight floor) acts on it once through apply_mode, so
+    splits sharing a right part share its action, and a split whose element
+    dies drops with all its extensions.  Each surviving step charges its
+    applied terms.  Returns (split, None per slot; its annihilation total; its
+    slots' orders summed; prod binom(-n-1, m-1) over its modes; its element)
+    per surviving split, ordered by split with None before the modes, so the
+    leftmost position decides first.
+    """
+    # annihilation totals are integers, so the pair's height rounds down
+    budget = int(key_weight(mod, (word, index)) - mod.min_weight)
+    admissible = ((0,) if allow_zero else ()) + tuple(sorted({m for _, m in word}))
+    splits = [((), 0, 0, 1, {(word, index): 1})]
+    for i, m in reversed(factors):
+        grown = [((None,) + split, total, s + m, c, elem) for split, total, s, c, elem in splits]
+        for n in admissible:
+            for split, total, s, c, elem in splits:
+                if total + n <= budget:
+                    applied = apply_mode(h, mod, i, n, elem)
+                    if applied:
+                        charge(len(applied), MODE_TERMS)
+                        grown.append(((n,) + split, total + n, s, c * field_coefficient(m, n), applied))
+        splits = grown
+    return splits
+
+
 def apply_modes(
     h: HSpace,
     mod: ModulePresentation,
@@ -106,38 +146,13 @@ def apply_modes(
     module's weight floor, and zero modes only when allow_zero.  Yields
     (modes, element): the tuple's normal-ordered monomial applied to the
     basis pair (word, index), times prod binom(-n_j-1, m_j-1); tuples that
-    kill the pair are skipped.
-
-    The splits of the positions into annihilating modes and creation slots
-    grow from the rightmost factor leftwards, from the pair itself.  A slot
-    leaves a split's element as it is; an annihilating mode (0 when allowed,
-    else one of the word's letter orders, within the height) acts on it once
-    through apply_mode, so splits sharing a right part share its action, and
-    a split whose element dies drops with all its extensions.  Each surviving
-    step charges its applied terms.  The creation fills of the slots per
+    kill the pair are skipped.  The annihilating modes come from
+    annihilation_splits; the creation fills of each split's slots per
     admissible total come from _mode_tuples, each a prepend and a scaling.
     """
     if not totals:
         return
-    # annihilation totals are integers, so the pair's height rounds down
-    budget = int(key_weight(mod, (word, index)) - mod.min_weight)
-    admissible = ((0,) if allow_zero else ()) + tuple(sorted({m for _, m in word}))
-    # (split of the positions so far, None per slot; its annihilation total;
-    # its slots' orders summed; prod binom(-n-1, m-1) over its modes; its
-    # element), ordered by split with None before the modes, so the leftmost
-    # position decides first
-    splits = [((), 0, 0, 1, {(word, index): 1})]
-    for i, m in reversed(factors):
-        grown = [((None,) + split, total, s + m, c, elem) for split, total, s, c, elem in splits]
-        for n in admissible:
-            for split, total, s, c, elem in splits:
-                if total + n <= budget:
-                    applied = apply_mode(h, mod, i, n, elem)
-                    if applied:
-                        charge(len(applied), MODE_TERMS)
-                        grown.append(((n,) + split, total + n, s, c * field_coefficient(m, n), applied))
-        splits = grown
-    for split, p_total, s, c, applied in splits:
+    for split, p_total, s, c, applied in annihilation_splits(h, mod, factors, allow_zero, word, index):
         top = p_total - s  # largest total the slots can reach
         if totals[0] > top or (not s and p_total not in totals):
             continue

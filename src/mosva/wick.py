@@ -21,7 +21,10 @@ each survivor sits at z1 or z2, so its terms are the product's terms.
 The fold depends only on the form and the creation words, not on the state,
 dual or module it is later paired with, so each tuple of words is contracted
 once, in a bounded memo, and each element's coefficients scale the shared
-terms.
+terms.  Pairing a term's residual with a state splits the same way: its
+annihilation steps on one basis pair are memoized apart from any dual, and
+its creation fills are either enumerated (the bulk tables) or read off a
+single dual's words.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from math import ceil, comb, factorial, floor, prod
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -41,9 +44,9 @@ from .modules import (
     WElem,
     key_weight,
 )
-from .fields import apply_modes, binomial
+from .fields import annihilation_splits, apply_modes, binomial, field_coefficient
 from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
-from .scalars import PATTERNS, charge, check_exact, q
+from .scalars import MODE_TERMS, PATTERNS, charge, check_exact, q
 
 # a derivative-field factor bound to a variable: (variable, basis index, order)
 TaggedFactor = Tuple[str, int, int]
@@ -169,11 +172,11 @@ def _pairing_table_cached(
 ) -> Mapping[Tuple[Tuple, int], LaurentPoly]:
     """Apply a normal-ordered residual to w, keyed by resulting basis pair.
 
-    `w_items` is w's sorted items; `totals` lists, sorted, the admissible
-    annihilation totals (each fixes one target weight per w term), and only
-    mode tuples with those totals are enumerated.  Returns, per resulting
-    basis pair, the Laurent polynomial in the residual's variables that
-    multiplies it.
+    The bulk tables' fill step: `w_items` is w's sorted items; `totals`
+    lists, sorted, the admissible annihilation totals (each fixes one target
+    weight per w term), and every creation fill with those totals is
+    enumerated.  Returns, per resulting basis pair, the Laurent polynomial in
+    the residual's variables that multiplies it.
     """
     # residual signatures recur heavily across operator pairs, so the shared
     # tables are read-only views
@@ -195,14 +198,81 @@ def _pairing_table_cached(
     )
 
 
-def _table_entries(
-    h: HSpace, mod: ModulePresentation, terms: Iterable[ContractionTerm], w: WElem, totals: Iterable[int]
-) -> Iterator[Tuple]:
+@lru_cache(maxsize=65536)
+def _annihilated(
+    h: HSpace, mod: ModulePresentation, residual: Tuple[TaggedFactor, ...], pair: Tuple[Tuple, int]
+) -> Tuple[Tuple[int, ...], Mapping[Tuple[int, Tuple[Tuple, int]], Tuple]]:
+    """The residual's annihilation splits on one basis pair of w: the slot
+    counts they have, ascending, and the splits indexed by (slot count,
+    annihilated pair).
+
+    Each entry holds, per split that leaves that pair, its slots' (variable
+    slot, basis index, order) left to right, its exponent vector less each
+    slot's letter order, and its coefficient.  Keyed by form, module,
+    residual and pair, never by a dual, and shared, so a read-only view.
+    """
+    variables = sort_vars([v for v, _, _ in residual])
+    vslot = [variables.index(v) for v, _, _ in residual]
+    factors = tuple((i, m) for _, i, m in residual)
+    index: Dict[Tuple, list] = {}
+    for split, _, _, c, applied in annihilation_splits(h, mod, factors, mod.has_zero_mode_action(), *pair):
+        exps = [0] * len(variables)
+        slots = []
+        for t, (_, i, m), n in zip(vslot, residual, split):
+            # a slot's mode -d contributes d - m; d is read off the dual
+            exps[t] -= m if n is None else n + m
+            if n is None:
+                slots.append((t, i, m))
+        entry = (tuple(slots), tuple(exps))
+        for key, val in applied.items():
+            index.setdefault((len(slots), key), []).append(entry + (c * val,))
+    counts = tuple(sorted({c for c, _ in index}))
+    return counts, MappingProxyType({key: tuple(entries) for key, entries in index.items()})
+
+
+def _dual_fill(
+    h: HSpace, mod: ModulePresentation, residual: Tuple[TaggedFactor, ...], w: WElem, f: DualFunctional
+) -> List[Tuple[Tuple[Tuple, int], LaurentPoly]]:
+    """The residual's pairing table on w at f's keys alone, read off f's words.
+
+    Creation slots only prepend their letters, in slot order, so a dual pair
+    (D, k) takes a split of c slots only if D's first c letters carry the
+    slots' basis indices with orders at least theirs, and (D[c:], k) is a
+    pair the split leaves; those orders fix the creation modes.  Each
+    matched entry charges one unit.
+    """
+    table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
+    for pair, wcoeff in w.items():
+        counts, index = _annihilated(h, mod, residual, pair)
+        for key, fcoeff in f.items():
+            if not fcoeff:
+                continue
+            word, k = key
+            for c in counts:
+                if c > len(word):
+                    break
+                for slots, evec, coeff in index.get((c, (word[c:], k)), ()):
+                    exps = list(evec)
+                    for (t, i, m), (j, d) in zip(slots, word):
+                        if i != j or d < m:
+                            break
+                        exps[t] += d
+                        coeff *= field_coefficient(m, -d)
+                    else:
+                        charge(1, MODE_TERMS)
+                        add_into(table.setdefault(key, {}), tuple(exps), coeff * wcoeff)
+    if not table:
+        return []
+    variables = sort_vars([v for v, _, _ in residual])
+    return [(key, LaurentPoly._raw(variables, terms)) for key, terms in table.items() if terms]
+
+
+def _table_entries(terms: Iterable[ContractionTerm], fill: Callable) -> Iterator[Tuple]:
     """The one builder behind every product and iterate entry point: one pass
-    that pairs each term's residual with w over the given annihilation totals
-    and yields each pairing-table entry as (basis pair, pole signature, poles,
-    numerator, scalar).  Callers keep and weight the entries they need, one
-    part per (signature, variables)."""
+    that pairs each term's residual with w through `fill(residual)`, which
+    gives (basis pair, numerator) items, and yields each entry as (basis
+    pair, pole signature, poles, numerator, scalar).  Callers keep and weight
+    the entries they need, one part per (signature, variables)."""
     # terms with equal poles and residual differ only in scalar, within one
     # word tuple's contraction and across the elements' word tuples; summing
     # them first pairs each residual with w once (it halves criterion 3's terms)
@@ -210,11 +280,9 @@ def _table_entries(
     for scalar, poles, residual in terms:
         slot = merged.setdefault((tuple(sorted(poles.items())), residual), [0, poles])
         slot[0] += scalar
-    w_items = tuple(sorted(w.items()))
-    totals = tuple(sorted(set(totals)))
     for (sig, residual), (scalar, poles) in merged.items():
         if scalar:
-            for key, poly in _pairing_table_cached(h, mod, residual, w_items, totals).items():
+            for key, poly in fill(residual):
                 yield key, sig, poles, poly, scalar
 
 
@@ -239,7 +307,7 @@ def _parts(acc: Dict) -> List[Part]:
     return [(poles, LaurentPoly._raw(vs, terms)) for (_, vs), (poles, terms) in acc.items() if terms]
 
 
-# -- matrix coefficients: the table over f's weights, paired with f ----------------
+# -- matrix coefficients: each residual's table at f's keys, paired with f -------
 
 
 def matrix_coeff_product(
@@ -253,15 +321,14 @@ def matrix_coeff_product(
 
     The region expansion of the result in |z1| > ... > |zn| > 0 agrees with
     the series-level evaluation; poles sit only at z_i = 0 and z_i = z_j.
+    Each residual's creation fills are read off f's words (_dual_fill), so
+    the work grows with f's keys, not with the fills at f's weights.
     """
     check_exact(*us, f, w)
-    totals = set()
-    for weight in {key_weight(mod, key) for key in f}:
-        totals |= _totals(mod, w, weight, weight)
     acc: Dict = {}
-    for key, sig, poles, poly, scalar in _table_entries(h, mod, _product_terms(h, us), w, totals):
-        if f.get(key):
-            _add_part(acc, sig, poles, poly, scalar * f[key])
+    entries = _table_entries(_product_terms(h, us), lambda residual: _dual_fill(h, mod, residual, w, f))
+    for key, sig, poles, poly, scalar in entries:
+        _add_part(acc, sig, poles, poly, scalar * f[key])
     return ratfun_sum(_parts(acc))
 
 
@@ -303,10 +370,13 @@ def product_table_raw(
     # a total keeps its own w term within the cap; with mixed weights another
     # term's totals can overshoot it
     mixed = len({key_weight(mod, key) for key in w}) > 1
+    w_items = tuple(sorted(w.items()))
+    totals = tuple(sorted(_totals(mod, w, mod.min_weight, cap)))
+    entries = _table_entries(
+        _product_terms(h, us), lambda residual: _pairing_table_cached(h, mod, residual, w_items, totals).items()
+    )
     accs: Dict[Tuple[Tuple, int], Dict] = {}
-    for key, sig, poles, poly, scalar in _table_entries(
-        h, mod, _product_terms(h, us), w, _totals(mod, w, mod.min_weight, cap)
-    ):
+    for key, sig, poles, poly, scalar in entries:
         if not mixed or key_weight(mod, key) <= cap:
             _add_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
     return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}

@@ -628,10 +628,12 @@ def test_flag_error_exits_2_naming_flag(capsys, argv, flag):
 
 
 def test_pairing_work_names_dual_and_state(capsys):
-    # the creation fills of a1 a1 against a1(-20002)1: 20,001 terms, past the
-    # budget on their own; a memo hit would charge nothing
-    mosva.wick._pairing_table_cached.cache_clear()
-    code = main(["product", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "--dual", "a1(-20002)1"])
+    # the annihilation splits of a 14-letter residual on a 15-letter state
+    # apply past the budget (13 letters on 15 too, 12 answer); a memo hit
+    # would charge nothing
+    mosva.wick._annihilated.cache_clear()
+    argv = ["product", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)" * 14 + "1", "--state", "a1(-1)" * 15 + "1"]
+    code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: --dual/--state: ")
@@ -698,6 +700,14 @@ def test_metered_inputs_end_quickly(argv, flag):
     done, elapsed = _cli_process(argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith(f"error: {flag}: ")
+    assert elapsed - _startup_s() < 1
+
+
+def test_a_far_dual_answers_at_once():
+    # the dual's fill is read off its one letter, not found among the
+    # residual's million fills at its weight
+    done, elapsed = _cli_process(["product", *DIM1, "-u", "a1(-1)1", "-u", "a1(-1)1", "--dual", "a1(-1000000)1"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
     assert elapsed - _startup_s() < 1
 
 

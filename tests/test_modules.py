@@ -21,7 +21,7 @@ from mosva.modules import (
     welem_add,
     welem_scale,
 )
-from mosva.wick import _pairing_table_cached
+from mosva.wick import _annihilated, _pairing_table_cached
 
 H1 = HSpace.identity(1)
 H2 = HSpace.identity(2)
@@ -37,6 +37,12 @@ def test_equal_modules_hash_equal_and_share_a_memo_entry():
     assert built is not TRIV2 and built == TRIV2 and hash(built) == hash(TRIV2)
     args = ((("z1", 0, 1),), tuple(sorted(vacuum_state().items())), (-1,))
     assert _pairing_table_cached(H2, built, *args) is _pairing_table_cached(H2, TRIV2, *args)
+
+
+def test_equal_modules_share_an_annihilation_memo_entry():
+    built = ModulePresentation.build([0], [[[0]], [[0]]], [[0]])
+    args = ((("z1", 0, 1),), (((0, 1),), 0))
+    assert _annihilated(H2, built, *args) is _annihilated(H2, TRIV2, *args)
 
 
 def test_replace_rehashes_the_module():

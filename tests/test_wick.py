@@ -28,7 +28,9 @@ from mosva.ratfun import (
 )
 from mosva.wick import (
     ContractionTerm,
+    _annihilated,
     _contract_tagged,
+    _dual_fill,
     _pairing_table_cached,
     _product_terms,
     _table_entries,
@@ -60,12 +62,18 @@ NONCOMMUTING4 = ModulePresentation.build(
 
 def paired_residual(h, mod, residual, f, w):
     """<f, :residual: w> as one Laurent polynomial in the residual's variables:
-    the builder's entries for the bare residual, weighted by f."""
-    totals = set().union(*(_totals(mod, w, wt, wt) for wt in {key_weight(mod, key) for key in f}))
+    the builder's entries for the bare residual, read off f and weighted by f."""
     terms = {}
-    for key, _, _, poly, scalar in _table_entries(h, mod, [ContractionTerm(1, {}, residual)], w, totals):
-        add_terms(terms, poly.terms.items(), scalar * f.get(key, 0))
+    entries = _table_entries([ContractionTerm(1, {}, residual)], lambda r: _dual_fill(h, mod, r, w, f))
+    for key, _, _, poly, scalar in entries:
+        add_terms(terms, poly.terms.items(), scalar * f[key])
     return LaurentPoly(sort_vars(v for v, _, _ in residual), terms)
+
+
+def bulk_fill(h, mod, w, totals):
+    """The bulk tables' fill step: every pair the residual reaches over totals."""
+    w_items, totals = tuple(sorted(w.items())), tuple(sorted(totals))
+    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, totals).items()
 
 
 def canonical_table(raw):
@@ -228,6 +236,23 @@ def test_pairing_tables_are_read_only():
     assert dict(again) == {key: LaurentPoly(("z1",), {(0,): Fraction(1)})}
 
 
+def test_annihilation_memo_entries_are_read_only():
+    # a memo entry is shared by every later dual paired with the same residual
+    # and basis pair
+    args = (H1, TRIV1, (("z1", 0, 1),), (((0, 1),), 0))
+    memo = _annihilated(*args)
+    counts, index = memo
+    # a slot leaves the pair for its letter; a(1) leaves the vacuum at z1^-2
+    expected = {(1, (((0, 1),), 0)): ((((0, 0, 1),), (-1,), 1),), (0, ((), 0)): (((), (-2,), 1),)}
+    assert (counts, index) == ((0, 1), expected)
+    with pytest.raises(TypeError):
+        index[0, ((), 0)] = ()
+    with pytest.raises(TypeError):
+        del index[0, ((), 0)]
+    assert isinstance(memo, tuple) and all(isinstance(entries, tuple) for entries in index.values())
+    assert _annihilated(*args) is memo
+
+
 def test_residual_creation_against_vacuum_dual():
     residual = (("z1", 0, 1), ("z2", 1, 1))
     out = paired_residual(H2, TRIV2, residual, dual_term(), vacuum_state())
@@ -342,7 +367,7 @@ def test_two_parts_of_one_signature_over_different_variables():
     u2 = word_elem(((0, 1), (0, 1), (0, 3)))
     w = state(((0, 1),))
     terms = _product_terms(H1, [u1, u2])
-    entries = _table_entries(H1, TRIV1, terms, w, _totals(TRIV1, w, 0, 6))
+    entries = _table_entries(terms, bulk_fill(H1, TRIV1, w, _totals(TRIV1, w, 0, 6)))
     shapes = {(sig, poly.vars) for key, sig, _, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
     assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
     region = ("z1", "z2")
@@ -356,6 +381,39 @@ def test_two_parts_of_one_signature_over_different_variables():
     series = product_series_bruteforce(H1, TRIV1, [u1, u2], w, f, window)
     assert not series.is_zero()
     assert expand_in_region(rf, region, window) == series.align(region)
+
+
+# -- the dual read against the bulk table -------------------------------------------
+
+COMMUTATOR_FORM = HSpace.from_rows([[0, 1], [-1, 0]])
+# zero modes swapping the module's two weight-0 basis vectors in both directions
+SWAP2 = ModulePresentation.build([0, 0], [[[0, 1], [1, 0]], [[0, 1], [1, 0]]], [[0, 0], [0, 0]])
+
+
+def test_dual_read_matches_the_bulk_table_key_by_key():
+    # matrix_coeff_product reads each fill off f's words; product_table_raw
+    # enumerates every fill up to the cap.  They agree on every key of f, on
+    # its keys alone and on f whole, keys the table lacks included
+    rng = random.Random(29)
+    words, light = basis_words_up_to(2, 4), basis_words_up_to(2, 2)
+    cap = 4
+    for _ in range(60):
+        h = rng.choice([H2, RATIONAL_FORM, COMMUTATOR_FORM])
+        mod = rng.choice([TRIV2, SWAP2, NONCOMMUTING4])
+        us = [random_elem(rng, 2, rng.randint(1, 2), max_weight=3) for _ in range(2)]
+        w = {}
+        for _ in range(rng.randint(1, 3)):  # mixed weights, several basis vectors
+            key = (rng.choice(light), rng.randrange(mod.dim))
+            w[key] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+        raw = product_table_raw(h, mod, us, w, cap)
+        pairs = [(word, k) for word in words for k in range(mod.dim) if key_weight(mod, (word, k)) <= cap]
+        f = {}
+        for key in rng.sample(list(raw), min(3, len(raw))) + rng.sample(pairs, 2):
+            f[key] = rng.choice([1, -2, Fraction(1, 3)])
+        for key in f:
+            assert matrix_coeff_product(h, mod, us, {key: 1}, w) == ratfun_sum(raw.get(key, [])), key
+        parts = [(poles, numer * LaurentPoly.const(c)) for key, c in f.items() for poles, numer in raw.get(key, [])]
+        assert matrix_coeff_product(h, mod, us, f, w) == ratfun_sum(parts)
 
 
 def test_associativity_on_samples():
