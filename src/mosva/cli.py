@@ -26,7 +26,7 @@ import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .halgebra import (
     CENTRAL,
@@ -345,9 +345,10 @@ def state_to_json(welem: WElem):
     ]
 
 
-def _parse_state_arg(text: Optional[str], flag: str, config: SuiteConfig) -> WElem:
+def _parse_arg(flag: str, parse: Callable, text: str, *dims: int):
+    """parse(text, *dims), with a parse error led by the flag the text came from."""
     try:
-        return parse_state(text or "1", config.h.dim, config.module.dim)
+        return parse(text, *dims)
     except ElemParseError as exc:
         raise ConfigError(flag, str(exc)) from None
 
@@ -431,12 +432,13 @@ def cmd_product(args, config: SuiteConfig) -> int:
     # an iterate's rational function is the product's; only its region differs
     if args.command == "iterate" and len(args.u) != 2:
         raise ConfigError("-u", "iterate needs exactly two elements")
-    us = [parse_elem(text, config.h.dim) for text in args.u]
+    us = [_parse_arg("-u", parse_elem, text, config.h.dim) for text in args.u]
     total = sum(max(map(word_weight, u), default=0) for u in us)
     if total > MAX_PRODUCT_WEIGHT:
         raise ConfigError("-u", f"operand weights must sum to at most {MAX_PRODUCT_WEIGHT}, got {total}")
-    f = _parse_state_arg(args.dual, "--dual", config)
-    w = _parse_state_arg(args.state, "--state", config)
+    dims = (config.h.dim, config.module.dim)
+    f = _parse_arg("--dual", parse_state, args.dual or "1", *dims)
+    w = _parse_arg("--state", parse_state, args.state or "1", *dims)
     rf = matrix_coeff_product(config.h, config.module, us, f, w)
     _emit(args, rf.render(), rf.to_json())
     return 0
@@ -445,8 +447,8 @@ def cmd_product(args, config: SuiteConfig) -> int:
 def cmd_series(args, config: SuiteConfig) -> int:
     if len(args.u) != 1:
         raise ConfigError("-u", "series takes exactly one element")
-    u = parse_elem(args.u[0], config.h.dim)
-    w = _parse_state_arg(args.state, "--state", config)
+    u = _parse_arg("-u", parse_elem, args.u[0], config.h.dim)
+    w = _parse_arg("--state", parse_state, args.state or "1", config.h.dim, config.module.dim)
     lo, hi = config.window
     if args.window:
         try:
@@ -473,7 +475,7 @@ def cmd_series(args, config: SuiteConfig) -> int:
 
 
 def cmd_normalform(args, config: SuiteConfig) -> int:
-    out = pbw_normal_form(parse_hat_word(args.expr, config.h.dim), config.h)
+    out = pbw_normal_form(_parse_arg("expr", parse_hat_word, args.expr, config.h.dim), config.h)
     text = render_pbw_elem(out)
     payload = [
         {
@@ -492,7 +494,7 @@ def cmd_normalform(args, config: SuiteConfig) -> int:
 def cmd_quotient(args, config: SuiteConfig) -> int:
     combined: Dict = {}
     for text in args.u:
-        add_terms(combined, parse_elem(text, config.h.dim).items())
+        add_terms(combined, _parse_arg("-u", parse_elem, text, config.h.dim).items())
     projected = project_to_sym(combined)
     text = render_free_elem(projected)
     payload = [

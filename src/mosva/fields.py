@@ -149,6 +149,8 @@ def apply_modes(
     kill the pair are skipped.  The annihilating modes come from
     annihilation_splits; the creation fills of each split's slots per
     admissible total come from _mode_tuples, each a prepend and a scaling.
+    The oracle's own fill loop: vertex_series is its one caller, and the
+    contraction engine fills from its annihilation memo instead.
     """
     if not totals:
         return

@@ -23,8 +23,8 @@ dual or module it is later paired with, so each tuple of words is contracted
 once, in a bounded memo, and each element's coefficients scale the shared
 terms.  Pairing a term's residual with a state splits the same way: its
 annihilation steps on one basis pair are memoized apart from any dual, and
-its creation fills are either enumerated (the bulk tables) or read off a
-single dual's words.
+both fill steps read that one memo: the bulk tables enumerate each split's
+creation fills up to a weight cap, and a single dual reads them off its words.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
-from math import ceil, comb, factorial, floor, prod
+from math import comb, factorial, floor, prod
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -44,7 +44,7 @@ from .modules import (
     WElem,
     key_weight,
 )
-from .fields import annihilation_splits, apply_modes, binomial, field_coefficient
+from .fields import _mode_tuples, annihilation_splits, binomial, field_coefficient
 from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
 from .scalars import MODE_TERMS, PATTERNS, charge, check_exact, q
 
@@ -168,31 +168,34 @@ def _pairing_table_cached(
     mod: ModulePresentation,
     residual: Tuple[TaggedFactor, ...],
     w_items: Tuple[Tuple[Tuple[Tuple, int], Fraction], ...],
-    totals: Tuple[int, ...],
+    cap: Fraction,
 ) -> Mapping[Tuple[Tuple, int], LaurentPoly]:
     """Apply a normal-ordered residual to w, keyed by resulting basis pair.
 
-    The bulk tables' fill step: `w_items` is w's sorted items; `totals`
-    lists, sorted, the admissible annihilation totals (each fixes one target
-    weight per w term), and every creation fill with those totals is
-    enumerated.  Returns, per resulting basis pair, the Laurent polynomial in
-    the residual's variables that multiplies it.
+    The bulk tables' fill step, over the same annihilation memo as
+    _dual_fill: `w_items` is w's sorted items, and each split a pair of w
+    leaves takes every creation fill (from _mode_tuples) whose letters keep
+    its weight within `cap`.  Returns, per resulting basis pair, the Laurent
+    polynomial in the residual's variables that multiplies it.
     """
     # residual signatures recur heavily across operator pairs, so the shared
-    # tables are read-only views
-    variables = sort_vars([v for v, _, _ in residual])
-    factors = tuple((i, m) for _, i, m in residual)
-    vslot = {v: t for t, v in enumerate(variables)}
-    allow_zero = mod.has_zero_mode_action()
+    # tables are read-only views; no metered command reaches the bulk tables
+    # (check runs unmetered, product and iterate pair through _dual_fill), so
+    # their fills charge nothing
     table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
-    for (word, idx), wcoeff in w_items:
-        for modes, applied in apply_modes(h, mod, factors, totals, allow_zero, word, idx):
-            exps = [0] * len(variables)
-            for (v, _i, m), n in zip(residual, modes):
-                exps[vslot[v]] += -n - m
-            evec = tuple(exps)
-            for key, val in applied.items():
-                add_into(table.setdefault(key, {}), evec, val if wcoeff == 1 else wcoeff * val)
+    for pair, wcoeff in w_items:
+        for (_, (word, k)), entries in _annihilated(h, mod, residual, pair)[1].items():
+            room = floor(cap - key_weight(mod, (word, k)))
+            for slots, evec, coeff in entries:
+                orders = tuple(m for _, _, m in slots)
+                for d in range(sum(orders), room + 1):
+                    for fill, fc in _mode_tuples(orders, -d):
+                        exps = list(evec)
+                        for (t, _, _), n in zip(slots, fill):
+                            exps[t] -= n
+                        key = (tuple((i, -n) for (_, i, _), n in zip(slots, fill)) + word, k)
+                        add_into(table.setdefault(key, {}), tuple(exps), coeff * fc * wcoeff)
+    variables = sort_vars([v for v, _, _ in residual])
     return MappingProxyType(
         {key: LaurentPoly(variables, terms) for key, terms in table.items() if terms}
     )
@@ -209,7 +212,8 @@ def _annihilated(
     Each entry holds, per split that leaves that pair, its slots' (variable
     slot, basis index, order) left to right, its exponent vector less each
     slot's letter order, and its coefficient.  Keyed by form, module,
-    residual and pair, never by a dual, and shared, so a read-only view.
+    residual and pair, never by a dual or a cap, and shared by both fill
+    steps (_pairing_table_cached and _dual_fill), so a read-only view.
     """
     variables = sort_vars([v for v, _, _ in residual])
     vslot = [variables.index(v) for v, _, _ in residual]
@@ -286,15 +290,6 @@ def _table_entries(terms: Iterable[ContractionTerm], fill: Callable) -> Iterator
                 yield key, sig, poles, poly, scalar
 
 
-def _totals(mod: ModulePresentation, w: WElem, lo, hi) -> Set[int]:
-    """The annihilation totals that take a term of w to a weight in [lo, hi]."""
-    totals = set()
-    for key in w:
-        weight = key_weight(mod, key)
-        totals.update(range(ceil(weight - hi), floor(weight - lo) + 1))
-    return totals
-
-
 def _add_part(acc: Dict, sig: Tuple, poles: Mapping[PoleFactor, int], poly: LaurentPoly, scale):
     """Add scale * poly / poles into acc, one numerator per (signature, variables)."""
     slot = acc.get((sig, poly.vars))
@@ -366,19 +361,13 @@ def product_table_raw(
     ratfun_sum is matrix_coeff_product against that pair's dual basis element.
     """
     check_exact(*us, w)
-    cap = q(weight_cap)
-    # a total keeps its own w term within the cap; with mixed weights another
-    # term's totals can overshoot it
-    mixed = len({key_weight(mod, key) for key in w}) > 1
-    w_items = tuple(sorted(w.items()))
-    totals = tuple(sorted(_totals(mod, w, mod.min_weight, cap)))
+    cap, w_items = q(weight_cap), tuple(sorted(w.items()))
     entries = _table_entries(
-        _product_terms(h, us), lambda residual: _pairing_table_cached(h, mod, residual, w_items, totals).items()
+        _product_terms(h, us), lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap).items()
     )
     accs: Dict[Tuple[Tuple, int], Dict] = {}
     for key, sig, poles, poly, scalar in entries:
-        if not mixed or key_weight(mod, key) <= cap:
-            _add_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
+        _add_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
     return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
 
 

@@ -615,6 +615,10 @@ FLAG_ERRORS = {
         "--dual",
     ),
     "state-basis-index-above-module-dim": (["series", *DIM1, "-u", "a1(-1)1", "--state", "1@2"], "--state"),
+    "product-u-zero-denominator": (["product", *DIM1, "-u", "1/0*1", "-u", "1"], "-u"),
+    "series-u-index-above-dim": (["series", *DIM1, "-u", "a3(-1)1"], "-u"),
+    "quotient-u-positive-mode": (["quotient", *DIM1, "-u", "a1(1)1"], "-u"),
+    "normalform-malformed-mode": (["normalform", *DIM1, "a1(x)"], "expr"),
 }
 
 

@@ -16,11 +16,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from mosva.checks import verify_rationality_iterate, verify_rationality_product
-from mosva.fields import iterate_series_bruteforce, product_series_bruteforce, vertex_series
+from mosva.fields import (
+    iterate_series_bruteforce,
+    product_series_bruteforce,
+    product_series_states,
+    vertex_series,
+)
 from mosva.halgebra import HSpace, basis_words_up_to
 from mosva.laurent import LaurentPoly
-from mosva.modules import ModulePresentation, free_to_state, pairing, state_to_free, validate_module
-from mosva.ratfun import uniform_window
+from mosva.modules import ModulePresentation, free_to_state, key_weight, pairing, state_to_free, validate_module
+from mosva.ratfun import expand_in_region, ratfun_sum, uniform_window
+from mosva.wick import product_table_raw
 
 RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 NONZERO = st.builds(
@@ -86,6 +92,18 @@ def test_closed_form_matches_oracle(case):
     if len(us) == 2:
         report = verify_rationality_iterate(h, mod, *us, f, w, window)
         assert report.passed, report.detail
+    # the bulk table at every basis pair up to a cap between two module
+    # weights, the pairs it lacks included
+    cap = mod.min_weight + Fraction(5, 2)
+    raw = product_table_raw(h, mod, us, w, cap)
+    assert all(key_weight(mod, key) <= cap for key in raw)
+    names = tuple(f"z{j + 1}" for j in range(len(us)))
+    win = uniform_window(names, *window)
+    keys = [(wd, s) for wd in WORDS for s in range(mod.dim) if key_weight(mod, (wd, s)) <= cap]
+    states = product_series_states(h, mod, us, w, {key_weight(mod, key) for key in keys}, win)
+    for key in keys:
+        series = LaurentPoly(names, {exps: elem.get(key, 0) for exps, elem in states.items()})
+        assert expand_in_region(ratfun_sum(raw.get(key, [])), names, win) == series.align(names), key
 
 
 def unpinned_iterate_series(h, mod, u1, u2, f, w, window):

@@ -35,7 +35,7 @@ TRIV2 = ModulePresentation.trivial(2)
 def test_equal_modules_hash_equal_and_share_a_memo_entry():
     built = ModulePresentation.build([0], [[[0]], [[0]]], [[0]])
     assert built is not TRIV2 and built == TRIV2 and hash(built) == hash(TRIV2)
-    args = ((("z1", 0, 1),), tuple(sorted(vacuum_state().items())), (-1,))
+    args = ((("z1", 0, 1),), tuple(sorted(vacuum_state().items())), 1)
     assert _pairing_table_cached(H2, built, *args) is _pairing_table_cached(H2, TRIV2, *args)
 
 

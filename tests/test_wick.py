@@ -34,7 +34,6 @@ from mosva.wick import (
     _pairing_table_cached,
     _product_terms,
     _table_entries,
-    _totals,
     commutator_pm,
     iterate_table_raw,
     matrix_coeff_iterate,
@@ -70,10 +69,10 @@ def paired_residual(h, mod, residual, f, w):
     return LaurentPoly(sort_vars(v for v, _, _ in residual), terms)
 
 
-def bulk_fill(h, mod, w, totals):
-    """The bulk tables' fill step: every pair the residual reaches over totals."""
-    w_items, totals = tuple(sorted(w.items())), tuple(sorted(totals))
-    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, totals).items()
+def bulk_fill(h, mod, w, cap):
+    """The bulk tables' fill step: every pair up to the cap the residual reaches."""
+    w_items = tuple(sorted(w.items()))
+    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap).items()
 
 
 def canonical_table(raw):
@@ -225,14 +224,14 @@ def test_pairing_tables_are_read_only():
     # cached tables are shared by every later call with the same residual
     residual = (("z1", 0, 1),)
     w_items = tuple(sorted(vacuum_state().items()))
-    table = _pairing_table_cached(H1, TRIV1, residual, w_items, (-1,))
+    table = _pairing_table_cached(H1, TRIV1, residual, w_items, 1)
     key = (((0, 1),), 0)
     assert table[key] == LaurentPoly(("z1",), {(0,): Fraction(1)})
     with pytest.raises(TypeError):
         table[key] = LaurentPoly.zero()
     with pytest.raises(TypeError):
         del table[key]
-    again = _pairing_table_cached(H1, TRIV1, residual, w_items, (-1,))
+    again = _pairing_table_cached(H1, TRIV1, residual, w_items, 1)
     assert dict(again) == {key: LaurentPoly(("z1",), {(0,): Fraction(1)})}
 
 
@@ -367,7 +366,7 @@ def test_two_parts_of_one_signature_over_different_variables():
     u2 = word_elem(((0, 1), (0, 1), (0, 3)))
     w = state(((0, 1),))
     terms = _product_terms(H1, [u1, u2])
-    entries = _table_entries(terms, bulk_fill(H1, TRIV1, w, _totals(TRIV1, w, 0, 6)))
+    entries = _table_entries(terms, bulk_fill(H1, TRIV1, w, 6))
     shapes = {(sig, poly.vars) for key, sig, _, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
     assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
     region = ("z1", "z2")
@@ -406,6 +405,7 @@ def test_dual_read_matches_the_bulk_table_key_by_key():
             key = (rng.choice(light), rng.randrange(mod.dim))
             w[key] = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
         raw = product_table_raw(h, mod, us, w, cap)
+        assert all(key_weight(mod, key) <= cap for key in raw)
         pairs = [(word, k) for word in words for k in range(mod.dim) if key_weight(mod, (word, k)) <= cap]
         f = {}
         for key in rng.sample(list(raw), min(3, len(raw))) + rng.sample(pairs, 2):
@@ -414,6 +414,18 @@ def test_dual_read_matches_the_bulk_table_key_by_key():
             assert matrix_coeff_product(h, mod, us, {key: 1}, w) == ratfun_sum(raw.get(key, [])), key
         parts = [(poles, numer * LaurentPoly.const(c)) for key, c in f.items() for poles, numer in raw.get(key, [])]
         assert matrix_coeff_product(h, mod, us, f, w) == ratfun_sum(parts)
+
+
+def test_a_bulk_table_fills_the_annihilation_memo_the_dual_read_uses():
+    # both fill steps read one memo: after the bulk table, the dual read on
+    # the same residual and pair splits nothing anew
+    u, w = word_elem(((0, 1),)), state(((0, 2),))
+    _annihilated.cache_clear()
+    product_table_raw(H1, TRIV1, [u], w, 3)
+    before = _annihilated.cache_info()
+    matrix_coeff_product(H1, TRIV1, [u], {(((0, 1), (0, 2)), 0): 1}, w)
+    after = _annihilated.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
 
 
 def test_associativity_on_samples():
