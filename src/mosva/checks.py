@@ -8,6 +8,9 @@ iterates, block rewriting confluence, graded dimensions, the projection onto
 the symmetric algebra, and an explicit noncommutativity witness.  Checks draw their samples
 from an exhaustive low-weight grid plus a seeded random layer, one stream per
 sampling check, so reports are reproducible from the configuration alone.
+Each verify_* returns its first failure's detail, None when the property
+holds; a sweep's failure leads with its sample in the syntax of the CLI's
+-u, --state and --dual.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .halgebra import (
     CENTRAL,
@@ -81,7 +84,8 @@ from .wick import (
 
 @dataclass
 class CheckReport:
-    """Outcome of one named check; reproducible from config and seed."""
+    """Outcome of one named check; reproducible from config and seed.  Built
+    by run_suite alone, from the (params, passed, detail) its check returns."""
 
     name: str
     params: Dict[str, object]
@@ -193,33 +197,23 @@ def _first_mismatch(
 
 
 def verify_identity_creation(
-    h: HSpace,
-    mod: ModulePresentation,
-    samples: Sequence[FreeElem],
-    span: Tuple[int, int] = (-6, 4),
-) -> CheckReport:
+    h: HSpace, mod: ModulePresentation, samples: Sequence[FreeElem], span: Tuple[int, int]
+) -> Optional[str]:
     """Identity property on the module, creation property on the algebra."""
-    params = {"samples": len(samples), "span": span}
     triv = ModulePresentation.trivial(h.dim)
     for s in range(min(mod.dim, 3)):
         w = vacuum_state(s)
         e = _first_mismatch(vertex_series(h, mod, vacuum_elem(), w, *span), {0: w}, span)
         if e is not None:
-            return CheckReport(
-                "identity-creation", params, False,
-                f"identity fails at exponent {e} on basis state {s}",
-            )
+            return f"identity fails at exponent {e} on basis state {s}"
     # Y(u, x)1 has no negative powers and u as its constant term
     creation = (min(span[0], 0), 0)
     for u in samples:
         series = vertex_series(h, triv, u, vacuum_state(), *creation)
         e = _first_mismatch(series, {0: free_to_state(u)}, creation)
         if e is not None:
-            return CheckReport(
-                "identity-creation", params, False,
-                f"creation fails at exponent {e} for {render_free_elem(u)}",
-            )
-    return CheckReport("identity-creation", params, True)
+            return f"creation fails at exponent {e} for {render_free_elem(u)}"
+    return None
 
 
 # -- grading and translation identities --------------------------------------------
@@ -231,12 +225,11 @@ def verify_d_bracket(
     u: FreeElem,
     w: WElem,
     span: Tuple[int, int],
-) -> CheckReport:
+) -> Optional[str]:
     """[grading, Y(u, x)] = Y(grading u, x) + x d/dx Y(u, x), coefficientwise."""
-    params = {"u": render_free_elem(u), "span": span}
     wt_u = weight(u)
     if wt_u is None:
-        return CheckReport("grading-bracket", params, False, "u is inhomogeneous")
+        return "u is inhomogeneous"
     on_w = vertex_series(h, mod, u, w, *span)
     on_dw = vertex_series(h, mod, u, apply_d(mod, w), *span)
     # both sides vanish where neither series has a coefficient
@@ -244,10 +237,8 @@ def verify_d_bracket(
         uw = on_w.get(e, {})
         lhs = welem_add(apply_d(mod, uw), welem_scale(on_dw.get(e, {}), -1))
         if lhs != welem_scale(uw, wt_u + e):
-            return CheckReport(
-                "grading-bracket", params, False, f"mismatch at exponent {e}"
-            )
-    return CheckReport("grading-bracket", params, True)
+            return f"mismatch at exponent {e}"
+    return None
 
 
 def verify_D_properties(
@@ -256,15 +247,13 @@ def verify_D_properties(
     u: FreeElem,
     w: WElem,
     span: Tuple[int, int],
-) -> CheckReport:
+) -> Optional[str]:
     """The derivative, translation, and commutator forms of d/dx Y(u, x) agree.
 
     The commutator form provably fails on modules whose zero modes act by
     nonzero matrices: the d/dx of the zero-mode term has no commutator
     counterpart.
     """
-    name = "translation-properties"
-    params = {"u": render_free_elem(u), "span": span}
     lo, hi = span
     on_w = vertex_series(h, mod, u, w, lo, hi + 1)
     translated = vertex_series(h, mod, derivative_elem(u), w, lo, hi)
@@ -274,16 +263,12 @@ def verify_D_properties(
     for e in sorted(e for e in held if lo <= e <= hi):
         derivative = welem_scale(on_w.get(e + 1, {}), e + 1)
         if derivative != translated.get(e, {}):
-            return CheckReport(
-                name, params, False, f"derivative vs translation at exponent {e}"
-            )
+            return f"derivative vs translation at exponent {e}"
         commutator = welem_add(
             apply_D(mod, on_w.get(e, {})), welem_scale(on_Dw.get(e, {}), -1)
         )
         if derivative != commutator:
-            return CheckReport(
-                name, params, False, f"commutator form differs at exponent {e}"
-            )
+            return f"commutator form differs at exponent {e}"
     # mode-level commutators [D, a(-m)] = m a(-m-1), [D, a(m)] = -m a(m-1):
     # statements about the algebra itself, where zero modes act as zero, so
     # they are pinned on the trivial-module realization
@@ -299,11 +284,8 @@ def verify_D_properties(
                     )
                     rhs = welem_scale(apply_mode(h, triv, i, n - 1, wv), -n)
                     if lhs != rhs:
-                        return CheckReport(
-                            name, params, False,
-                            f"mode commutator fails at a{i + 1}({n})",
-                        )
-    return CheckReport(name, params, True)
+                        return f"mode commutator fails at a{i + 1}({n})"
+    return None
 
 
 # -- rationality and associativity ---------------------------------------------------
@@ -316,16 +298,15 @@ def verify_rationality_product(
     f: DualFunctional,
     w: WElem,
     window: Tuple[int, int],
-) -> CheckReport:
+) -> Optional[str]:
     """The closed-form rational function expands to the actual series."""
-    params = {"n": len(us), "window": window}
     rf = matrix_coeff_product(h, mod, us, f, w)
     names = tuple(f"z{j + 1}" for j in range(len(us)))
     win = uniform_window(names, *window)
     series = product_series_bruteforce(h, mod, us, w, f, win)
     if expand_in_region(rf, names, win) != series.align(names):
-        return CheckReport("rationality-product", params, False, rf.render())
-    return CheckReport("rationality-product", params, True)
+        return rf.render()
+    return None
 
 
 def verify_rationality_iterate(
@@ -336,15 +317,14 @@ def verify_rationality_iterate(
     f: DualFunctional,
     w: WElem,
     window: Tuple[int, int],
-) -> CheckReport:
+) -> Optional[str]:
     """The iterate's rational function expands to the iterate series."""
-    params = {"window": window}
     rf = matrix_coeff_iterate(h, mod, u1, u2, f, w)
     win = uniform_window(("x0", "x2"), *window)
     series = iterate_series_bruteforce(h, mod, u1, u2, f, w, win)
     if expand_iterate(rf.numer, rf.poles, win) != series.align(("x0", "x2")):
-        return CheckReport("rationality-iterate", params, False, rf.render())
-    return CheckReport("rationality-iterate", params, True)
+        return rf.render()
+    return None
 
 
 # -- symmetric-algebra projection ----------------------------------------------------
@@ -372,13 +352,12 @@ def _word_permutations(word: NegWord) -> List[NegWord]:
 
 def verify_quotient_homomorphism(
     h: HSpace, u: NegWord, v: NegWord, span: Tuple[int, int]
-) -> CheckReport:
+) -> Optional[str]:
     """Projected products depend only on the projected inputs.
 
     Runs over every reordering of the factors of u and of v, comparing the
     projected series coefficients in the window.
     """
-    params = {"u": render_word(u), "v": render_word(v), "span": span}
     triv = ModulePresentation.trivial(h.dim)
     reference: Optional[Dict[int, Dict[SymWord, Fraction]]] = None
     for u2 in _word_permutations(u):
@@ -391,11 +370,8 @@ def verify_quotient_homomorphism(
             if reference is None:
                 reference = projected
             elif projected != reference:
-                return CheckReport(
-                    "quotient-homomorphism", params, False,
-                    f"projection differs for {render_word(u2)} / {render_word(v2)}",
-                )
-    return CheckReport("quotient-homomorphism", params, True)
+                return f"projection differs for {render_word(u2)} / {render_word(v2)}"
+    return None
 
 
 # -- independent symmetric-side evaluation -------------------------------------------
@@ -498,10 +474,9 @@ def noncommutativity_witness(
 # -- structural checks -----------------------------------------------------------------
 
 
-def verify_pbw_confluence(h: HSpace, count: int, seed: int) -> CheckReport:
+def verify_pbw_confluence(h: HSpace, count: int, seed: int) -> Optional[str]:
     """Seeded random words of up to 6 generators rewrite the same under both strategies."""
     rng = random.Random(seed)
-    params = {"count": count, "max_len": 6, "seed": seed}
     for trial in range(count):
         gens = []
         for _ in range(rng.randint(0, 6)):
@@ -512,43 +487,33 @@ def verify_pbw_confluence(h: HSpace, count: int, seed: int) -> CheckReport:
         left = pbw_normal_form(gens, h, "leftmost")
         right = pbw_normal_form(gens, h, "rightmost")
         if left != right:
-            return CheckReport(
-                "pbw-confluence", params, False, f"strategies differ on trial {trial}"
-            )
-    return CheckReport("pbw-confluence", params, True)
+            return f"strategies differ on trial {trial}"
+    return None
 
 
-def verify_graded_dimensions(h: HSpace, up_to: int) -> CheckReport:
-    params = {"up_to": up_to}
+def verify_graded_dimensions(h: HSpace, up_to: int) -> Optional[str]:
     for n in range(up_to + 1):
         if graded_dimension(h, n) != len(basis_words(h.dim, n)):
-            return CheckReport(
-                "graded-dimensions", params, False, f"mismatch at weight {n}"
-            )
-    return CheckReport("graded-dimensions", params, True)
+            return f"mismatch at weight {n}"
+    return None
 
 
 def verify_lower_bound(
     h: HSpace, mod: ModulePresentation, samples: Sequence[WElem]
-) -> CheckReport:
+) -> Optional[str]:
     """No operation output dips below the module's minimum weight."""
-    params = {"samples": len(samples)}
     floor_w = mod.min_weight
     for w in samples:
         for i in range(h.dim):
             for n in (-2, -1, 0, 1, 2):
                 for key in apply_mode(h, mod, i, n, w):
                     if key_weight(mod, key) < floor_w:
-                        return CheckReport(
-                            "lower-bound", params, False,
-                            f"weight {key_weight(mod, key)} below floor {floor_w}",
-                        )
-    return CheckReport("lower-bound", params, True)
+                        return f"weight {key_weight(mod, key)} below floor {floor_w}"
+    return None
 
 
-def verify_sym_crosscheck(h: HSpace, max_weight: int, span: Tuple[int, int]) -> CheckReport:
+def verify_sym_crosscheck(h: HSpace, max_weight: int, span: Tuple[int, int]) -> Optional[str]:
     """Projected tensor-side coefficients match the symmetric-side evaluation."""
-    params = {"max_weight": max_weight, "span": span}
     triv = ModulePresentation.trivial(h.dim)
     checked = 0
     for uword in basis_words_up_to(h.dim, max_weight):
@@ -563,17 +528,10 @@ def verify_sym_crosscheck(h: HSpace, max_weight: int, span: Tuple[int, int]) -> 
                 )
                 sym_side = {k: c for k, c in sym_side.items() if c}
                 if tensor_side != sym_side:
-                    return CheckReport(
-                        "sym-crosscheck", params, False,
-                        f"{render_word(uword)} on {render_word(vword)} at x^{e}",
-                    )
+                    return f"{render_word(uword)} on {render_word(vword)} at x^{e}"
                 if tensor_side:
                     checked += 1
-    if checked < 20:
-        return CheckReport(
-            "sym-crosscheck", params, False, f"only {checked} nonzero coefficients"
-        )
-    return CheckReport("sym-crosscheck", params, True)
+    return f"only {checked} nonzero coefficients" if checked < 20 else None
 
 
 # -- the suite ---------------------------------------------------------------------------
@@ -605,30 +563,26 @@ class _Samples:
         return cls(config, words, [word_elem(wd) for wd in words], states, pairs)
 
 
-def _first_failure(reports: Iterable[CheckReport]) -> Optional[CheckReport]:
-    """The first failed report; later samples are not drawn once one fails."""
-    return next((r for r in reports if not r.passed), None)
+# a check's outcome: its params, whether it passed, and its detail
+Outcome = Tuple[Dict[str, object], bool, str]
 
 
-def _module_invariants(s: _Samples) -> CheckReport:
-    problems = validate_module(s.config.module)
-    return CheckReport(
-        "module-invariants", {"dim": s.config.module.dim}, not problems, "; ".join(problems)
-    )
+def _held(params: Dict[str, object], failure: Optional[str]) -> Outcome:
+    """The outcome of a check whose first failure is `failure`, None if it held."""
+    return params, failure is None, failure or ""
 
 
-def _grading_bracket(s: _Samples) -> CheckReport:
+def _series(s: _Samples, states: int, verify: Callable[..., Optional[str]]) -> Outcome:
+    """verify(h, mod, u, w, window) over each sampled element and the first
+    `states` sampled states; a failure leads with its u and w."""
     c = s.config
-    return _first_failure(
-        verify_d_bracket(c.h, c.module, u, w, c.window) for u in s.elems for w in s.states[:4]
-    ) or CheckReport("grading-bracket", {"samples": len(s.elems), "window": c.window}, True)
-
-
-def _translation_properties(s: _Samples) -> CheckReport:
-    c = s.config
-    return _first_failure(
-        verify_D_properties(c.h, c.module, u, w, c.window) for u in s.elems for w in s.states[:3]
-    ) or CheckReport("translation-properties", {"samples": len(s.elems), "window": c.window}, True)
+    params = {"samples": len(s.elems), "window": c.window}
+    for u in s.elems:
+        for w in s.states[:states]:
+            failure = verify(c.h, c.module, u, w, c.window)
+            if failure is not None:
+                return params, False, f"u={render_free_elem(u)} w={render_pairs(w)}: {failure}"
+    return params, True, ""
 
 
 def _reached_sample(s: _Samples, rng: random.Random, u1: FreeElem, u2: FreeElem):
@@ -647,85 +601,93 @@ def _reached_sample(s: _Samples, rng: random.Random, u1: FreeElem, u2: FreeElem)
     return dual_term(rng.choice(s.words), rng.randrange(c.module.dim)), w
 
 
-def _rationality_product(s: _Samples) -> CheckReport:
+def _rationality(s: _Samples, name: str, count: int, verify: Callable[..., Optional[str]]) -> Outcome:
+    """verify(h, mod, u1, u2, f, w, window) over the first `count` sampled
+    pairs, each on a reached state and dual; a failure leads with all four."""
     # its own stream, so its samples do not depend on which checks ran before it
-    c, rng = s.config, random.Random(f"{s.config.seed}:rationality-product")
-    pairs = s.pairs[: max(6, c.sample_pairs // 3)]
-    return _first_failure(
-        verify_rationality_product(c.h, c.module, us, *_reached_sample(s, rng, *us), c.window)
-        for us in ([word_elem(w1), word_elem(w2)] for w1, w2 in pairs)
-    ) or CheckReport("rationality-product", {"pairs": len(pairs), "window": c.window}, True)
+    c, rng = s.config, random.Random(f"{s.config.seed}:{name}")
+    pairs = s.pairs[:count]
+    params = {"pairs": len(pairs), "window": c.window}
+    for w1, w2 in pairs:
+        u1, u2 = word_elem(w1), word_elem(w2)
+        f, w = _reached_sample(s, rng, u1, u2)
+        failure = verify(c.h, c.module, u1, u2, f, w, c.window)
+        if failure is not None:
+            sample = f"u1={render_word(w1)} u2={render_word(w2)} w={render_pairs(w)} dual={render_pairs(f)}"
+            return params, False, f"{sample}: {failure}"
+    return params, True, ""
 
 
-def _associativity(s: _Samples) -> CheckReport:
+def _associativity(s: _Samples) -> Outcome:
     c = s.config
     checked = 0
-
-    def mismatches():
-        nonlocal checked
-        for w1, w2 in s.pairs:
-            u1, u2 = word_elem(w1), word_elem(w2)
-            for w in s.states[:3]:
-                prod = product_table_raw(c.h, c.module, [u1, u2], w, c.dual_weight_cap)
-                it = iterate_table_raw(c.h, c.module, u1, u2, w, c.dual_weight_cap)
-                for key in set(prod) | set(it):
-                    checked += 1
-                    if not parts_eq(prod.get(key, []), it.get(key, [])):
-                        yield CheckReport(
-                            "associativity", {"u1": render_word(w1), "u2": render_word(w2)},
-                            False, f"differs against dual {key}",
-                        )
-
-    return _first_failure(mismatches()) or CheckReport(
-        "associativity", {"pairs": len(s.pairs), "coefficients": checked}, True,
-    )
+    for w1, w2 in s.pairs:
+        u1, u2 = word_elem(w1), word_elem(w2)
+        for w in s.states[:3]:
+            prod = product_table_raw(c.h, c.module, [u1, u2], w, c.dual_weight_cap)
+            it = iterate_table_raw(c.h, c.module, u1, u2, w, c.dual_weight_cap)
+            for key in set(prod) | set(it):
+                checked += 1
+                if not parts_eq(prod.get(key, []), it.get(key, [])):
+                    sample = f"u1={render_word(w1)} u2={render_word(w2)} w={render_pairs(w)}"
+                    detail = f"{sample}: differs against dual {render_pairs({key: 1})}"
+                    return {"pairs": len(s.pairs), "coefficients": checked}, False, detail
+    return {"pairs": len(s.pairs), "coefficients": checked}, True, ""
 
 
-def _rationality_iterate(s: _Samples) -> CheckReport:
-    c, rng = s.config, random.Random(f"{s.config.seed}:rationality-iterate")
-    pairs = s.pairs[: max(4, c.sample_pairs // 4)]
-    return _first_failure(
-        verify_rationality_iterate(c.h, c.module, *us, *_reached_sample(s, rng, *us), c.window)
-        for us in ([word_elem(w1), word_elem(w2)] for w1, w2 in pairs)
-    ) or CheckReport("rationality-iterate", {"pairs": len(pairs), "window": c.window}, True)
-
-
-def _quotient_homomorphism(s: _Samples) -> CheckReport:
+def _quotient_homomorphism(s: _Samples) -> Outcome:
     # one call per permutation class: each call runs over every reordering
-    dim = s.config.h.dim
-    return _first_failure(
-        verify_quotient_homomorphism(s.config.h, uword, vword, (-4, 3))
-        for uword in basis_words_up_to(dim, 3) if uword == sym_word(uword)
-        for vword in basis_words_up_to(dim, 2) if vword == sym_word(vword)
-    ) or CheckReport("quotient-homomorphism", {"max_weight": 3}, True)
+    h = s.config.h
+    failures = (
+        verify_quotient_homomorphism(h, uword, vword, (-4, 3))
+        for uword in basis_words_up_to(h.dim, 3) if uword == sym_word(uword)
+        for vword in basis_words_up_to(h.dim, 2) if vword == sym_word(vword)
+    )
+    return _held({"max_weight": 3}, next(filter(None, failures), None))
 
 
-def _noncommutativity_witness(s: _Samples) -> CheckReport:
+def _noncommutativity_witness(s: _Samples) -> Outcome:
     witness = noncommutativity_witness(s.config.h, s.config.module, max_weight=2)
     detail = witness.describe() if witness else "no witness in the sampled range"
-    return CheckReport("noncommutativity-witness", {"max_weight": 2}, witness is not None, detail)
+    return {"max_weight": 2}, witness is not None, detail
+
+
+def _graded_dimensions(s: _Samples) -> Outcome:
+    up_to = min(s.config.max_weight + 3, 8)
+    return _held({"up_to": up_to}, verify_graded_dimensions(s.config.h, up_to))
 
 
 # every check by name, in report order; module-invariants always runs
-CHECKS: Dict[str, Callable[[_Samples], CheckReport]] = {
-    "module-invariants": _module_invariants,
-    "identity-creation": lambda s: verify_identity_creation(
-        s.config.h, s.config.module, s.elems, tuple(s.config.window)
+CHECKS: Dict[str, Callable[[_Samples], Outcome]] = {
+    "module-invariants": lambda s: _held(
+        {"dim": s.config.module.dim}, "; ".join(validate_module(s.config.module)) or None
     ),
-    "grading-bracket": _grading_bracket,
-    "translation-properties": _translation_properties,
-    "rationality-product": _rationality_product,
+    "identity-creation": lambda s: _held(
+        {"samples": len(s.elems), "span": s.config.window},
+        verify_identity_creation(s.config.h, s.config.module, s.elems, s.config.window),
+    ),
+    "grading-bracket": lambda s: _series(s, 4, verify_d_bracket),
+    "translation-properties": lambda s: _series(s, 3, verify_D_properties),
+    "rationality-product": lambda s: _rationality(
+        s, "rationality-product", max(6, s.config.sample_pairs // 3),
+        lambda h, mod, u1, u2, *rest: verify_rationality_product(h, mod, [u1, u2], *rest),
+    ),
     "associativity": _associativity,
-    "rationality-iterate": _rationality_iterate,
-    "pbw-confluence": lambda s: verify_pbw_confluence(
-        s.config.h, s.config.pbw_words, s.config.seed
+    "rationality-iterate": lambda s: _rationality(
+        s, "rationality-iterate", max(4, s.config.sample_pairs // 4), verify_rationality_iterate
     ),
-    "graded-dimensions": lambda s: verify_graded_dimensions(
-        s.config.h, min(s.config.max_weight + 3, 8)
+    "pbw-confluence": lambda s: _held(
+        {"count": s.config.pbw_words, "max_len": 6, "seed": s.config.seed},
+        verify_pbw_confluence(s.config.h, s.config.pbw_words, s.config.seed),
     ),
-    "lower-bound": lambda s: verify_lower_bound(s.config.h, s.config.module, s.states),
+    "graded-dimensions": _graded_dimensions,
+    "lower-bound": lambda s: _held(
+        {"samples": len(s.states)}, verify_lower_bound(s.config.h, s.config.module, s.states)
+    ),
     "quotient-homomorphism": _quotient_homomorphism,
-    "sym-crosscheck": lambda s: verify_sym_crosscheck(s.config.h, 2, (-3, 3)),
+    "sym-crosscheck": lambda s: _held(
+        {"max_weight": 2, "span": (-3, 3)}, verify_sym_crosscheck(s.config.h, 2, (-3, 3))
+    ),
     "noncommutativity-witness": _noncommutativity_witness,
 }
 
@@ -734,4 +696,4 @@ def run_suite(config: SuiteConfig) -> List[CheckReport]:
     """Run every configured check over an exhaustive-plus-seeded sample grid."""
     samples = _Samples.draw(config)
     wanted = CHECKS if config.checks is None else {"module-invariants", *config.checks}
-    return [check(samples) for name, check in CHECKS.items() if name in wanted]
+    return [CheckReport(name, *check(samples)) for name, check in CHECKS.items() if name in wanted]

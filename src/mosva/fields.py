@@ -94,7 +94,6 @@ def annihilation_splits(
     h: HSpace,
     mod: ModulePresentation,
     factors: Sequence[Tuple[int, int]],
-    allow_zero: bool,
     word: NegWord,
     index: int,
 ) -> List[Tuple[Tuple, int, int, int, WElem]]:
@@ -103,7 +102,7 @@ def annihilation_splits(
 
     The splits grow from the rightmost factor leftwards, from the pair itself.
     A slot leaves a split's element as it is; an annihilating mode (0 when
-    allow_zero, else one of the word's letter orders, within the pair's height
+    zero modes act, else one of the word's letter orders, within the pair's height
     above the module's weight floor) acts on it once through apply_mode, so
     splits sharing a right part share its action, and a split whose element
     dies drops with all its extensions.  Each surviving step charges its
@@ -114,7 +113,7 @@ def annihilation_splits(
     """
     # annihilation totals are integers, so the pair's height rounds down
     budget = int(key_weight(mod, (word, index)) - mod.min_weight)
-    admissible = ((0,) if allow_zero else ()) + tuple(sorted({m for _, m in word}))
+    admissible = ((0,) if mod.has_zero_mode_action() else ()) + tuple(sorted({m for _, m in word}))
     splits = [((), 0, 0, 1, {(word, index): 1})]
     for i, m in reversed(factors):
         grown = [((None,) + split, total, s + m, c, elem) for split, total, s, c, elem in splits]
@@ -134,7 +133,6 @@ def apply_modes(
     mod: ModulePresentation,
     factors: Sequence[Tuple[int, int]],
     totals: Sequence[int],
-    allow_zero: bool,
     word: NegWord,
     index: int,
 ) -> Iterator[Tuple[Tuple[int, ...], WElem]]:
@@ -143,7 +141,7 @@ def apply_modes(
     `factors` lists (basis index, derivative order) per position and
     `totals` is sorted ascending.  The tuples are those with no vanishing
     field coefficient, positive part at most the pair's height above the
-    module's weight floor, and zero modes only when allow_zero.  Yields
+    module's weight floor, and zero modes only when they act.  Yields
     (modes, element): the tuple's normal-ordered monomial applied to the
     basis pair (word, index), times prod binom(-n_j-1, m_j-1); tuples that
     kill the pair are skipped.  The annihilating modes come from
@@ -154,7 +152,7 @@ def apply_modes(
     """
     if not totals:
         return
-    for split, p_total, s, c, applied in annihilation_splits(h, mod, factors, allow_zero, word, index):
+    for split, p_total, s, c, applied in annihilation_splits(h, mod, factors, word, index):
         top = p_total - s  # largest total the slots can reach
         if totals[0] > top or (not s and p_total not in totals):
             continue
@@ -186,13 +184,12 @@ def vertex_series(
         raise ValueError("empty exponent range")
     check_exact(u, w)
     out: Dict[int, WElem] = {}
-    allow_zero = mod.has_zero_mode_action()
     for uword, ucoeff in u.items():
         wt_u = word_weight(uword)
         totals = range(-hi - wt_u, -lo - wt_u + 1)
         for (word, idx), wcoeff in w.items():
             base = ucoeff * wcoeff
-            for modes, applied in apply_modes(h, mod, uword, totals, allow_zero, word, idx):
+            for modes, applied in apply_modes(h, mod, uword, totals, word, idx):
                 e = -(sum(modes) + wt_u)
                 slot = out.get(e)
                 if slot is None:

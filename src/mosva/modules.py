@@ -25,7 +25,7 @@ from .halgebra import (
     FreeElem, HSpace, NegWord, add_into, derivative_elem, free_add, free_scale, render_word,
     word_sort_key, word_weight,
 )
-from .scalars import q, render_signed_sum
+from .scalars import check_exact, q, render_signed_sum
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 WKey = Tuple[NegWord, int]
@@ -181,6 +181,7 @@ def apply_mode_term(
 
 
 def apply_mode(h: HSpace, mod: ModulePresentation, i: int, n: int, w: WElem) -> WElem:
+    check_exact(w)
     out: WElem = {}
     for (word, s), c in w.items():
         for word2, s2, c2 in apply_mode_term(h, mod, i, n, word, s):
@@ -213,6 +214,7 @@ def apply_D(mod: ModulePresentation, w: WElem) -> WElem:
 
 def pairing(f: DualFunctional, w: WElem) -> Fraction:
     """Restricted-dual pairing: coefficientwise dot product over shared keys."""
+    check_exact(f, w)
     if len(f) > len(w):
         f, w = w, f
     total = 0

@@ -219,7 +219,7 @@ def _annihilated(
     vslot = [variables.index(v) for v, _, _ in residual]
     factors = tuple((i, m) for _, i, m in residual)
     index: Dict[Tuple, list] = {}
-    for split, _, _, c, applied in annihilation_splits(h, mod, factors, mod.has_zero_mode_action(), *pair):
+    for split, _, _, c, applied in annihilation_splits(h, mod, factors, *pair):
         exps = [0] * len(variables)
         slots = []
         for t, (_, i, m), n in zip(vslot, residual, split):

@@ -7,7 +7,8 @@ import pytest
 import mosva.checks
 import mosva.ratfun
 import mosva.wick
-from mosva.halgebra import HSpace, basis_words_up_to, vacuum_elem, word_elem
+from mosva.cli import parse_elem, parse_state
+from mosva.halgebra import HSpace, basis_words_up_to, render_free_elem, vacuum_elem, word_elem
 from mosva.checks import (
     ConfigError,
     SuiteConfig,
@@ -29,6 +30,7 @@ from mosva.laurent import LaurentPoly
 from mosva.modules import (
     ModulePresentation,
     dual_term,
+    render_pairs,
     state,
     vacuum_state,
 )
@@ -66,62 +68,73 @@ def corrupt_series(monkeypatch):
 
 def test_identity_creation_passes():
     samples = [word_elem(w) for w in basis_words_up_to(2, 3)]
-    report = verify_identity_creation(H2, TRIV2, samples)
-    assert report.passed
+    assert verify_identity_creation(H2, TRIV2, samples, (-6, 4)) is None
 
 
 def test_identity_creation_fault_injection(corrupt_series):
     samples = [word_elem(((0, 1), (1, 3)))]
     corrupt_series(-3)  # a wrong coefficient deep in the series
-    report = verify_identity_creation(H2, TRIV2, samples)
-    assert not report.passed
-    assert "exponent" in report.detail  # the offending coefficient is located
+    detail = verify_identity_creation(H2, TRIV2, samples, (-6, 4))
+    assert "exponent" in detail  # the offending coefficient is located
 
 
 def test_creation_checks_the_x_inverse_coefficient(corrupt_series):
     u = word_elem(((0, 1), (1, 3)))
     corrupt_series(-1, only=u)
-    report = verify_identity_creation(H2, TRIV2, [u])
-    assert not report.passed
-    assert report.detail == "creation fails at exponent -1 for a1(-1)a2(-3)1"
+    detail = verify_identity_creation(H2, TRIV2, [u], (-6, 4))
+    assert detail == "creation fails at exponent -1 for a1(-1)a2(-3)1"
 
 
 def test_d_bracket_passes():
     r = verify_d_bracket(
         H2, TRIV2, word_elem(((0, 2),)), vacuum_state(), (-5, 3)
     )
-    assert r.passed
+    assert r is None
     r2 = verify_d_bracket(
         H2, TRIV2, word_elem(((0, 1), (0, 1))), state(((1, 1),)), (-5, 3)
     )
-    assert r2.passed
+    assert r2 is None
 
 
 def test_d_bracket_fault_injection(corrupt_series):
     corrupt_series(-3)
     r = verify_d_bracket(H2, TRIV2, word_elem(((0, 1),)), vacuum_state(), (-5, 3))
-    assert not r.passed and "exponent" in r.detail
+    assert "exponent" in r
 
 
 def test_D_properties_pass():
     for uword in [((0, 1),), (), ((0, 1), (1, 2))]:
         r = verify_D_properties(H2, TRIV2, word_elem(uword), vacuum_state(), (-5, 3))
-        assert r.passed, r.detail
+        assert r is None, r
 
 
 def test_D_properties_fault_injection(corrupt_series):
     corrupt_series(-3)
     r = verify_D_properties(H2, TRIV2, word_elem(((0, 1),)), vacuum_state(), (-5, 3))
-    assert not r.passed
-    assert r.detail == "derivative vs translation at exponent -4"
+    assert r == "derivative vs translation at exponent -4"
+
+
+@pytest.mark.parametrize(
+    "name, failure",
+    [("grading-bracket", "mismatch at exponent -3"),
+     ("translation-properties", "derivative vs translation at exponent -4")],
+)
+def test_series_check_failures_lead_with_their_sample(corrupt_series, name, failure):
+    # only a2(-1)1 reads the fault, so the suite's report names it and the
+    # vacuum it first acted on, in the syntax of -u and --state
+    corrupt_series(-3, only=word_elem(((1, 1),)))
+    report = run_suite(SuiteConfig(h=H2, module=TRIV2, checks=(name,)))[-1]
+    assert (report.name, report.passed) == (name, False)
+    assert report.detail == f"u=a2(-1)1 w=1: {failure}"
+    assert report.params == {"samples": 27, "window": (-6, 2)}
 
 
 def assert_associative(h, mod, u1, u2, f, w, window):
     """The closed form expands to the product series and to the iterate series."""
     r = verify_rationality_product(h, mod, [u1, u2], f, w, window)
-    assert r.passed, r.detail
+    assert r is None, r
     r = verify_rationality_iterate(h, mod, u1, u2, f, w, window)
-    assert r.passed, r.detail
+    assert r is None, r
 
 
 def test_associativity_vacuum_pair():
@@ -158,12 +171,12 @@ def test_associativity_fault_injection(monkeypatch, fault):
     real = mosva.checks.iterate_table_raw
     corrupted = []
 
-    def iterate_table_raw(*args):
-        table = real(*args)
+    def iterate_table_raw(h, mod, u1, u2, w, cap):
+        table = real(h, mod, u1, u2, w, cap)
         key = next((k for k, p in table.items() if not ratfun_sum(p).is_zero()), None)
         if corrupted or key is None:
             return table
-        corrupted.append(key)
+        corrupted.append((u1, u2, w, key))
         table = dict(table)
         if fault == "scaled":
             table[key] = [(poles, numer * LaurentPoly.const(2)) for poles, numer in table[key]]
@@ -174,7 +187,11 @@ def test_associativity_fault_injection(monkeypatch, fault):
     monkeypatch.setattr("mosva.checks.iterate_table_raw", iterate_table_raw)
     report = run_suite(ASSOC_ONLY)[-1]
     assert report.name == "associativity" and not report.passed
-    assert report.detail == f"differs against dual {corrupted[0]}"
+    # the failure leads with its sample, in the syntax of -u and --state
+    u1, u2, w, key = corrupted[0]
+    sample = f"u1={render_free_elem(u1)} u2={render_free_elem(u2)} w={render_pairs(w)}"
+    assert report.detail == f"{sample}: differs against dual {render_pairs({key: 1})}"
+    assert report.params["pairs"] == 4 and report.params["coefficients"] > 0
 
 
 def test_associativity_builds_no_canonical_form(monkeypatch):
@@ -199,29 +216,82 @@ def test_rationality_product_and_iterate():
     f = dual_term(((0, 1), (0, 2)))
     assert verify_rationality_product(
         H1, TRIV1, [u1, u2], f, vacuum_state(), (-7, 2)
-    ).passed
+    ) is None
     assert verify_rationality_iterate(
         H1, TRIV1, u1, u2, f, vacuum_state(), (-7, 2)
-    ).passed
+    ) is None
 
 
-def test_rationality_checks_fail_on_swapped_operands(monkeypatch):
+@pytest.fixture
+def swap_operands(monkeypatch):
+    """swap(): from then on the checks' closed forms take their two operands
+    in the other order."""
+
+    def swap():
+        monkeypatch.setattr(
+            mosva.checks, "matrix_coeff_product",
+            lambda h, mod, us, f, w: matrix_coeff_product(h, mod, us[::-1], f, w),
+        )
+        monkeypatch.setattr(
+            mosva.checks, "matrix_coeff_iterate",
+            lambda h, mod, u1, u2, f, w: matrix_coeff_iterate(h, mod, u2, u1, f, w),
+        )
+
+    return swap
+
+
+def test_rationality_checks_fail_on_swapped_operands(swap_operands):
     # a1(-1) and a2(-1) in the other order pair with the dual of a2(-1)a1(-1)1,
     # so a closed form with its operands swapped differs from the series
     u1, u2 = word_elem(((0, 1),)), word_elem(((1, 1),))
     f, w, window = dual_term(((0, 1), (1, 1))), vacuum_state(), (-6, 2)
-    assert verify_rationality_product(H2, TRIV2, [u1, u2], f, w, window).passed
-    assert verify_rationality_iterate(H2, TRIV2, u1, u2, f, w, window).passed
-    monkeypatch.setattr(
-        mosva.checks, "matrix_coeff_product",
-        lambda h, mod, us, f, w: matrix_coeff_product(h, mod, us[::-1], f, w),
-    )
-    monkeypatch.setattr(
-        mosva.checks, "matrix_coeff_iterate",
-        lambda h, mod, u1, u2, f, w: matrix_coeff_iterate(h, mod, u2, u1, f, w),
-    )
-    assert not verify_rationality_product(H2, TRIV2, [u1, u2], f, w, window).passed
-    assert not verify_rationality_iterate(H2, TRIV2, u1, u2, f, w, window).passed
+    assert verify_rationality_product(H2, TRIV2, [u1, u2], f, w, window) is None
+    assert verify_rationality_iterate(H2, TRIV2, u1, u2, f, w, window) is None
+    swap_operands()
+    assert verify_rationality_product(H2, TRIV2, [u1, u2], f, w, window) is not None
+    assert verify_rationality_iterate(H2, TRIV2, u1, u2, f, w, window) is not None
+
+
+def parse_sample(detail, dim):
+    """A rationality failure's u1, u2, w and dual, read back as the CLI reads
+    -u, --state and --dual, and the failure that follows them."""
+    sample, _, failure = detail.partition(": ")
+    fields = dict(item.split("=", 1) for item in sample.split(" "))
+    assert list(fields) == ["u1", "u2", "w", "dual"]
+    u1, u2 = (parse_elem(fields[k], dim) for k in ("u1", "u2"))
+    w, f = (parse_state(fields[k], dim, 1) for k in ("w", "dual"))
+    return (u1, u2, w, f), failure
+
+
+def replay(name, h, mod, sample, window=(-6, 2)):
+    """The rationality check `name` on one parsed sample alone."""
+    u1, u2, w, f = sample
+    if name == "rationality-product":
+        return verify_rationality_product(h, mod, [u1, u2], f, w, window)
+    return verify_rationality_iterate(h, mod, u1, u2, f, w, window)
+
+
+@pytest.mark.parametrize("name", ["rationality-product", "rationality-iterate"])
+def test_rationality_failures_name_a_sample_that_parses_back(monkeypatch, swap_operands, name):
+    # with the closed form's operands swapped, a FAIL names its whole sample:
+    # u1, u2, w and the dual parse back to what was drawn, and the sample
+    # fails alone with the same rational function
+    drawn = []
+    reached = mosva.checks._reached_sample
+
+    def recording(s, rng, u1, u2):
+        f, w = reached(s, rng, u1, u2)
+        drawn.append((u1, u2, w, f))
+        return f, w
+
+    monkeypatch.setattr(mosva.checks, "_reached_sample", recording)
+    swap_operands()
+    report = run_suite(SuiteConfig(h=H2, module=TRIV2, seed=0, checks=(name,)))[-1]
+    assert (report.name, report.passed) == (name, False)
+    sample, failure = parse_sample(report.detail, 2)
+    assert sample == drawn[-1]
+    assert replay(name, H2, TRIV2, sample) == failure
+    assert report.params == {"pairs": 8 if name == "rationality-product" else 6, "window": (-6, 2)}
 
 
 def test_rationality_samples_compare_coefficients_that_exist(monkeypatch):
@@ -266,7 +336,12 @@ def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch, fr
     )
     fresh_word_terms.cache_clear()  # drop the terms the unpatched runs contracted
     for config in configs:
-        assert not all(r.passed for r in run_suite(config)), config.seed
+        failed = [r for r in run_suite(config) if not r.passed]
+        assert failed, config.seed
+        for report in failed:
+            # the sample a failure names fails alone, with the same detail
+            sample, failure = parse_sample(report.detail, 1)
+            assert replay(report.name, H1, TRIV1, sample) == failure, report.detail
 
 
 def test_rationality_checks_report_the_pairs_they_checked():
@@ -300,10 +375,8 @@ def test_project_vacuum():
 
 
 def test_quotient_homomorphism_examples():
-    r = verify_quotient_homomorphism(H2, ((0, 1), (1, 1)), (), (-4, 3))
-    assert r.passed
-    r2 = verify_quotient_homomorphism(H2, ((0, 1), (1, 1)), ((0, 1),), (-4, 3))
-    assert r2.passed
+    assert verify_quotient_homomorphism(H2, ((0, 1), (1, 1)), (), (-4, 3)) is None
+    assert verify_quotient_homomorphism(H2, ((0, 1), (1, 1)), ((0, 1),), (-4, 3)) is None
 
 
 def test_quotient_sweep_reads_every_ordering(corrupt_series):
@@ -331,14 +404,12 @@ def test_projection_is_genuinely_a_quotient():
 
 def test_sym_vertex_coefficient_matches_projection():
     r = verify_sym_crosscheck(H1, 3, (-4, 3))
-    assert r.passed, r.detail
+    assert r is None, r
 
 
 def test_sym_crosscheck_fault_injection(corrupt_series):
     corrupt_series(-3)
-    r = verify_sym_crosscheck(H1, 3, (-4, 3))
-    assert not r.passed
-    assert r.detail == "1 on 1 at x^-3"
+    assert verify_sym_crosscheck(H1, 3, (-4, 3)) == "1 on 1 at x^-3"
 
 
 # -- witnesses ----------------------------------------------------------------------
@@ -390,11 +461,11 @@ def test_witness_report_names_a_dual_off_the_first_basis_vector():
 
 
 def test_pbw_confluence_check():
-    assert verify_pbw_confluence(H2, 200, seed=5).passed
+    assert verify_pbw_confluence(H2, 200, seed=5) is None
 
 
 def test_graded_dimension_check():
-    assert verify_graded_dimensions(H2, 6).passed
+    assert verify_graded_dimensions(H2, 6) is None
 
 
 def test_run_suite_default_passes():
@@ -468,7 +539,7 @@ def test_sampled_checks_draw_from_their_own_streams(monkeypatch):
     alone = run(("rationality-iterate",))
     monkeypatch.setattr(
         "mosva.checks.verify_rationality_product",
-        lambda *args: mosva.checks.CheckReport("rationality-product", {}, False, "injected"),
+        lambda *args: "injected",
     )
     stopped = run(("rationality-product", "rationality-iterate"))
     assert both and both == alone == stopped

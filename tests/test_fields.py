@@ -142,12 +142,12 @@ def mode_applications(draw):
 @given(mode_applications())
 def test_apply_modes_matches_tuple_by_tuple_reference(case):
     mod, factors, totals, word, index = case
-    args = (RATIONAL_FORM, mod, factors, totals, mod.has_zero_mode_action(), word, index)
     got = {}
-    for modes, elem in apply_modes(*args):
+    for modes, elem in apply_modes(RATIONAL_FORM, mod, factors, totals, word, index):
         assert modes not in got and elem
         got[modes] = elem
-    expected = reference_apply_modes(*args)
+    allow_zero = mod.has_zero_mode_action()
+    expected = reference_apply_modes(RATIONAL_FORM, mod, factors, totals, allow_zero, word, index)
     assert per_total(got) == per_total(expected)
     assert got == expected
 
@@ -194,9 +194,8 @@ def test_each_right_part_meets_each_mode_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(mosva.fields, "apply_mode", counted)
-    args = (H2, TRIV2, factors, range(-6, 4), False, word, 0)
-    got = dict(apply_modes(*args))
-    assert got == reference_apply_modes(*args)
+    got = dict(apply_modes(H2, TRIV2, factors, range(-6, 4), word, 0))
+    assert got == reference_apply_modes(H2, TRIV2, factors, range(-6, 4), False, word, 0)
     assert {tuple(n if n >= 0 else None for n in modes) for modes in got} == set(product([None, 1], repeat=3))
     assert len(calls) <= 1 + 2 + 4
 

@@ -8,7 +8,7 @@ import pytest
 from mosva.fields import product_series_bruteforce, vertex_series
 from mosva.halgebra import HSpace, free_scale, mode, pbw_normal_form, word_elem
 from mosva.laurent import LaurentPoly
-from mosva.modules import ModulePresentation, dual_term, vacuum_state
+from mosva.modules import ModulePresentation, apply_mode, dual_term, pairing, vacuum_state
 from mosva.ratfun import ratfun_sum
 from mosva.scalars import LETTERS, WorkLimit, charge, parse_rational, q, work_budget
 from mosva.wick import matrix_coeff_iterate, matrix_coeff_product, product_table_raw
@@ -100,6 +100,16 @@ def test_product_table_refuses_inexact_hand_built_elements(bad):
     for us, w in [([{((0, 1),): bad}, A1], vacuum_state()), ([A1, A1], {KEY: bad})]:
         with pytest.raises(TypeError):
             product_table_raw(H1, TRIV1, us, w, 4)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_pairing_and_apply_mode_refuse_inexact_hand_built_elements(bad):
+    with pytest.raises(TypeError):
+        pairing({KEY: bad}, {KEY: 1})
+    with pytest.raises(TypeError):
+        pairing({KEY: 1}, {KEY: bad})
+    with pytest.raises(TypeError):
+        apply_mode(H1, TRIV1, 0, -1, {KEY: bad})
 
 
 def test_identity_form_coefficients_are_ints():
