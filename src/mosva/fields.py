@@ -19,8 +19,12 @@ rightmost factor leftwards and each annihilating step acts once on the
 element of its right part, so splits sharing a right part share its action
 and a step that kills the pair ends every split that extends it.  Creation
 modes only prepend letters to a word, so every creation fill of a split's
-slots (from _mode_tuples) is one prepend and one scaling of its element, and
-a dual basis pair's leading letters fix the one fill that can reach it.
+slots is one prepend and one scaling of its element, and a dual basis pair's
+leading letters fix the one fill that can reach it.  One memo,
+_creation_fills, holds each slot profile's fills at a total with the letters
+they prepend; the oracle's series and the engine's bulk tables both read it,
+and the series scales a split's element once and adds each fill straight
+into its coefficient.
 Everything here is the direct, series-level evaluation; the closed-form
 contraction engine is checked against it.  The product and iterate series
 enumerate no exponent that cannot reach the interval between the dual's
@@ -34,7 +38,7 @@ from itertools import product
 from math import ceil, comb, floor
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .halgebra import FreeElem, HSpace, NegWord, add_terms, word_weight
+from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, word_weight
 from .laurent import LaurentPoly, Window
 from .modules import (
     DualFunctional,
@@ -90,6 +94,20 @@ def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, 
     return tuple(out)
 
 
+@lru_cache(maxsize=65536)
+def _creation_fills(
+    slots: Tuple[Tuple[int, int], ...], total: int
+) -> Tuple[Tuple[Tuple[int, ...], NegWord, int], ...]:
+    """Creation fills of the slots' (basis index, derivative order) pairs at
+    `total`: per fill of _mode_tuples, (modes, the letters it prepends, its
+    integer coefficient).  Both fill steps read it: the oracle's, through
+    apply_modes, and the contraction engine's bulk tables."""
+    return tuple(
+        (fill, tuple((i, -n) for (i, _), n in zip(slots, fill)), c)
+        for fill, c in _mode_tuples(tuple(m for _, m in slots), total)
+    )
+
+
 def annihilation_splits(
     h: HSpace,
     mod: ModulePresentation,
@@ -135,20 +153,21 @@ def apply_modes(
     totals: Sequence[int],
     word: NegWord,
     index: int,
-) -> Iterator[Tuple[Tuple[int, ...], WElem]]:
-    """Every mode tuple of the fields `factors` with total in `totals`, applied.
+) -> Iterator[Tuple[Tuple, int, int, WElem, Tuple]]:
+    """Every mode tuple of the fields `factors` with total in `totals`, applied
+    with its creation fills left unbuilt.
 
     `factors` lists (basis index, derivative order) per position and
     `totals` is sorted ascending.  The tuples are those with no vanishing
     field coefficient, positive part at most the pair's height above the
     module's weight floor, and zero modes only when they act.  Yields
-    (modes, element): the tuple's normal-ordered monomial applied to the
-    basis pair (word, index), times prod binom(-n_j-1, m_j-1); tuples that
-    kill the pair are skipped.  The annihilating modes come from
-    annihilation_splits; the creation fills of each split's slots per
-    admissible total come from _mode_tuples, each a prepend and a scaling.
-    The oracle's own fill loop: vertex_series is its one caller, and the
-    contraction engine fills from its annihilation memo instead.
+    (split, total, c, element, fills) once per split of annihilation_splits
+    and admissible total: the split holds None per creation slot, c is its
+    modes' prod binom(-n_j-1, m_j-1) and the element its modes applied to
+    the basis pair (word, index).  Each fill (modes, letters, coefficient)
+    of _creation_fills puts its modes in the slots, and its tuple's
+    monomial on the pair is the element with the letters prepended, times c
+    and the coefficient.
     """
     if not totals:
         return
@@ -156,20 +175,13 @@ def apply_modes(
         top = p_total - s  # largest total the slots can reach
         if totals[0] > top or (not s and p_total not in totals):
             continue
-        slots = [j for j, n in enumerate(split) if n is None]
-        slot_orders = tuple(factors[j][1] for j in slots)
+        slots = tuple(f for f, n in zip(factors, split) if n is None)
         for t in totals if slots else (p_total,):
             if t > top:
                 break
             # one fill per way to spread top - t over the slots, counted unbuilt
             charge(binomial(top - t + len(slots) - 1, top - t) * len(applied), MODE_TERMS)
-            for fill, fc in _mode_tuples(slot_orders, t - p_total):
-                modes = list(split)
-                for j, n in zip(slots, fill):
-                    modes[j] = n
-                prefix = tuple((factors[j][0], -n) for j, n in zip(slots, fill))
-                scale = c * fc
-                yield tuple(modes), {(prefix + w2, s2): v * scale for (w2, s2), v in applied.items()}
+            yield split, t, c, applied, _creation_fills(slots, t - p_total)
 
 
 def vertex_series(
@@ -179,6 +191,8 @@ def vertex_series(
 
     One apply_modes pass per (word of u, term of w): the x-exponent of a mode
     tuple is -(sum of n_j + m_j), so the range pins an interval of totals.
+    Each split's element is scaled once, and each creation fill adds it
+    straight into its exponent's coefficient, one prepend per fill.
     """
     if lo > hi:
         raise ValueError("empty exponent range")
@@ -189,12 +203,13 @@ def vertex_series(
         totals = range(-hi - wt_u, -lo - wt_u + 1)
         for (word, idx), wcoeff in w.items():
             base = ucoeff * wcoeff
-            for modes, applied in apply_modes(h, mod, uword, totals, word, idx):
-                e = -(sum(modes) + wt_u)
-                slot = out.get(e)
-                if slot is None:
-                    slot = out[e] = {}
-                add_terms(slot, applied.items(), base)
+            for _, t, c, applied, fills in apply_modes(h, mod, uword, totals, word, idx):
+                scale = c * base
+                scaled = [(w2, s2, v * scale) for (w2, s2), v in applied.items()]
+                slot = out.setdefault(-(t + wt_u), {})
+                for _, prefix, fc in fills:
+                    for w2, s2, v in scaled:
+                        add_into(slot, (prefix + w2, s2), v if fc == 1 else v * fc)
     return {e: elem for e, elem in out.items() if elem}
 
 

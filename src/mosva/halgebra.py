@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import LETTERS, charge, q, render_signed_sum
+from .scalars import LETTERS, charge, check_exact, q, render_signed_sum
 
 # a_i(-m) with m >= 1; the empty tuple is the vacuum word
 NegWord = Tuple[Tuple[int, int], ...]
@@ -161,12 +161,14 @@ def add_terms(acc: Dict, terms: Iterable[Tuple], scale=1) -> None:
 
 
 def free_add(u: FreeElem, v: FreeElem) -> FreeElem:
+    check_exact(u, v)
     out = dict(u)
     add_terms(out, v.items())
     return out
 
 
 def free_scale(u: FreeElem, c) -> FreeElem:
+    check_exact(u)
     c = q(c)
     if not c:
         return {}
@@ -175,6 +177,7 @@ def free_scale(u: FreeElem, c) -> FreeElem:
 
 def free_mul(u: FreeElem, v: FreeElem) -> FreeElem:
     """Concatenation product, extended bilinearly; noncommutative."""
+    check_exact(u, v)
     out: FreeElem = {}
     for w1, c1 in u.items():
         for w2, c2 in v.items():

@@ -191,6 +191,7 @@ def apply_mode(h: HSpace, mod: ModulePresentation, i: int, n: int, w: WElem) -> 
 
 def apply_d(mod: ModulePresentation, w: WElem) -> WElem:
     """Grading operator: scales each basis pair by its weight."""
+    check_exact(w)
     out: WElem = {}
     for key, c in w.items():
         scaled = c * key_weight(mod, key)
@@ -201,6 +202,7 @@ def apply_d(mod: ModulePresentation, w: WElem) -> WElem:
 
 def apply_D(mod: ModulePresentation, w: WElem) -> WElem:
     """Translation operator: the mode-bumping derivation plus the module part."""
+    check_exact(w)
     out: WElem = {}
     for (word, s), c in w.items():
         for word2, c2 in derivative_elem({word: 1}).items():

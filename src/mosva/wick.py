@@ -44,7 +44,7 @@ from .modules import (
     WElem,
     key_weight,
 )
-from .fields import _mode_tuples, annihilation_splits, binomial, field_coefficient
+from .fields import _creation_fills, annihilation_splits, binomial, field_coefficient
 from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
 from .scalars import MODE_TERMS, PATTERNS, charge, check_exact, q
 
@@ -174,9 +174,10 @@ def _pairing_table_cached(
 
     The bulk tables' fill step, over the same annihilation memo as
     _dual_fill: `w_items` is w's sorted items, and each split a pair of w
-    leaves takes every creation fill (from _mode_tuples) whose letters keep
-    its weight within `cap`.  Returns, per resulting basis pair, the Laurent
-    polynomial in the residual's variables that multiplies it.
+    leaves takes every creation fill (from _creation_fills, the oracle's fill
+    memo) whose letters keep its weight within `cap`.  Returns, per resulting
+    basis pair, the Laurent polynomial in the residual's variables that
+    multiplies it.
     """
     # residual signatures recur heavily across operator pairs, so the shared
     # tables are read-only views; no metered command reaches the bulk tables
@@ -187,13 +188,13 @@ def _pairing_table_cached(
         for (_, (word, k)), entries in _annihilated(h, mod, residual, pair)[1].items():
             room = floor(cap - key_weight(mod, (word, k)))
             for slots, evec, coeff in entries:
-                orders = tuple(m for _, _, m in slots)
-                for d in range(sum(orders), room + 1):
-                    for fill, fc in _mode_tuples(orders, -d):
+                letters = tuple((i, m) for _, i, m in slots)
+                for d in range(sum(m for _, m in letters), room + 1):
+                    for fill, prefix, fc in _creation_fills(letters, -d):
                         exps = list(evec)
                         for (t, _, _), n in zip(slots, fill):
                             exps[t] -= n
-                        key = (tuple((i, -n) for (_, i, _), n in zip(slots, fill)) + word, k)
+                        key = (prefix + word, k)
                         add_into(table.setdefault(key, {}), tuple(exps), coeff * fc * wcoeff)
     variables = sort_vars([v for v, _, _ in residual])
     return MappingProxyType(

@@ -121,6 +121,18 @@ def reference_apply_modes(h, mod, factors, totals, allow_zero, word, index):
     return out
 
 
+def expand(yielded):
+    """apply_modes' splits with their fills built: mode tuple -> element."""
+    out = {}
+    for split, total, c, applied, fills in yielded:
+        for fill, prefix, fc in fills:
+            modes = iter(fill)
+            key = tuple(next(modes) if n is None else n for n in split)
+            assert sum(key) == total and key not in out
+            out[key] = {(prefix + w2, s2): v * c * fc for (w2, s2), v in applied.items()}
+    return out
+
+
 def per_total(applied):
     out = {}
     for modes, elem in applied.items():
@@ -142,14 +154,48 @@ def mode_applications(draw):
 @given(mode_applications())
 def test_apply_modes_matches_tuple_by_tuple_reference(case):
     mod, factors, totals, word, index = case
-    got = {}
-    for modes, elem in apply_modes(RATIONAL_FORM, mod, factors, totals, word, index):
-        assert modes not in got and elem
-        got[modes] = elem
+    got = expand(apply_modes(RATIONAL_FORM, mod, factors, totals, word, index))
+    assert all(got.values())
     allow_zero = mod.has_zero_mode_action()
     expected = reference_apply_modes(RATIONAL_FORM, mod, factors, totals, allow_zero, word, index)
     assert per_total(got) == per_total(expected)
     assert got == expected
+
+
+def elements(keys):
+    """Sums of one to three distinct keys with nonzero rational coefficients."""
+    coeffs = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    return st.dictionaries(st.sampled_from(keys), coeffs, min_size=1, max_size=3)
+
+
+@st.composite
+def series_cases(draw):
+    mod = draw(st.sampled_from([TRIV2, DIM4]))
+    u = draw(elements(basis_words_up_to(2, 3)))
+    w = draw(elements([(word, k) for word in basis_words_up_to(2, 3) for k in range(mod.dim)]))
+    lo = draw(st.integers(-5, 1))
+    return mod, u, w, lo, lo + draw(st.integers(0, 4))
+
+
+@settings(max_examples=100)
+@given(series_cases())
+def test_vertex_series_matches_the_tuple_by_tuple_reference(case):
+    # non-unit u and w coefficients scale every split, and DIM4's zero modes
+    # give elements of several terms, so each fill adds a scaled sum
+    mod, u, w, lo, hi = case
+    expected = {}
+    for uword, uc in u.items():
+        wt_u = word_weight(uword)
+        totals = range(-hi - wt_u, -lo - wt_u + 1)
+        for (word, k), wc in w.items():
+            applied = reference_apply_modes(
+                RATIONAL_FORM, mod, uword, totals, mod.has_zero_mode_action(), word, k
+            )
+            for t, elem in per_total(applied).items():
+                e = -(t + wt_u)
+                expected[e] = welem_add(expected.get(e, {}), welem_scale(elem, uc * wc))
+    expected = {e: elem for e, elem in expected.items() if elem}
+    assert vertex_series(RATIONAL_FORM, mod, u, w, lo, hi) == expected
 
 
 @settings(max_examples=150)
@@ -194,7 +240,7 @@ def test_each_right_part_meets_each_mode_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(mosva.fields, "apply_mode", counted)
-    got = dict(apply_modes(H2, TRIV2, factors, range(-6, 4), word, 0))
+    got = expand(apply_modes(H2, TRIV2, factors, range(-6, 4), word, 0))
     assert got == reference_apply_modes(H2, TRIV2, factors, range(-6, 4), False, word, 0)
     assert {tuple(n if n >= 0 else None for n in modes) for modes in got} == set(product([None, 1], repeat=3))
     assert len(calls) <= 1 + 2 + 4
@@ -244,13 +290,13 @@ def test_series_identity_only_constant():
 def test_pattern_without_creation_slots_asks_one_total(monkeypatch):
     # Y(1, x) has one pattern and no slot: a wide window costs no fill per exponent
     calls = []
-    real = mosva.fields._mode_tuples
+    real = mosva.fields._creation_fills
 
-    def counted(orders, total):
-        calls.append((orders, total))
-        return real(orders, total)
+    def counted(slots, total):
+        calls.append((slots, total))
+        return real(slots, total)
 
-    monkeypatch.setattr(mosva.fields, "_mode_tuples", counted)
+    monkeypatch.setattr(mosva.fields, "_creation_fills", counted)
     out = vertex_series(H1, TRIV1, vacuum_elem(), vacuum_state(), -10**5, 10**5)
     assert out == {0: vacuum_state()}
     assert calls == [((), 0)]

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from mosva.fields import product_series_bruteforce, vertex_series
-from mosva.halgebra import HSpace, free_scale, mode, pbw_normal_form, word_elem
+from mosva.halgebra import HSpace, free_add, free_mul, free_scale, mode, pbw_normal_form, word_elem
 from mosva.laurent import LaurentPoly
-from mosva.modules import ModulePresentation, apply_mode, dual_term, pairing, vacuum_state
+from mosva.modules import (
+    ModulePresentation, apply_D, apply_d, apply_mode, dual_term, pairing, vacuum_state,
+)
 from mosva.ratfun import ratfun_sum
 from mosva.scalars import LETTERS, WorkLimit, charge, parse_rational, q, work_budget
 from mosva.wick import matrix_coeff_iterate, matrix_coeff_product, product_table_raw
@@ -110,6 +112,39 @@ def test_pairing_and_apply_mode_refuse_inexact_hand_built_elements(bad):
         pairing({KEY: 1}, {KEY: bad})
     with pytest.raises(TypeError):
         apply_mode(H1, TRIV1, 0, -1, {KEY: bad})
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_apply_D_refuses_inexact_hand_built_elements(bad):
+    with pytest.raises(TypeError):
+        apply_D(TRIV1, {KEY: bad})
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_apply_d_refuses_inexact_hand_built_elements(bad):
+    with pytest.raises(TypeError):
+        apply_d(TRIV1, {KEY: bad})
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_free_add_refuses_inexact_hand_built_elements(bad):
+    for u, v in [({((0, 1),): bad}, A1), (A1, {((0, 1),): bad})]:
+        with pytest.raises(TypeError):
+            free_add(u, v)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_free_mul_refuses_inexact_hand_built_elements(bad):
+    for u, v in [({((0, 1),): bad}, A1), (A1, {((0, 1),): bad})]:
+        with pytest.raises(TypeError):
+            free_mul(u, v)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_free_scale_refuses_an_inexact_element_as_well_as_scalar(bad):
+    for scalar in (1, 2, 0):
+        with pytest.raises(TypeError):
+            free_scale({((0, 1),): bad}, scalar)
 
 
 def test_identity_form_coefficients_are_ints():
