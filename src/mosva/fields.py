@@ -44,7 +44,7 @@ from .modules import (
     DualFunctional,
     ModulePresentation,
     WElem,
-    apply_mode,
+    _apply_mode,
     free_to_state,
     key_weight,
     pairing,
@@ -121,7 +121,7 @@ def annihilation_splits(
     The splits grow from the rightmost factor leftwards, from the pair itself.
     A slot leaves a split's element as it is; an annihilating mode (0 when
     zero modes act, else one of the word's letter orders, within the pair's height
-    above the module's weight floor) acts on it once through apply_mode, so
+    above the module's weight floor) acts on it once through _apply_mode, so
     splits sharing a right part share its action, and a split whose element
     dies drops with all its extensions.  Each surviving step charges its
     applied terms.  Returns (split, None per slot; its annihilation total; its
@@ -138,7 +138,7 @@ def annihilation_splits(
         for n in admissible:
             for split, total, s, c, elem in splits:
                 if total + n <= budget:
-                    applied = apply_mode(h, mod, i, n, elem)
+                    applied = _apply_mode(h, mod, i, n, elem)
                     if applied:
                         charge(len(applied), MODE_TERMS)
                         grown.append(((n,) + split, total + n, s, c * field_coefficient(m, n), applied))

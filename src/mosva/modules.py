@@ -182,6 +182,11 @@ def apply_mode_term(
 
 def apply_mode(h: HSpace, mod: ModulePresentation, i: int, n: int, w: WElem) -> WElem:
     check_exact(w)
+    return _apply_mode(h, mod, i, n, w)
+
+
+def _apply_mode(h: HSpace, mod: ModulePresentation, i: int, n: int, w: WElem) -> WElem:
+    """apply_mode with no exactness guard, for elements the library built."""
     out: WElem = {}
     for (word, s), c in w.items():
         for word2, s2, c2 in apply_mode_term(h, mod, i, n, word, s):

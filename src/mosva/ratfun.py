@@ -158,25 +158,25 @@ def ratfun_arith(lhs: RatFun, rhs: RatFun) -> RatFun:
     return ratfun_sum([(lhs.poles, lhs.numer), (rhs.poles, rhs.numer)])
 
 
-def _over_common(parts: Iterable[Part]) -> Tuple[LaurentPoly, Dict[PoleFactor, int]]:
-    """sum(numer / poles) as one numerator over the least common pole monomial."""
-    parts = list(parts)
+def _over_common(parts: Iterable[Part], minus: Iterable[Part] = ()) -> Tuple[LaurentPoly, Dict]:
+    """sum(numer / poles) over parts less over minus, as one numerator over the least common poles."""
+    signed = [(part, 1) for part in parts] + [(part, -1) for part in minus]
     common: Dict[PoleFactor, int] = {}
     names = []
-    for poles, numer in parts:
+    for (poles, numer), _ in signed:
         names += numer.vars
         for f, k in poles.items():
             if k > common.get(f, 0):
                 common[f] = k
     universe = sort_vars(names + [v for f in common for v in f])
     terms: Dict[Tuple[int, ...], Fraction] = {}
-    for poles, numer in parts:
+    for (poles, numer), sign in signed:
         numer = numer.align(universe)
         for f, k in common.items():
             if (k := k - poles.get(f, 0)) > 0:
                 charge(len(numer.terms) * (k + 1), NUMERATOR_TERMS)
                 numer = numer * pole_poly(f, k, universe)
-        add_terms(terms, numer.terms.items())
+        add_terms(terms, numer.terms.items(), sign)
     return LaurentPoly._raw(universe, terms), common
 
 
@@ -188,7 +188,7 @@ def ratfun_sum(parts: Iterable[Part]) -> RatFun:
 def parts_eq(lhs: Iterable[Part], rhs: Iterable[Part]) -> bool:
     """Exact equality of two sums of parts, with no canonical form built:
     lhs - rhs has a zero numerator over the least common pole monomial."""
-    return _over_common([*lhs, *((poles, -numer) for poles, numer in rhs)])[0].is_zero()
+    return _over_common(lhs, rhs)[0].is_zero()
 
 
 def ratfun_eq(lhs: RatFun, rhs: RatFun) -> bool:

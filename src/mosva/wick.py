@@ -21,10 +21,12 @@ each survivor sits at z1 or z2, so its terms are the product's terms.
 The fold depends only on the form and the creation words, not on the state,
 dual or module it is later paired with, so each tuple of words is contracted
 once, in a bounded memo, and each element's coefficients scale the shared
-terms.  Pairing a term's residual with a state splits the same way: its
-annihilation steps on one basis pair are memoized apart from any dual, and
-both fill steps read that one memo: the bulk tables enumerate each split's
-creation fills up to a weight cap, and a single dual reads them off its words.
+terms.  The memo holds them merged, one entry per pole signature and
+residual, so no query sorts or sums them again.  Pairing a term's residual
+with a state splits the same way: its annihilation steps on one basis pair
+are memoized apart from any dual, and both fill steps read that one memo:
+the bulk tables enumerate each split's creation fills up to a weight cap,
+and a single dual reads them off its words.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from math import comb, factorial, floor, prod
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -139,24 +141,24 @@ def reduce_blocks(h: HSpace, words: Sequence[NegWord]) -> List[ContractionTerm]:
     return terms
 
 
-# -- term sources: contraction terms with element coefficients included ----------
+# -- the contraction memo: each word tuple's terms, merged once -----------------
 
 
 @lru_cache(maxsize=1024)
-def _word_terms(h: HSpace, words: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Tuple[ContractionTerm, ...]:
-    """reduce_blocks on creation words at z1, z2, ...; every query on the same
-    form and words shares the entry, so its poles are read-only views."""
+def _word_terms(h: HSpace, words: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Tuple[Tuple, ...]:
+    """reduce_blocks on creation words at z1, z2, ..., as (pole signature,
+    poles, residual, scalar) with the scalars of equal poles and residual
+    summed and zero sums dropped; every query on the same form and words
+    shares the entry, so its poles are read-only views."""
+    merged: Dict[Tuple, list] = {}
+    for scalar, poles, residual in reduce_blocks(h, words):
+        slot = merged.setdefault((tuple(sorted(poles.items())), residual), [0, poles])
+        slot[0] += scalar
     return tuple(
-        ContractionTerm(scalar, MappingProxyType(poles), residual)
-        for scalar, poles, residual in reduce_blocks(h, words)
+        (sig, MappingProxyType(poles), residual, scalar)
+        for (sig, residual), (scalar, poles) in merged.items()
+        if scalar
     )
-
-
-def _product_terms(h: HSpace, us: Sequence[FreeElem]) -> Iterator[ContractionTerm]:
-    for combo in iproduct(*[u.items() for u in us]):
-        coeff = prod(c for _, c in combo)
-        for scalar, poles, residual in _word_terms(h, tuple(word for word, _ in combo)):
-            yield ContractionTerm(coeff * scalar, poles, residual)
 
 
 # -- the table builder ---------------------------------------------------------
@@ -184,8 +186,10 @@ def _pairing_table_cached(
     # (check runs unmetered, product and iterate pair through _dual_fill), so
     # their fills charge nothing
     table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
+    variables = ()
     for pair, wcoeff in w_items:
-        for (_, (word, k)), entries in _annihilated(h, mod, residual, pair)[1].items():
+        variables, _, index = _annihilated(h, mod, residual, pair)
+        for (_, (word, k)), entries in index.items():
             room = floor(cap - key_weight(mod, (word, k)))
             for slots, evec, coeff in entries:
                 letters = tuple((i, m) for _, i, m in slots)
@@ -196,7 +200,6 @@ def _pairing_table_cached(
                             exps[t] -= n
                         key = (prefix + word, k)
                         add_into(table.setdefault(key, {}), tuple(exps), coeff * fc * wcoeff)
-    variables = sort_vars([v for v, _, _ in residual])
     return MappingProxyType(
         {key: LaurentPoly(variables, terms) for key, terms in table.items() if terms}
     )
@@ -205,10 +208,10 @@ def _pairing_table_cached(
 @lru_cache(maxsize=65536)
 def _annihilated(
     h: HSpace, mod: ModulePresentation, residual: Tuple[TaggedFactor, ...], pair: Tuple[Tuple, int]
-) -> Tuple[Tuple[int, ...], Mapping[Tuple[int, Tuple[Tuple, int]], Tuple]]:
-    """The residual's annihilation splits on one basis pair of w: the slot
-    counts they have, ascending, and the splits indexed by (slot count,
-    annihilated pair).
+) -> Tuple[Tuple[str, ...], Tuple[int, ...], Mapping[Tuple[int, Tuple[Tuple, int]], Tuple]]:
+    """The residual's annihilation splits on one basis pair of w: the
+    residual's variables, sorted, the slot counts the splits have,
+    ascending, and the splits indexed by (slot count, annihilated pair).
 
     Each entry holds, per split that leaves that pair, its slots' (variable
     slot, basis index, order) left to right, its exponent vector less each
@@ -232,7 +235,7 @@ def _annihilated(
         for key, val in applied.items():
             index.setdefault((len(slots), key), []).append(entry + (c * val,))
     counts = tuple(sorted({c for c, _ in index}))
-    return counts, MappingProxyType({key: tuple(entries) for key, entries in index.items()})
+    return variables, counts, MappingProxyType({key: tuple(entries) for key, entries in index.items()})
 
 
 def _dual_fill(
@@ -247,8 +250,9 @@ def _dual_fill(
     matched entry charges one unit.
     """
     table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
+    variables = ()
     for pair, wcoeff in w.items():
-        counts, index = _annihilated(h, mod, residual, pair)
+        variables, counts, index = _annihilated(h, mod, residual, pair)
         for key, fcoeff in f.items():
             if not fcoeff:
                 continue
@@ -266,29 +270,21 @@ def _dual_fill(
                     else:
                         charge(1, MODE_TERMS)
                         add_into(table.setdefault(key, {}), tuple(exps), coeff * wcoeff)
-    if not table:
-        return []
-    variables = sort_vars([v for v, _, _ in residual])
     return [(key, LaurentPoly._raw(variables, terms)) for key, terms in table.items() if terms]
 
 
-def _table_entries(terms: Iterable[ContractionTerm], fill: Callable) -> Iterator[Tuple]:
+def _table_entries(h: HSpace, us: Sequence[FreeElem], fill: Callable) -> Iterator[Tuple]:
     """The one builder behind every product and iterate entry point: one pass
-    that pairs each term's residual with w through `fill(residual)`, which
-    gives (basis pair, numerator) items, and yields each entry as (basis
-    pair, pole signature, poles, numerator, scalar).  Callers keep and weight
-    the entries they need, one part per (signature, variables)."""
-    # terms with equal poles and residual differ only in scalar, within one
-    # word tuple's contraction and across the elements' word tuples; summing
-    # them first pairs each residual with w once (it halves criterion 3's terms)
-    merged: Dict[Tuple, list] = {}
-    for scalar, poles, residual in terms:
-        slot = merged.setdefault((tuple(sorted(poles.items())), residual), [0, poles])
-        slot[0] += scalar
-    for (sig, residual), (scalar, poles) in merged.items():
-        if scalar:
+    over the elements' word tuples that pairs each merged memo entry's
+    residual with w through `fill(residual)`, which gives (basis pair,
+    numerator) items, and yields each entry as (basis pair, pole signature,
+    poles, numerator, scalar times the tuple's coefficients).  Callers keep
+    and weight the entries they need, one part per (signature, variables)."""
+    for combo in iproduct(*[u.items() for u in us]):
+        coeff = prod(c for _, c in combo)
+        for sig, poles, residual, scalar in _word_terms(h, tuple(word for word, _ in combo)):
             for key, poly in fill(residual):
-                yield key, sig, poles, poly, scalar
+                yield key, sig, poles, poly, coeff * scalar
 
 
 def _add_part(acc: Dict, sig: Tuple, poles: Mapping[PoleFactor, int], poly: LaurentPoly, scale):
@@ -322,8 +318,7 @@ def matrix_coeff_product(
     """
     check_exact(*us, f, w)
     acc: Dict = {}
-    entries = _table_entries(_product_terms(h, us), lambda residual: _dual_fill(h, mod, residual, w, f))
-    for key, sig, poles, poly, scalar in entries:
+    for key, sig, poles, poly, scalar in _table_entries(h, us, lambda r: _dual_fill(h, mod, r, w, f)):
         _add_part(acc, sig, poles, poly, scalar * f[key])
     return ratfun_sum(_parts(acc))
 
@@ -363,9 +358,7 @@ def product_table_raw(
     """
     check_exact(*us, w)
     cap, w_items = q(weight_cap), tuple(sorted(w.items()))
-    entries = _table_entries(
-        _product_terms(h, us), lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap).items()
-    )
+    entries = _table_entries(h, us, lambda r: _pairing_table_cached(h, mod, r, w_items, cap).items())
     accs: Dict[Tuple[Tuple, int], Dict] = {}
     for key, sig, poles, poly, scalar in entries:
         _add_part(accs.setdefault(key, {}), sig, poles, poly, scalar)

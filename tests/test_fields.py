@@ -8,6 +8,7 @@ from math import prod
 from hypothesis import given, settings, strategies as st
 
 import mosva.fields
+import mosva.modules
 from mosva.halgebra import (
     HSpace,
     basis_words_up_to,
@@ -233,17 +234,36 @@ def test_each_right_part_meets_each_mode_once(monkeypatch):
     factors = ((0, 1), (1, 1), (0, 1))
     word = ((0, 1), (1, 1), (0, 1), (1, 1))
     calls = []
-    real = mosva.fields.apply_mode
+    real = mosva.fields._apply_mode
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(mosva.fields, "apply_mode", counted)
+    monkeypatch.setattr(mosva.fields, "_apply_mode", counted)
     got = expand(apply_modes(H2, TRIV2, factors, range(-6, 4), word, 0))
     assert got == reference_apply_modes(H2, TRIV2, factors, range(-6, 4), False, word, 0)
     assert {tuple(n if n >= 0 else None for n in modes) for modes in got} == set(product([None, 1], repeat=3))
     assert len(calls) <= 1 + 2 + 4
+
+
+def test_annihilation_steps_skip_the_exactness_guard(monkeypatch):
+    # the splits act on elements the library built, so no step rescans them;
+    # the public apply_mode still guards its input
+    calls = []
+    real = mosva.modules.check_exact
+
+    def counted(*elems):
+        calls.append(elems)
+        return real(*elems)
+
+    monkeypatch.setattr(mosva.modules, "check_exact", counted)
+    factors = ((0, 1), (1, 1), (0, 1))
+    word = ((0, 1), (1, 1), (0, 1), (1, 1))
+    splits = mosva.fields.annihilation_splits(H2, TRIV2, factors, word, 0)
+    assert len(splits) == 8 and not calls
+    mosva.modules.apply_mode(H2, TRIV2, 0, 1, state(word))
+    assert len(calls) == 1
 
 
 # -- single coefficients -----------------------------------------------------

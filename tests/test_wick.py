@@ -21,19 +21,19 @@ from mosva.ratfun import (
     RatFun,
     expand_in_region,
     expand_iterate,
+    parts_eq,
     pole_diff,
     ratfun_eq,
     ratfun_sum,
     uniform_window,
 )
 from mosva.wick import (
-    ContractionTerm,
     _annihilated,
     _contract_tagged,
     _dual_fill,
     _pairing_table_cached,
-    _product_terms,
     _table_entries,
+    _word_terms,
     commutator_pm,
     iterate_table_raw,
     matrix_coeff_iterate,
@@ -48,6 +48,8 @@ TRIV1 = ModulePresentation.trivial(1)
 TRIV2 = ModulePresentation.trivial(2)
 DIFF12 = pole_diff("z1", "z2")[0]
 RATIONAL_FORM = HSpace.from_rows([[1, Fraction(1, 2)], [Fraction(1, 3), 2]])
+# (a2, a1) = -1 against 1 elsewhere: contractions of a1 and a2 can cancel
+CANCELLING_FORM = HSpace.from_rows([[1, 1], [-1, 1]])
 # criterion 5's module: two weights, noncommuting zero modes, nonzero Dm
 NONCOMMUTING4 = ModulePresentation.build(
     [0, 0, 1, 1],
@@ -61,11 +63,10 @@ NONCOMMUTING4 = ModulePresentation.build(
 
 def paired_residual(h, mod, residual, f, w):
     """<f, :residual: w> as one Laurent polynomial in the residual's variables:
-    the builder's entries for the bare residual, read off f and weighted by f."""
+    the dual fill's entries for the bare residual, weighted by f."""
     terms = {}
-    entries = _table_entries([ContractionTerm(1, {}, residual)], lambda r: _dual_fill(h, mod, r, w, f))
-    for key, _, _, poly, scalar in entries:
-        add_terms(terms, poly.terms.items(), scalar * f[key])
+    for key, poly in _dual_fill(h, mod, residual, w, f):
+        add_terms(terms, poly.terms.items(), f[key])
     return LaurentPoly(sort_vars(v for v, _, _ in residual), terms)
 
 
@@ -162,9 +163,10 @@ def test_property_every_pole_is_left_minus_right_in_canonical_order():
         dim = rng.choice([1, 2])
         h = HSpace.identity(dim) if dim == 1 else RATIONAL_FORM
         us = [random_elem(rng, dim, rng.randint(1, 3)) for _ in range(rng.choice([2, 3]))]
-        for term in _product_terms(h, us):
-            for factor in term.poles:
-                assert pole_diff(*factor) == (factor, 1), factor
+        for words in iproduct(*us):
+            for _, poles, _, _ in _word_terms(h, words):
+                for factor in poles:
+                    assert pole_diff(*factor) == (factor, 1), factor
 
 
 # -- the contraction memo ----------------------------------------------------------
@@ -182,26 +184,60 @@ def test_product_and_iterate_contract_their_words_once(fresh_word_terms):
 def test_memoized_terms_are_read_only(fresh_word_terms):
     # cached terms are shared by every later query on the same words
     words = (((0, 1),), ((0, 1),))
-    full = next(t for t in fresh_word_terms(H1, words) if not t.residual)
+    full = next(t for t in fresh_word_terms(H1, words) if not t[2])
+    sig, poles, _, _ = full
     with pytest.raises(TypeError):
-        full.poles[DIFF12] = 3
-    assert full.poles == {DIFF12: 2}
+        poles[DIFF12] = 3
+    assert poles == {DIFF12: 2} and sig == ((DIFF12, 2),)
     assert full in fresh_word_terms(H1, words)
 
 
+def test_a_group_summing_to_zero_is_no_memo_entry(fresh_word_terms):
+    # the two full contractions of a1(-1)a2(-1)1 with itself cancel:
+    # reduce_blocks keeps both, the memo neither
+    words = (((0, 1), (1, 1)),) * 2
+    full = [(s, dict(poles)) for s, poles, r in reduce_blocks(CANCELLING_FORM, words) if not r]
+    assert sorted(full) == [(-1, {DIFF12: 4}), (1, {DIFF12: 4})]
+    entries = fresh_word_terms(CANCELLING_FORM, words)
+    assert len(entries) == 5 and all(r for _, _, r, _ in entries)
+    u = word_elem(words[0])
+    assert matrix_coeff_product(CANCELLING_FORM, TRIV2, [u, u], dual_term(), vacuum_state()).is_zero()
+
+
+def merged_fresh(h, words):
+    """reduce_blocks' scalars summed per (signature, residual), first seen
+    first, with the signature's poles; groups summing to 0 left out."""
+    terms = [(tuple(sorted(p.items())), residual, scalar) for scalar, p, residual in reduce_blocks(h, words)]
+    out = []
+    for sig, residual in dict.fromkeys((sig, residual) for sig, residual, _ in terms):
+        scalar = sum(s for g, r, s in terms if (g, r) == (sig, residual))
+        if scalar:
+            out.append((sig, dict(sig), residual, scalar))
+    return out
+
+
 def test_property_memoized_terms_are_the_fresh_contraction(fresh_word_terms):
-    # cold or warm, the memo hands back reduce_blocks' terms, in order, with
-    # the product of the element coefficients applied
+    # cold or warm, each word tuple's memo entry holds, per (signature,
+    # residual) of reduce_blocks' terms, the sum of their scalars, in order:
+    # no zero entry, no duplicate and no missing group.  The builder yields
+    # them with the product of the element coefficients applied
     rng = random.Random(37)
     for _ in range(20):
+        h = rng.choice([RATIONAL_FORM, CANCELLING_FORM])
         us = [random_elem(rng, 2, 2, max_weight=3) for _ in range(rng.choice([2, 3]))]
-        fresh = [
-            (prod(c for _, c in combo) * scalar, poles, residual)
-            for combo in iproduct(*[u.items() for u in us])
-            for scalar, poles, residual in reduce_blocks(RATIONAL_FORM, [word for word, _ in combo])
-        ]
+        expected = []
+        for combo in iproduct(*[u.items() for u in us]):
+            fresh = merged_fresh(h, tuple(word for word, _ in combo))
+            for _ in range(2):
+                entries = fresh_word_terms(h, tuple(word for word, _ in combo))
+                assert [(sig, dict(poles), r, s) for sig, poles, r, s in entries] == fresh
+                assert all(s for *_, s in entries)
+                assert len({(sig, r) for sig, _, r, _ in entries}) == len(entries)
+            coeff = prod(c for _, c in combo)
+            expected += [(r, sig, coeff * s) for sig, _, r, s in fresh]
         for _ in range(2):
-            assert [(s, dict(p), r) for s, p, r in _product_terms(RATIONAL_FORM, us)] == fresh
+            entries = _table_entries(h, us, lambda r: [(r, None)])
+            assert [(key, sig, s) for key, sig, _, _, s in entries] == expected
 
 
 # -- matrix coefficients of residuals ----------------------------------------------
@@ -240,10 +276,10 @@ def test_annihilation_memo_entries_are_read_only():
     # and basis pair
     args = (H1, TRIV1, (("z1", 0, 1),), (((0, 1),), 0))
     memo = _annihilated(*args)
-    counts, index = memo
+    variables, counts, index = memo
     # a slot leaves the pair for its letter; a(1) leaves the vacuum at z1^-2
     expected = {(1, (((0, 1),), 0)): ((((0, 0, 1),), (-1,), 1),), (0, ((), 0)): (((), (-2,), 1),)}
-    assert (counts, index) == ((0, 1), expected)
+    assert (variables, counts, index) == (("z1",), (0, 1), expected)
     with pytest.raises(TypeError):
         index[0, ((), 0)] = ()
     with pytest.raises(TypeError):
@@ -288,26 +324,25 @@ def test_product_noncommutativity_witness():
 
 
 def test_iterate_terms_shape():
-    u = word_elem(((0, 1),))
-    terms = list(_product_terms(H1, (u, u)))
+    u = ((0, 1),)
+    terms = _word_terms(H1, (u, u))
     assert len(terms) == 2
-    full = next(t for t in terms if not t.residual)
-    assert full.poles == {DIFF12: 2} and full.scalar == 1
-    open_term = next(t for t in terms if t.residual)
-    assert open_term.residual == (("z1", 0, 1), ("z2", 0, 1))
+    _, poles, _, scalar = next(t for t in terms if not t[2])
+    assert poles == {DIFF12: 2} and scalar == 1
+    open_residual = next(r for _, _, r, _ in terms if r)
+    assert open_residual == (("z1", 0, 1), ("z2", 0, 1))
 
 
 def test_iterate_identity_left():
-    u2 = word_elem(((0, 2), (0, 1)))
-    terms = list(_product_terms(H1, (vacuum_elem(), u2)))
+    terms = _word_terms(H1, ((), ((0, 2), (0, 1))))
     assert len(terms) == 1
-    assert terms[0].residual == (("z2", 0, 2), ("z2", 0, 1))
+    assert terms[0][2] == (("z2", 0, 2), ("z2", 0, 1))
 
 
 def test_iterate_identity_right_shifts_fields():
     u1 = word_elem(((0, 2),))
-    terms = list(_product_terms(H1, (u1, vacuum_elem())))
-    assert terms[0].residual == (("z1", 0, 2),)
+    terms = _word_terms(H1, (((0, 2),), ()))
+    assert terms[0][2] == (("z1", 0, 2),)
     # the shifted field's matrix coefficient is the plain one with z1 powers
     rf = matrix_coeff_iterate(H1, TRIV1, u1, vacuum_elem(), dual_term(((0, 2),)), vacuum_state())
     assert rf == RatFun.const(1)
@@ -365,8 +400,7 @@ def test_two_parts_of_one_signature_over_different_variables():
     u1 = word_elem(((0, 1), (0, 1)))
     u2 = word_elem(((0, 1), (0, 1), (0, 3)))
     w = state(((0, 1),))
-    terms = _product_terms(H1, [u1, u2])
-    entries = _table_entries(terms, bulk_fill(H1, TRIV1, w, 6))
+    entries = _table_entries(H1, [u1, u2], bulk_fill(H1, TRIV1, w, 6))
     shapes = {(sig, poly.vars) for key, sig, _, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
     assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
     region = ("z1", "z2")
@@ -426,6 +460,40 @@ def test_a_bulk_table_fills_the_annihilation_memo_the_dual_read_uses():
     matrix_coeff_product(H1, TRIV1, [u], {(((0, 1), (0, 2)), 0): 1}, w)
     after = _annihilated.cache_info()
     assert after.hits > before.hits and after.misses == before.misses
+
+
+def test_sums_and_equality_of_table_parts_write_into_no_memo(fresh_word_terms):
+    # a bulk table's parts carry the memos' poles and are built from their
+    # numerators; building, summing and comparing them leaves every memo
+    # entry as it was
+    us = [
+        {((0, 1),): 1, ((1, 1),): Fraction(1, 2), ((1, 1), (0, 1)): -3},
+        {((1, 1),): 1, ((0, 1),): Fraction(2, 3)},
+    ]
+    w = {(((0, 1),), 0): 1, ((), 0): Fraction(-1, 2)}
+    w_items, cap = tuple(sorted(w.items())), 5
+
+    def snapshot():
+        seen = {}
+        for words in iproduct(*us):
+            entries = fresh_word_terms(RATIONAL_FORM, words)
+            seen[words] = [(sig, dict(poles), r, s) for sig, poles, r, s in entries]
+            for _, _, residual, _ in entries:
+                table = _pairing_table_cached(RATIONAL_FORM, TRIV2, residual, w_items, cap)
+                seen[residual] = {key: dict(poly.terms) for key, poly in table.items()}
+                for pair in w:
+                    variables, counts, index = _annihilated(RATIONAL_FORM, TRIV2, residual, pair)
+                    seen[residual, pair] = (variables, counts, dict(index))
+        return seen
+
+    before = snapshot()
+    raw = product_table_raw(RATIONAL_FORM, TRIV2, us, w, cap)
+    assert len(raw) > 1 and any(len(parts) > 1 for parts in raw.values())
+    for parts in raw.values():
+        total = ratfun_sum(parts)
+        assert parts_eq(parts, parts) and parts_eq(parts, [(total.poles, total.numer)])
+        assert parts_eq([(total.poles, total.numer)], parts)
+    assert snapshot() == before
 
 
 def test_associativity_on_samples():
