@@ -22,11 +22,12 @@ The fold depends only on the form and the creation words, not on the state,
 dual or module it is later paired with, so each tuple of words is contracted
 once, in a bounded memo, and each element's coefficients scale the shared
 terms.  The memo holds them merged, one entry per pole signature and
-residual, so no query sorts or sums them again.  Pairing a term's residual
-with a state splits the same way: its annihilation steps on one basis pair
-are memoized apart from any dual, and both fill steps read that one memo:
-the bulk tables enumerate each split's creation fills up to a weight cap,
-and a single dual reads them off its words.
+residual, so no query sorts them again; only equal entries of different word
+tuples are summed, before their residual meets a state.  Pairing a term's
+residual with a state splits the same way: its annihilation steps on one
+basis pair are memoized apart from any dual, and both fill steps read that
+one memo: the bulk tables enumerate each split's creation fills up to a
+weight cap, and a single dual reads them off its words.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 from math import comb, factorial, floor, prod
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -144,21 +145,29 @@ def reduce_blocks(h: HSpace, words: Sequence[NegWord]) -> List[ContractionTerm]:
 # -- the contraction memo: each word tuple's terms, merged once -----------------
 
 
-@lru_cache(maxsize=1024)
-def _word_terms(h: HSpace, words: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Tuple[Tuple, ...]:
-    """reduce_blocks on creation words at z1, z2, ..., as (pole signature,
-    poles, residual, scalar) with the scalars of equal poles and residual
-    summed and zero sums dropped; every query on the same form and words
-    shares the entry, so its poles are read-only views."""
+class MergedTerm(NamedTuple):
+    """A word tuple's terms of one pole signature (its poles, sorted) and residual, summed."""
+
+    sig: Tuple[Tuple[PoleFactor, int], ...]
+    poles: Mapping[PoleFactor, int]
+    residual: Tuple[TaggedFactor, ...]
+    scalar: Fraction
+
+
+def _merged(terms: Iterable[Tuple]) -> List[MergedTerm]:
+    """(sig, poles, residual, scalar) terms summed per (sig, residual), zero sums dropped."""
     merged: Dict[Tuple, list] = {}
-    for scalar, poles, residual in reduce_blocks(h, words):
-        slot = merged.setdefault((tuple(sorted(poles.items())), residual), [0, poles])
-        slot[0] += scalar
-    return tuple(
-        (sig, MappingProxyType(poles), residual, scalar)
-        for (sig, residual), (scalar, poles) in merged.items()
-        if scalar
-    )
+    for sig, poles, residual, scalar in terms:
+        merged.setdefault((sig, residual), [0, poles])[0] += scalar
+    return [MergedTerm(sig, poles, residual, s) for (sig, residual), (s, poles) in merged.items() if s]
+
+
+@lru_cache(maxsize=1024)
+def _word_terms(h: HSpace, words: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Tuple[MergedTerm, ...]:
+    """reduce_blocks on creation words at z1, z2, ..., merged; every query on
+    the same form and words shares the entry, so its poles are read-only views."""
+    terms = reduce_blocks(h, words)
+    return tuple(_merged((tuple(sorted(p.items())), MappingProxyType(p), r, s) for s, p, r in terms))
 
 
 # -- the table builder ---------------------------------------------------------
@@ -274,17 +283,24 @@ def _dual_fill(
 
 
 def _table_entries(h: HSpace, us: Sequence[FreeElem], fill: Callable) -> Iterator[Tuple]:
-    """The one builder behind every product and iterate entry point: one pass
-    over the elements' word tuples that pairs each merged memo entry's
-    residual with w through `fill(residual)`, which gives (basis pair,
-    numerator) items, and yields each entry as (basis pair, pole signature,
-    poles, numerator, scalar times the tuple's coefficients).  Callers keep
-    and weight the entries they need, one part per (signature, variables)."""
-    for combo in iproduct(*[u.items() for u in us]):
-        coeff = prod(c for _, c in combo)
-        for sig, poles, residual, scalar in _word_terms(h, tuple(word for word, _ in combo)):
-            for key, poly in fill(residual):
-                yield key, sig, poles, poly, coeff * scalar
+    """The one builder behind every product and iterate entry point: it pairs
+    each merged term's residual with w once, through `fill(residual)`'s
+    (basis pair, numerator) items, and yields (basis pair, signature, poles,
+    numerator, scalar times the words' coefficients).  Callers keep the
+    entries they need, one part per (signature, variables)."""
+    groups = [
+        (prod(c for _, c in combo), _word_terms(h, tuple(word for word, _ in combo)))
+        for combo in iproduct(*[u.items() for u in us])
+    ]
+    if len(groups) > 1:
+        # equal terms of different word tuples are summed first: one fill each
+        scaled = ((sig, poles, r, c * s) for c, terms in groups for sig, poles, r, s in terms)
+        groups = [(1, _merged(scaled))]
+    for coeff, terms in groups:
+        if coeff:
+            for sig, poles, residual, scalar in terms:
+                for key, poly in fill(residual):
+                    yield key, sig, poles, poly, coeff * scalar
 
 
 def _add_part(acc: Dict, sig: Tuple, poles: Mapping[PoleFactor, int], poly: LaurentPoly, scale):

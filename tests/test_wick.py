@@ -7,6 +7,8 @@ from math import prod
 
 import pytest
 
+import mosva.fields
+import mosva.wick
 from mosva.halgebra import HSpace, add_terms, basis_words_up_to, vacuum_elem, word_elem
 from mosva.laurent import LaurentPoly, sort_vars
 from mosva.fields import iterate_series_bruteforce, product_series_bruteforce
@@ -27,6 +29,7 @@ from mosva.ratfun import (
     ratfun_sum,
     uniform_window,
 )
+from mosva.scalars import MODE_TERMS
 from mosva.wick import (
     _annihilated,
     _contract_tagged,
@@ -164,8 +167,8 @@ def test_property_every_pole_is_left_minus_right_in_canonical_order():
         h = HSpace.identity(dim) if dim == 1 else RATIONAL_FORM
         us = [random_elem(rng, dim, rng.randint(1, 3)) for _ in range(rng.choice([2, 3]))]
         for words in iproduct(*us):
-            for _, poles, _, _ in _word_terms(h, words):
-                for factor in poles:
+            for term in _word_terms(h, words):
+                for factor in term.poles:
                     assert pole_diff(*factor) == (factor, 1), factor
 
 
@@ -184,11 +187,10 @@ def test_product_and_iterate_contract_their_words_once(fresh_word_terms):
 def test_memoized_terms_are_read_only(fresh_word_terms):
     # cached terms are shared by every later query on the same words
     words = (((0, 1),), ((0, 1),))
-    full = next(t for t in fresh_word_terms(H1, words) if not t[2])
-    sig, poles, _, _ = full
+    full = next(t for t in fresh_word_terms(H1, words) if not t.residual)
     with pytest.raises(TypeError):
-        poles[DIFF12] = 3
-    assert poles == {DIFF12: 2} and sig == ((DIFF12, 2),)
+        full.poles[DIFF12] = 3
+    assert full.poles == {DIFF12: 2} and full.sig == ((DIFF12, 2),)
     assert full in fresh_word_terms(H1, words)
 
 
@@ -199,15 +201,15 @@ def test_a_group_summing_to_zero_is_no_memo_entry(fresh_word_terms):
     full = [(s, dict(poles)) for s, poles, r in reduce_blocks(CANCELLING_FORM, words) if not r]
     assert sorted(full) == [(-1, {DIFF12: 4}), (1, {DIFF12: 4})]
     entries = fresh_word_terms(CANCELLING_FORM, words)
-    assert len(entries) == 5 and all(r for _, _, r, _ in entries)
+    assert len(entries) == 5 and all(t.residual for t in entries)
     u = word_elem(words[0])
     assert matrix_coeff_product(CANCELLING_FORM, TRIV2, [u, u], dual_term(), vacuum_state()).is_zero()
 
 
-def merged_fresh(h, words):
-    """reduce_blocks' scalars summed per (signature, residual), first seen
-    first, with the signature's poles; groups summing to 0 left out."""
-    terms = [(tuple(sorted(p.items())), residual, scalar) for scalar, p, residual in reduce_blocks(h, words)]
+def merged(terms):
+    """(signature, residual, scalar) triples summed per (signature, residual),
+    first seen first, with the signature's poles; groups summing to 0 left out."""
+    terms = list(terms)
     out = []
     for sig, residual in dict.fromkeys((sig, residual) for sig, residual, _ in terms):
         scalar = sum(s for g, r, s in terms if (g, r) == (sig, residual))
@@ -216,28 +218,71 @@ def merged_fresh(h, words):
     return out
 
 
+def fresh_terms(h, words, coeff=1):
+    return [(tuple(sorted(p.items())), residual, coeff * s) for s, p, residual in reduce_blocks(h, words)]
+
+
 def test_property_memoized_terms_are_the_fresh_contraction(fresh_word_terms):
     # cold or warm, each word tuple's memo entry holds, per (signature,
     # residual) of reduce_blocks' terms, the sum of their scalars, in order:
     # no zero entry, no duplicate and no missing group.  The builder yields
-    # them with the product of the element coefficients applied
+    # the entries of all word tuples summed per (signature, residual) with
+    # the product of the element coefficients applied, each group once: the
+    # sums of every word tuple's fresh terms
     rng = random.Random(37)
     for _ in range(20):
         h = rng.choice([RATIONAL_FORM, CANCELLING_FORM])
         us = [random_elem(rng, 2, 2, max_weight=3) for _ in range(rng.choice([2, 3]))]
-        expected = []
+        scaled, raw = [], []
         for combo in iproduct(*[u.items() for u in us]):
-            fresh = merged_fresh(h, tuple(word for word, _ in combo))
+            words, coeff = tuple(word for word, _ in combo), prod(c for _, c in combo)
+            fresh = merged(fresh_terms(h, words))
             for _ in range(2):
-                entries = fresh_word_terms(h, tuple(word for word, _ in combo))
-                assert [(sig, dict(poles), r, s) for sig, poles, r, s in entries] == fresh
-                assert all(s for *_, s in entries)
-                assert len({(sig, r) for sig, _, r, _ in entries}) == len(entries)
-            coeff = prod(c for _, c in combo)
-            expected += [(r, sig, coeff * s) for sig, _, r, s in fresh]
+                entries = fresh_word_terms(h, words)
+                assert [(t.sig, dict(t.poles), t.residual, t.scalar) for t in entries] == fresh
+                assert all(t.scalar for t in entries)
+                assert len({(t.sig, t.residual) for t in entries}) == len(entries)
+            scaled += [(sig, r, coeff * s) for sig, _, r, s in fresh]
+            raw += fresh_terms(h, words, coeff)
+        expected = [(r, sig, s) for sig, _, r, s in merged(scaled)]
+        assert sorted(expected) == sorted((r, sig, s) for sig, _, r, s in merged(raw))
         for _ in range(2):
             entries = _table_entries(h, us, lambda r: [(r, None)])
             assert [(key, sig, s) for key, sig, _, _, s in entries] == expected
+
+
+def counted_charges(monkeypatch):
+    """The units the engine and the oracle charge from now on, per stage."""
+    used = {}
+
+    def counting(units, stage):
+        used[stage] = used.get(stage, 0) + units
+
+    monkeypatch.setattr(mosva.wick, "charge", counting)
+    monkeypatch.setattr(mosva.fields, "charge", counting)
+    return used
+
+
+def test_equal_terms_of_different_word_tuples_are_filled_once(monkeypatch):
+    # a1(-1)a2(-1)1 and a2(-1)a1(-1)1 leave equal (signature, residual)
+    # groups against a1(-1)1; each group's residual is filled once, so the
+    # product charges 2 applied mode terms, not one fill per word tuple
+    used = counted_charges(monkeypatch)
+    u1 = {((0, 1), (1, 1)): 1, ((1, 1), (0, 1)): 1}
+    f = {(((1, 1),), 0): 1, (((1, 2),), 0): 1}
+    rf = matrix_coeff_product(H2, TRIV2, [u1, word_elem(((0, 1),))], f, vacuum_state())
+    assert not rf.is_zero() and used[MODE_TERMS] == 2
+
+
+def test_a_word_of_coefficient_zero_is_never_filled(monkeypatch):
+    used = counted_charges(monkeypatch)
+    u, f = word_elem(((0, 1),)), dual_term(((0, 1), (0, 1)))
+    assert matrix_coeff_product(H2, TRIV2, [u, u], f, vacuum_state()) == RatFun.const(1)
+    assert used[MODE_TERMS] == 1
+    used.clear()
+    zero = {((0, 1),): 0}
+    assert matrix_coeff_product(H2, TRIV2, [zero, u], f, vacuum_state()).is_zero()
+    assert MODE_TERMS not in used
 
 
 # -- matrix coefficients of residuals ----------------------------------------------
@@ -327,22 +372,22 @@ def test_iterate_terms_shape():
     u = ((0, 1),)
     terms = _word_terms(H1, (u, u))
     assert len(terms) == 2
-    _, poles, _, scalar = next(t for t in terms if not t[2])
-    assert poles == {DIFF12: 2} and scalar == 1
-    open_residual = next(r for _, _, r, _ in terms if r)
+    full = next(t for t in terms if not t.residual)
+    assert full.poles == {DIFF12: 2} and full.scalar == 1
+    open_residual = next(t.residual for t in terms if t.residual)
     assert open_residual == (("z1", 0, 1), ("z2", 0, 1))
 
 
 def test_iterate_identity_left():
     terms = _word_terms(H1, ((), ((0, 2), (0, 1))))
     assert len(terms) == 1
-    assert terms[0][2] == (("z2", 0, 2), ("z2", 0, 1))
+    assert terms[0].residual == (("z2", 0, 2), ("z2", 0, 1))
 
 
 def test_iterate_identity_right_shifts_fields():
     u1 = word_elem(((0, 2),))
     terms = _word_terms(H1, (((0, 2),), ()))
-    assert terms[0][2] == (("z1", 0, 2),)
+    assert terms[0].residual == (("z1", 0, 2),)
     # the shifted field's matrix coefficient is the plain one with z1 powers
     rf = matrix_coeff_iterate(H1, TRIV1, u1, vacuum_elem(), dual_term(((0, 2),)), vacuum_state())
     assert rf == RatFun.const(1)
@@ -477,8 +522,8 @@ def test_sums_and_equality_of_table_parts_write_into_no_memo(fresh_word_terms):
         seen = {}
         for words in iproduct(*us):
             entries = fresh_word_terms(RATIONAL_FORM, words)
-            seen[words] = [(sig, dict(poles), r, s) for sig, poles, r, s in entries]
-            for _, _, residual, _ in entries:
+            seen[words] = [(t.sig, dict(t.poles), t.residual, t.scalar) for t in entries]
+            for residual in (t.residual for t in entries):
                 table = _pairing_table_cached(RATIONAL_FORM, TRIV2, residual, w_items, cap)
                 seen[residual] = {key: dict(poly.terms) for key, poly in table.items()}
                 for pair in w:
