@@ -270,9 +270,15 @@ def verify_D_properties(
         )
         if derivative != commutator:
             return f"commutator form differs at exponent {e}"
-    # mode-level commutators [D, a(-m)] = m a(-m-1), [D, a(m)] = -m a(m-1):
-    # statements about the algebra itself, where zero modes act as zero, so
-    # they are pinned on the trivial-module realization
+    return None
+
+
+def verify_mode_commutators(h: HSpace, w: WElem) -> Optional[str]:
+    """[D, a(-m)] = m a(-m-1) and [D, a(m)] = -m a(m-1) on w's first words.
+
+    Statements about the algebra itself, where zero modes act as zero, so
+    they are pinned on the trivial-module realization; they read no u.
+    """
     triv = ModulePresentation.trivial(h.dim)
     for (word, _s) in list(w)[:4]:
         wv = {(word, 0): 1}
@@ -577,14 +583,19 @@ def _held(params: Dict[str, object], failure: Optional[str]) -> Outcome:
     return params, failure is None, failure or ""
 
 
-def _series(s: _Samples, states: int, verify: Callable[..., Optional[str]]) -> Outcome:
+def _series(
+    s: _Samples, states: int, verify: Callable[..., Optional[str]], per_state: Optional[Callable] = None
+) -> Outcome:
     """verify(h, mod, u, w, window) over each sampled element and the first
-    `states` sampled states; a failure leads with its u and w."""
+    `states` sampled states, and per_state(h, w) once per state, after its
+    first verify; a failure leads with its u and w."""
     c = s.config
     params = {"samples": len(s.elems), "window": c.window}
-    for u in s.elems:
+    for n, u in enumerate(s.elems):
         for w in s.states[:states]:
             failure = verify(c.h, c.module, u, w, c.window)
+            if failure is None and per_state is not None and n == 0:
+                failure = per_state(c.h, w)
             if failure is not None:
                 return params, False, f"u={render_free_elem(u)} w={render_pairs(w)}: {failure}"
     return params, True, ""
@@ -672,7 +683,7 @@ CHECKS: Dict[str, Callable[[_Samples], Outcome]] = {
         verify_identity_creation(s.config.h, s.config.module, s.elems, s.config.window),
     ),
     "grading-bracket": lambda s: _series(s, 4, verify_d_bracket),
-    "translation-properties": lambda s: _series(s, 3, verify_D_properties),
+    "translation-properties": lambda s: _series(s, 3, verify_D_properties, verify_mode_commutators),
     "rationality-product": lambda s: _rationality(
         s, "rationality-product", max(6, s.config.sample_pairs // 3),
         lambda h, mod, u1, u2, *rest: verify_rationality_product(h, mod, [u1, u2], *rest),

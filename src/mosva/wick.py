@@ -18,26 +18,26 @@ every pole is (z_i - z_j) with i < j.  An iterate contracts u1 at x2+x0
 against u2 at x2; with z1 = x2+x0 and z2 = x2 each pole x0 is (z1 - z2) and
 each survivor sits at z1 or z2, so its terms are the product's terms.
 
-The fold depends only on the form and the creation words, not on the state,
-dual or module it is later paired with, so each tuple of words is contracted
-once, in a bounded memo, and each element's coefficients scale the shared
-terms.  The memo holds them merged, one entry per pole signature and
-residual, so no query sorts them again; only equal entries of different word
-tuples are summed, before their residual meets a state.  Pairing a term's
-residual with a state splits the same way: its annihilation steps on one
-basis pair are memoized apart from any dual, and both fill steps read that
-one memo: the bulk tables enumerate each split's creation fills up to a
-weight cap, and a single dual reads them off its words.
+The fold is bilinear in its operands, so it folds whole elements: each word
+of operand j sits at z(j+1), scaled by its coefficient, and after every
+operand the terms of equal poles and residual are summed, zero sums dropped.
+It depends only on the form and the operands, not on the state, dual or
+module they are later paired with, so each tuple of operands is contracted
+once, in a bounded memo.  Pairing a term's residual with a state splits the
+same way: its annihilation steps on one basis pair are memoized apart from
+any dual, and both fill steps read that one memo: the bulk tables enumerate
+each split's creation fills up to a weight cap, and a single dual reads them
+off its words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product as iproduct
-from math import comb, factorial, floor, prod
+from itertools import combinations, permutations
+from math import comb, factorial, floor
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -56,10 +56,11 @@ TaggedFactor = Tuple[str, int, int]
 
 
 class ContractionTerm(NamedTuple):
-    """scalar * prod(pole factors)^(-exponent) * normal-ordered residual."""
+    """scalar * prod(pole factors)^(-exponent) * normal-ordered residual; the
+    poles are sorted (factor, exponent) pairs, so equal poles are equal keys."""
 
     scalar: Fraction
-    poles: Mapping[PoleFactor, int]
+    poles: Tuple[Tuple[PoleFactor, int], ...]
     residual: Tuple[TaggedFactor, ...]
 
 
@@ -94,7 +95,7 @@ def _contract_tagged(
     left: Sequence[TaggedFactor],
     right: Sequence[TaggedFactor],
     scalar: Fraction,
-    poles: Mapping[PoleFactor, int],
+    poles: Tuple[Tuple[PoleFactor, int], ...],
 ) -> List[ContractionTerm]:
     """Every nonvanishing contraction pattern of two tagged groups.
 
@@ -120,54 +121,42 @@ def _contract_tagged(
             residual = tuple(f for t, f in enumerate(left) if t not in used_p) + tuple(
                 f for t, f in enumerate(right) if t not in used_q
             )
-            out.append(ContractionTerm(term_scalar, term_poles, residual))
+            out.append(ContractionTerm(term_scalar, tuple(sorted(term_poles.items())), residual))
     return out
 
 
-def reduce_blocks(h: HSpace, words: Sequence[NegWord]) -> List[ContractionTerm]:
-    """Left-to-right fold of the two-group contraction over creation words.
+def reduce_blocks(h: HSpace, us: Sequence[FreeElem]) -> List[ContractionTerm]:
+    """Left-to-right fold of the two-group contraction over operand elements.
 
-    Word j's factors sit at z(j+1); from the empty residual, each word is
-    contracted against the survivors of the words before it, so every pole
-    is (z_i - z_j) with i < j by construction.  Variable tags travel with
-    their factors, so the merged residual remembers where each survivor
-    came from.
+    Each word of element j sits at z(j+1), scaled by its coefficient; from
+    the empty residual, each word is contracted against the survivors of the
+    elements before it, so every pole is (z_i - z_j) with i < j by
+    construction.  After each element the terms are summed per (poles,
+    residual), zero sums dropped.  Variable tags travel with their factors,
+    so the merged residual remembers where each survivor came from.
     """
-    terms = [ContractionTerm(1, {}, ())]
-    for j, word in enumerate(words):
-        right = tuple((f"z{j + 1}", i, m) for i, m in word)
-        terms = [
-            new for t in terms for new in _contract_tagged(h, t.residual, right, t.scalar, t.poles)
-        ]
+    terms = [ContractionTerm(1, (), ())]
+    for j, u in enumerate(us):
+        merged: Dict[Tuple, Fraction] = {}
+        for word, coeff in u.items():
+            right = tuple((f"z{j + 1}", i, m) for i, m in word)
+            for t in terms:
+                for new in _contract_tagged(h, t.residual, right, t.scalar * coeff, t.poles):
+                    add_into(merged, (new.poles, new.residual), new.scalar)
+        terms = [ContractionTerm(s, poles, r) for (poles, r), s in merged.items()]
     return terms
 
 
-# -- the contraction memo: each word tuple's terms, merged once -----------------
-
-
-class MergedTerm(NamedTuple):
-    """A word tuple's terms of one pole signature (its poles, sorted) and residual, summed."""
-
-    sig: Tuple[Tuple[PoleFactor, int], ...]
-    poles: Mapping[PoleFactor, int]
-    residual: Tuple[TaggedFactor, ...]
-    scalar: Fraction
-
-
-def _merged(terms: Iterable[Tuple]) -> List[MergedTerm]:
-    """(sig, poles, residual, scalar) terms summed per (sig, residual), zero sums dropped."""
-    merged: Dict[Tuple, list] = {}
-    for sig, poles, residual, scalar in terms:
-        merged.setdefault((sig, residual), [0, poles])[0] += scalar
-    return [MergedTerm(sig, poles, residual, s) for (sig, residual), (s, poles) in merged.items() if s]
+# -- the contraction memo: each tuple of operands folded once --------------------
 
 
 @lru_cache(maxsize=1024)
-def _word_terms(h: HSpace, words: Tuple[Tuple[Tuple[int, int], ...], ...]) -> Tuple[MergedTerm, ...]:
-    """reduce_blocks on creation words at z1, z2, ..., merged; every query on
-    the same form and words shares the entry, so its poles are read-only views."""
-    terms = reduce_blocks(h, words)
-    return tuple(_merged((tuple(sorted(p.items())), MappingProxyType(p), r, s) for s, p, r in terms))
+def _elem_terms(
+    h: HSpace, us: Tuple[Tuple[Tuple[NegWord, Fraction], ...], ...]
+) -> Tuple[ContractionTerm, ...]:
+    """reduce_blocks on the operands given by their sorted items; every query
+    on the same form and operands shares the entry."""
+    return tuple(reduce_blocks(h, [dict(items) for items in us]))
 
 
 # -- the table builder ---------------------------------------------------------
@@ -284,35 +273,25 @@ def _dual_fill(
 
 def _table_entries(h: HSpace, us: Sequence[FreeElem], fill: Callable) -> Iterator[Tuple]:
     """The one builder behind every product and iterate entry point: it pairs
-    each merged term's residual with w once, through `fill(residual)`'s
-    (basis pair, numerator) items, and yields (basis pair, signature, poles,
-    numerator, scalar times the words' coefficients).  Callers keep the
-    entries they need, one part per (signature, variables)."""
-    groups = [
-        (prod(c for _, c in combo), _word_terms(h, tuple(word for word, _ in combo)))
-        for combo in iproduct(*[u.items() for u in us])
-    ]
-    if len(groups) > 1:
-        # equal terms of different word tuples are summed first: one fill each
-        scaled = ((sig, poles, r, c * s) for c, terms in groups for sig, poles, r, s in terms)
-        groups = [(1, _merged(scaled))]
-    for coeff, terms in groups:
-        if coeff:
-            for sig, poles, residual, scalar in terms:
-                for key, poly in fill(residual):
-                    yield key, sig, poles, poly, coeff * scalar
+    each contraction term's residual with w once, through `fill(residual)`'s
+    (basis pair, numerator) items, and yields (basis pair, poles, numerator,
+    scalar).  Callers keep the entries they need, one part per (poles,
+    variables)."""
+    for scalar, poles, residual in _elem_terms(h, tuple(tuple(sorted(u.items())) for u in us)):
+        for key, poly in fill(residual):
+            yield key, poles, poly, scalar
 
 
-def _add_part(acc: Dict, sig: Tuple, poles: Mapping[PoleFactor, int], poly: LaurentPoly, scale):
-    """Add scale * poly / poles into acc, one numerator per (signature, variables)."""
-    slot = acc.get((sig, poly.vars))
+def _add_part(acc: Dict, poles: Tuple, poly: LaurentPoly, scale):
+    """Add scale * poly / poles into acc, one numerator per (poles, variables)."""
+    slot = acc.get((poles, poly.vars))
     if slot is None:
-        slot = acc[sig, poly.vars] = (poles, {})
-    add_terms(slot[1], poly.terms.items(), scale)
+        slot = acc[poles, poly.vars] = {}
+    add_terms(slot, poly.terms.items(), scale)
 
 
 def _parts(acc: Dict) -> List[Part]:
-    return [(poles, LaurentPoly._raw(vs, terms)) for (_, vs), (poles, terms) in acc.items() if terms]
+    return [(dict(poles), LaurentPoly._raw(vs, terms)) for (poles, vs), terms in acc.items() if terms]
 
 
 # -- matrix coefficients: each residual's table at f's keys, paired with f -------
@@ -334,8 +313,8 @@ def matrix_coeff_product(
     """
     check_exact(*us, f, w)
     acc: Dict = {}
-    for key, sig, poles, poly, scalar in _table_entries(h, us, lambda r: _dual_fill(h, mod, r, w, f)):
-        _add_part(acc, sig, poles, poly, scalar * f[key])
+    for key, poles, poly, scalar in _table_entries(h, us, lambda r: _dual_fill(h, mod, r, w, f)):
+        _add_part(acc, poles, poly, scalar * f[key])
     return ratfun_sum(_parts(acc))
 
 
@@ -376,8 +355,8 @@ def product_table_raw(
     cap, w_items = q(weight_cap), tuple(sorted(w.items()))
     entries = _table_entries(h, us, lambda r: _pairing_table_cached(h, mod, r, w_items, cap).items())
     accs: Dict[Tuple[Tuple, int], Dict] = {}
-    for key, sig, poles, poly, scalar in entries:
-        _add_part(accs.setdefault(key, {}), sig, poles, poly, scalar)
+    for key, poles, poly, scalar in entries:
+        _add_part(accs.setdefault(key, {}), poles, poly, scalar)
     return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
 
 

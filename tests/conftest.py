@@ -10,9 +10,9 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture
-def fresh_word_terms():
+def fresh_elem_terms():
     """An empty contraction memo for the test, emptied again at teardown, so
     no test reads terms another test contracted, with or without a patch."""
-    mosva.wick._word_terms.cache_clear()
-    yield mosva.wick._word_terms
-    mosva.wick._word_terms.cache_clear()
+    mosva.wick._elem_terms.cache_clear()
+    yield mosva.wick._elem_terms
+    mosva.wick._elem_terms.cache_clear()

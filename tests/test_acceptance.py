@@ -30,6 +30,7 @@ from mosva.checks import (
     run_suite,
     verify_D_properties,
     verify_d_bracket,
+    verify_mode_commutators,
     verify_quotient_homomorphism,
     verify_sym_crosscheck,
 )
@@ -266,6 +267,8 @@ def test_criterion_5_module_axioms():
             for s in range(2):
                 r = verify_D_properties(H2, chain, word_elem(uword), vacuum_state(s), (-5, 2))
                 assert r is None, r
+        for s in range(2):
+            assert verify_mode_commutators(H2, vacuum_state(s)) is None
     report("criterion-5 module axioms", t, 60.0,
            "dim-4 module, noncommuting action, nonzero weight-one operator")
 
@@ -352,6 +355,8 @@ def test_criterion_8_graded_dimensions():
 def test_criterion_9_translation_and_grading_identities():
     with Timer() as t:
         states = [vacuum_state(), state(((0, 1),))]
+        for w in states:
+            assert verify_mode_commutators(H2, w) is None
         for uword in basis_words_up_to(2, 4):
             u = word_elem(uword)
             for w in states:

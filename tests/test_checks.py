@@ -19,6 +19,7 @@ from mosva.checks import (
     verify_d_bracket,
     verify_graded_dimensions,
     verify_identity_creation,
+    verify_mode_commutators,
     verify_pbw_confluence,
     verify_quotient_homomorphism,
     verify_rationality_iterate,
@@ -107,6 +108,29 @@ def test_D_properties_pass():
     for uword in [((0, 1),), (), ((0, 1), (1, 2))]:
         r = verify_D_properties(H2, TRIV2, word_elem(uword), vacuum_state(), (-5, 3))
         assert r is None, r
+    for w in [vacuum_state(), state(((0, 1),)), state(((1, 2), (0, 1)))]:
+        assert verify_mode_commutators(H2, w) is None
+
+
+def test_mode_commutators_run_once_per_state(monkeypatch):
+    # they read no u, so the suite asks them once for each of its 3 states,
+    # right after that state's first series sample, whose u a failure names
+    seen, fail_on = [], []
+
+    def mode_commutators(h, w):
+        seen.append(w)
+        return "mode commutator fails at a1(1)" if len(seen) in fail_on else None
+
+    monkeypatch.setattr(mosva.checks, "verify_mode_commutators", mode_commutators)
+    config = SuiteConfig(h=H2, module=TRIV2, checks=("translation-properties",))
+    assert run_suite(config)[-1].passed
+    assert len(seen) == 3 and len({render_pairs(w) for w in seen}) == 3
+    second = render_pairs(seen[1])
+    seen.clear()
+    fail_on.append(2)
+    report = run_suite(config)[-1]
+    assert not report.passed and report.params == {"samples": 27, "window": (-6, 2)}
+    assert report.detail == f"u=1 w={second}: mode commutator fails at a1(1)"
 
 
 def test_D_properties_fault_injection(corrupt_series):
@@ -322,7 +346,7 @@ def test_rationality_samples_compare_coefficients_that_exist(monkeypatch):
     assert sum(product) >= 0.85 * len(product) and sum(iterate) >= 0.9 * len(iterate)
 
 
-def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch, fresh_word_terms):
+def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch, fresh_elem_terms):
     # the duals come from the oracle's reach, not the engine's table, so a
     # basis pair the engine loses (here the vacuum of a full contraction)
     # is still sampled; the memo is emptied around the test, so the patched
@@ -335,7 +359,7 @@ def test_rationality_checks_fail_when_the_engine_drops_a_pattern(monkeypatch, fr
         mosva.wick, "_pattern_pairs",
         lambda k, l: (pairs for pairs in full(k, l) if not (pairs and len(pairs) == k == l)),
     )
-    fresh_word_terms.cache_clear()  # drop the terms the unpatched runs contracted
+    fresh_elem_terms.cache_clear()  # drop the terms the unpatched runs contracted
     for config in configs:
         failed = [r for r in run_suite(config) if not r.passed]
         assert failed, config.seed

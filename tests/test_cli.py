@@ -325,7 +325,7 @@ def test_operand_weight_bound_admits(command, u1, u2, capsys):
 
 
 @pytest.mark.parametrize("command", ["product", "iterate"])
-def test_pattern_bound_refuses_many_letters_quickly(command, capsys, fresh_word_terms):
+def test_pattern_bound_refuses_many_letters_quickly(command, capsys, fresh_elem_terms):
     # a1(-1)^7 1 twice charges 130,923 patterns, about 2.4 s of contraction;
     # the fold charges a step's patterns before it enumerates them
     word = "a1(-1)" * 7 + "1"

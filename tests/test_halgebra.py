@@ -35,12 +35,12 @@ def test_validate_identity_passes_both_flags():
     assert validate_hspace(H2, True, True) == []
 
 
-def test_equal_spaces_hash_equal_and_share_a_memo_entry(fresh_word_terms):
+def test_equal_spaces_hash_equal_and_share_a_memo_entry(fresh_elem_terms):
     built = HSpace.from_rows([[1, 0], [0, 1]])
     assert built is not H2 and built == H2 and hash(built) == hash(H2)
-    words = (((0, 1),), ((1, 1),))
-    assert fresh_word_terms(built, words) is fresh_word_terms(H2, words)
-    assert fresh_word_terms.cache_info().currsize == 1
+    operands = tuple(((word, 1),) for word in (((0, 1),), ((1, 1),)))
+    assert fresh_elem_terms(built, operands) is fresh_elem_terms(H2, operands)
+    assert fresh_elem_terms.cache_info().currsize == 1
 
 
 def test_replace_rehashes_the_space():

@@ -9,7 +9,7 @@ import pytest
 
 import mosva.fields
 import mosva.wick
-from mosva.halgebra import HSpace, add_terms, basis_words_up_to, vacuum_elem, word_elem
+from mosva.halgebra import HSpace, add_into, add_terms, basis_words_up_to, vacuum_elem, word_elem
 from mosva.laurent import LaurentPoly, sort_vars
 from mosva.fields import iterate_series_bruteforce, product_series_bruteforce
 from mosva.modules import (
@@ -29,14 +29,14 @@ from mosva.ratfun import (
     ratfun_sum,
     uniform_window,
 )
-from mosva.scalars import MODE_TERMS
+from mosva.scalars import MODE_TERMS, PATTERNS
 from mosva.wick import (
     _annihilated,
     _contract_tagged,
     _dual_fill,
+    _elem_terms,
     _pairing_table_cached,
     _table_entries,
-    _word_terms,
     commutator_pm,
     iterate_table_raw,
     matrix_coeff_iterate,
@@ -83,6 +83,11 @@ def canonical_table(raw):
     return {key: ratfun_sum(parts) for key, parts in raw.items()}
 
 
+def elem_key(*us):
+    """The contraction memo's key for the operands: each one's sorted items."""
+    return tuple(tuple(sorted(u.items())) for u in us)
+
+
 # -- single contractions ---------------------------------------------------------
 
 
@@ -105,42 +110,40 @@ def test_commutator_derivative_annihilator():
 
 
 def test_two_blocks_one_factor_each():
-    terms = reduce_blocks(H1, [((0, 1),), ((0, 1),)])
+    terms = reduce_blocks(H1, [word_elem(((0, 1),)), word_elem(((0, 1),))])
     assert len(terms) == 2
     by_len = {len(t.residual): t for t in terms}
     full = by_len[0]
-    assert full.scalar == 1 and full.poles == {DIFF12: 2}
+    assert full.scalar == 1 and full.poles == ((DIFF12, 2),)
     open_term = by_len[2]
-    assert open_term.scalar == 1 and open_term.poles == {}
+    assert open_term.scalar == 1 and open_term.poles == ()
     assert open_term.residual == (("z1", 0, 1), ("z2", 0, 1))
 
 
 def test_two_blocks_orthogonal_directions():
-    terms = reduce_blocks(H2, [((0, 1),), ((1, 1),)])
-    assert len(terms) == 1 and terms[0].poles == {}
+    terms = reduce_blocks(H2, [word_elem(((0, 1),)), word_elem(((1, 1),))])
+    assert len(terms) == 1 and terms[0].poles == ()
 
 
 def test_two_blocks_pattern_enumeration():
-    terms = reduce_blocks(H2, [((0, 1), (1, 1)), ((1, 1), (0, 1))])
+    terms = reduce_blocks(H2, [word_elem(((0, 1), (1, 1))), word_elem(((1, 1), (0, 1)))])
     sizes = sorted(len(t.residual) for t in terms)
     # i=0 once; i=1: four bijections, two mixed-direction ones vanish; i=2:
     # both bijections, the twice-crossing one vanishes on the identity form
     assert sizes == [0, 2, 2, 4]
     full = next(t for t in terms if not t.residual)
-    assert full.scalar == 1 and full.poles == {DIFF12: 4}
+    assert full.scalar == 1 and full.poles == ((DIFF12, 4),)
 
 
 def test_reduce_single_block_is_itself():
-    terms = reduce_blocks(H2, [((0, 2), (1, 1))])
+    terms = reduce_blocks(H2, [word_elem(((0, 2), (1, 1)))])
     assert len(terms) == 1
     assert terms[0].scalar == 1 and terms[0].residual == (("z1", 0, 2), ("z1", 1, 1))
 
 
 def test_reduce_three_single_blocks():
-    terms = reduce_blocks(H1, [((0, 1),)] * 3)
-    pole_sets = sorted(
-        tuple(sorted(t.poles.items())) for t in terms if len(t.residual) == 1
-    )
+    terms = reduce_blocks(H1, [word_elem(((0, 1),))] * 3)
+    pole_sets = sorted(t.poles for t in terms if len(t.residual) == 1)
     d = lambda a, b: pole_diff(a, b)[0]
     assert pole_sets == sorted(
         [
@@ -167,88 +170,72 @@ def test_property_every_pole_is_left_minus_right_in_canonical_order():
         h = HSpace.identity(dim) if dim == 1 else RATIONAL_FORM
         us = [random_elem(rng, dim, rng.randint(1, 3)) for _ in range(rng.choice([2, 3]))]
         for words in iproduct(*us):
-            for term in _word_terms(h, words):
-                for factor in term.poles:
+            for term in reduce_blocks(h, [word_elem(word) for word in words]):
+                for factor, _ in term.poles:
                     assert pole_diff(*factor) == (factor, 1), factor
 
 
 # -- the contraction memo ----------------------------------------------------------
 
 
-def test_product_and_iterate_contract_their_words_once(fresh_word_terms):
+def test_product_and_iterate_contract_their_words_once(fresh_elem_terms):
     u1, u2 = word_elem(((0, 1), (1, 2))), word_elem(((1, 1),))
     f, w = dual_term(((1, 2),)), vacuum_state()
     matrix_coeff_product(RATIONAL_FORM, TRIV2, [u1, u2], f, w)
     matrix_coeff_iterate(RATIONAL_FORM, TRIV2, u1, u2, f, w)
-    info = fresh_word_terms.cache_info()
+    info = fresh_elem_terms.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_memoized_terms_are_read_only(fresh_word_terms):
-    # cached terms are shared by every later query on the same words
-    words = (((0, 1),), ((0, 1),))
-    full = next(t for t in fresh_word_terms(H1, words) if not t.residual)
+def test_memoized_terms_are_read_only(fresh_elem_terms):
+    # cached terms are shared by every later query on the same operands
+    u = word_elem(((0, 1),))
+    full = next(t for t in fresh_elem_terms(H1, elem_key(u, u)) if not t.residual)
     with pytest.raises(TypeError):
-        full.poles[DIFF12] = 3
-    assert full.poles == {DIFF12: 2} and full.sig == ((DIFF12, 2),)
-    assert full in fresh_word_terms(H1, words)
+        full.poles[0] = (DIFF12, 3)
+    with pytest.raises(AttributeError):
+        full.scalar = 2
+    assert full.poles == ((DIFF12, 2),) and full.scalar == 1
+    assert full in fresh_elem_terms(H1, elem_key(u, u))
 
 
-def test_a_group_summing_to_zero_is_no_memo_entry(fresh_word_terms):
-    # the two full contractions of a1(-1)a2(-1)1 with itself cancel:
-    # reduce_blocks keeps both, the memo neither
-    words = (((0, 1), (1, 1)),) * 2
-    full = [(s, dict(poles)) for s, poles, r in reduce_blocks(CANCELLING_FORM, words) if not r]
-    assert sorted(full) == [(-1, {DIFF12: 4}), (1, {DIFF12: 4})]
-    entries = fresh_word_terms(CANCELLING_FORM, words)
+def test_a_group_summing_to_zero_is_no_memo_entry(fresh_elem_terms):
+    # the two full contractions of a1(-1)a2(-1)1 with itself cancel: the
+    # pattern step yields both, reduce_blocks and so the memo neither
+    left, right = (("z1", 0, 1), ("z1", 1, 1)), (("z2", 0, 1), ("z2", 1, 1))
+    terms = _contract_tagged(CANCELLING_FORM, left, right, 1, ())
+    full = [(t.scalar, t.poles) for t in terms if not t.residual]
+    assert sorted(full) == [(-1, ((DIFF12, 4),)), (1, ((DIFF12, 4),))]
+    u = word_elem(((0, 1), (1, 1)))
+    entries = fresh_elem_terms(CANCELLING_FORM, elem_key(u, u))
     assert len(entries) == 5 and all(t.residual for t in entries)
-    u = word_elem(words[0])
+    assert list(entries) == reduce_blocks(CANCELLING_FORM, [u, u])
     assert matrix_coeff_product(CANCELLING_FORM, TRIV2, [u, u], dual_term(), vacuum_state()).is_zero()
 
 
-def merged(terms):
-    """(signature, residual, scalar) triples summed per (signature, residual),
-    first seen first, with the signature's poles; groups summing to 0 left out."""
-    terms = list(terms)
-    out = []
-    for sig, residual in dict.fromkeys((sig, residual) for sig, residual, _ in terms):
-        scalar = sum(s for g, r, s in terms if (g, r) == (sig, residual))
-        if scalar:
-            out.append((sig, dict(sig), residual, scalar))
-    return out
-
-
-def fresh_terms(h, words, coeff=1):
-    return [(tuple(sorted(p.items())), residual, coeff * s) for s, p, residual in reduce_blocks(h, words)]
-
-
-def test_property_memoized_terms_are_the_fresh_contraction(fresh_word_terms):
-    # cold or warm, each word tuple's memo entry holds, per (signature,
-    # residual) of reduce_blocks' terms, the sum of their scalars, in order:
-    # no zero entry, no duplicate and no missing group.  The builder yields
-    # the entries of all word tuples summed per (signature, residual) with
-    # the product of the element coefficients applied, each group once: the
-    # sums of every word tuple's fresh terms
+def test_property_the_fold_is_multilinear_in_its_operands(fresh_elem_terms):
+    # reduce_blocks on elements is the sum, over their word tuples, of each
+    # tuple's fold scaled by the product of its coefficients, summed per
+    # (poles, residual): no zero entry, no duplicate and no missing group.
+    # Cold or warm, the memo entry holds that fold, and the builder yields
+    # the memo's terms in order, one per residual it fills
     rng = random.Random(37)
     for _ in range(20):
         h = rng.choice([RATIONAL_FORM, CANCELLING_FORM])
         us = [random_elem(rng, 2, 2, max_weight=3) for _ in range(rng.choice([2, 3]))]
-        scaled, raw = [], []
+        expected = {}
         for combo in iproduct(*[u.items() for u in us]):
-            words, coeff = tuple(word for word, _ in combo), prod(c for _, c in combo)
-            fresh = merged(fresh_terms(h, words))
-            for _ in range(2):
-                entries = fresh_word_terms(h, words)
-                assert [(t.sig, dict(t.poles), t.residual, t.scalar) for t in entries] == fresh
-                assert all(t.scalar for t in entries)
-                assert len({(t.sig, t.residual) for t in entries}) == len(entries)
-            scaled += [(sig, r, coeff * s) for sig, _, r, s in fresh]
-            raw += fresh_terms(h, words, coeff)
-        expected = [(r, sig, s) for sig, _, r, s in merged(scaled)]
-        assert sorted(expected) == sorted((r, sig, s) for sig, _, r, s in merged(raw))
+            coeff = prod(c for _, c in combo)
+            for t in reduce_blocks(h, [word_elem(word) for word, _ in combo]):
+                add_into(expected, (t.poles, t.residual), coeff * t.scalar)
+        cold, warm = fresh_elem_terms(h, elem_key(*us)), fresh_elem_terms(h, elem_key(*us))
+        for terms in (reduce_blocks(h, us), cold, warm):
+            assert {(t.poles, t.residual): t.scalar for t in terms} == expected
+            assert len(terms) == len(expected) and all(t.scalar for t in terms)
         for _ in range(2):
             entries = _table_entries(h, us, lambda r: [(r, None)])
-            assert [(key, sig, s) for key, sig, _, _, s in entries] == expected
+            expected_entries = [(t.residual, t.poles, t.scalar) for t in warm]
+            assert [(key, poles, s) for key, poles, _, s in entries] == expected_entries
 
 
 def counted_charges(monkeypatch):
@@ -272,6 +259,24 @@ def test_equal_terms_of_different_word_tuples_are_filled_once(monkeypatch):
     f = {(((1, 1),), 0): 1, (((1, 2),), 0): 1}
     rf = matrix_coeff_product(H2, TRIV2, [u1, word_elem(((0, 1),))], f, vacuum_state())
     assert not rf.is_zero() and used[MODE_TERMS] == 2
+
+
+def test_equal_terms_are_merged_after_each_operand(monkeypatch, fresh_elem_terms):
+    # on dim 1, a1(-1)a1(-1)1 against a1(-1)1 leaves one residual a1 at z1
+    # by two contractions; merged, it meets the third operand once, so the
+    # fold charges 10 patterns: 1 + 3, then 4 for the open term and 2 for
+    # the merged one, not 2 for each contraction
+    used = counted_charges(monkeypatch)
+    a, aa = word_elem(((0, 1),)), word_elem(((0, 1), (0, 1)))
+    rf = matrix_coeff_product(H1, TRIV1, [aa, a, a], dual_term(((0, 1), (0, 1))), vacuum_state())
+    assert used[PATTERNS] == 10 and used[MODE_TERMS] == 3
+    numer = {
+        (4, 0, 0): 1, (3, 1, 0): -2, (3, 0, 1): -2, (2, 2, 0): 5, (2, 1, 1): -4, (2, 0, 2): 5,
+        (1, 3, 0): -4, (1, 2, 1): 2, (1, 1, 2): 2, (1, 0, 3): -4, (0, 4, 0): 2, (0, 3, 1): -4,
+        (0, 2, 2): 5, (0, 1, 3): -4, (0, 0, 4): 2,
+    }
+    poles = {("z1", "z2"): 2, ("z1", "z3"): 2, ("z2", "z3"): 2}
+    assert rf == RatFun(LaurentPoly(("z1", "z2", "z3"), numer), poles)
 
 
 def test_a_word_of_coefficient_zero_is_never_filled(monkeypatch):
@@ -370,23 +375,23 @@ def test_product_noncommutativity_witness():
 
 def test_iterate_terms_shape():
     u = ((0, 1),)
-    terms = _word_terms(H1, (u, u))
+    terms = reduce_blocks(H1, [word_elem(u), word_elem(u)])
     assert len(terms) == 2
     full = next(t for t in terms if not t.residual)
-    assert full.poles == {DIFF12: 2} and full.scalar == 1
+    assert full.poles == ((DIFF12, 2),) and full.scalar == 1
     open_residual = next(t.residual for t in terms if t.residual)
     assert open_residual == (("z1", 0, 1), ("z2", 0, 1))
 
 
 def test_iterate_identity_left():
-    terms = _word_terms(H1, ((), ((0, 2), (0, 1))))
+    terms = reduce_blocks(H1, [vacuum_elem(), word_elem(((0, 2), (0, 1)))])
     assert len(terms) == 1
     assert terms[0].residual == (("z2", 0, 2), ("z2", 0, 1))
 
 
 def test_iterate_identity_right_shifts_fields():
     u1 = word_elem(((0, 2),))
-    terms = _word_terms(H1, (((0, 2),), ()))
+    terms = reduce_blocks(H1, [u1, vacuum_elem()])
     assert terms[0].residual == (("z1", 0, 2),)
     # the shifted field's matrix coefficient is the plain one with z1 powers
     rf = matrix_coeff_iterate(H1, TRIV1, u1, vacuum_elem(), dual_term(((0, 2),)), vacuum_state())
@@ -446,7 +451,7 @@ def test_two_parts_of_one_signature_over_different_variables():
     u2 = word_elem(((0, 1), (0, 1), (0, 3)))
     w = state(((0, 1),))
     entries = _table_entries(H1, [u1, u2], bulk_fill(H1, TRIV1, w, 6))
-    shapes = {(sig, poly.vars) for key, sig, _, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
+    shapes = {(poles, poly.vars) for key, poles, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
     assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
     region = ("z1", "z2")
     window = uniform_window(region, -10, 4)
@@ -507,7 +512,7 @@ def test_a_bulk_table_fills_the_annihilation_memo_the_dual_read_uses():
     assert after.hits > before.hits and after.misses == before.misses
 
 
-def test_sums_and_equality_of_table_parts_write_into_no_memo(fresh_word_terms):
+def test_sums_and_equality_of_table_parts_write_into_no_memo(fresh_elem_terms):
     # a bulk table's parts carry the memos' poles and are built from their
     # numerators; building, summing and comparing them leaves every memo
     # entry as it was
@@ -519,16 +524,14 @@ def test_sums_and_equality_of_table_parts_write_into_no_memo(fresh_word_terms):
     w_items, cap = tuple(sorted(w.items())), 5
 
     def snapshot():
-        seen = {}
-        for words in iproduct(*us):
-            entries = fresh_word_terms(RATIONAL_FORM, words)
-            seen[words] = [(t.sig, dict(t.poles), t.residual, t.scalar) for t in entries]
-            for residual in (t.residual for t in entries):
-                table = _pairing_table_cached(RATIONAL_FORM, TRIV2, residual, w_items, cap)
-                seen[residual] = {key: dict(poly.terms) for key, poly in table.items()}
-                for pair in w:
-                    variables, counts, index = _annihilated(RATIONAL_FORM, TRIV2, residual, pair)
-                    seen[residual, pair] = (variables, counts, dict(index))
+        entries = fresh_elem_terms(RATIONAL_FORM, elem_key(*us))
+        seen = {"terms": list(entries)}
+        for residual in (t.residual for t in entries):
+            table = _pairing_table_cached(RATIONAL_FORM, TRIV2, residual, w_items, cap)
+            seen[residual] = {key: dict(poly.terms) for key, poly in table.items()}
+            for pair in w:
+                variables, counts, index = _annihilated(RATIONAL_FORM, TRIV2, residual, pair)
+                seen[residual, pair] = (variables, counts, dict(index))
         return seen
 
     before = snapshot()
