@@ -181,7 +181,11 @@ def _over_common(parts: Iterable[Part], minus: Iterable[Part] = ()) -> Tuple[Lau
 
 
 def ratfun_sum(parts: Iterable[Part]) -> RatFun:
-    """The canonical sum of (poles, numerator) parts, canonicalized once."""
+    """The canonical sum of (poles, numerator) parts, canonicalized once; a
+    lone part is already over its own poles."""
+    parts = list(parts)
+    if len(parts) == 1:
+        return RatFun(parts[0][1], parts[0][0])
     return RatFun(*_over_common(parts))
 
 
@@ -192,7 +196,10 @@ def parts_eq(lhs: Iterable[Part], rhs: Iterable[Part]) -> bool:
 
 
 def ratfun_eq(lhs: RatFun, rhs: RatFun) -> bool:
-    """Exact equality: lhs - rhs has a zero numerator over the common denominator."""
+    """Exact equality: canonical forms over equal poles compare numerators;
+    otherwise lhs - rhs has a zero numerator over the common denominator."""
+    if lhs.poles == rhs.poles:
+        return lhs.numer == rhs.numer
     return parts_eq([(lhs.poles, lhs.numer)], [(rhs.poles, rhs.numer)])
 
 

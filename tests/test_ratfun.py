@@ -13,6 +13,7 @@ from mosva.laurent import LaurentPoly
 from mosva.ratfun import (
     RatFun,
     _expand_monomial,
+    _over_common,
     expand_in_region,
     expand_iterate,
     expand_raw,
@@ -169,6 +170,49 @@ def test_eq_sign_convention():
 def test_eq_factors_cancel():
     r = RatFun(lp(Z, {(2, 0): 1, (0, 2): -1}), {DIFF12: 1})
     assert ratfun_eq(r, RatFun(lp(Z, {(1, 0): 1, (0, 1): 1})))
+
+
+def counted_parts_eq(monkeypatch):
+    """The common-denominator comparisons ratfun_eq makes from now on."""
+    seen = []
+    real = mosva.ratfun.parts_eq
+
+    def counting(lhs, rhs):
+        seen.append(1)
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(mosva.ratfun, "parts_eq", counting)
+    return seen
+
+
+def test_eq_on_equal_poles_compares_numerators(monkeypatch):
+    seen = counted_parts_eq(monkeypatch)
+    r = RatFun(lp(Z, {(1, 0): 1}), {DIFF12: 2})
+    s = RatFun(lp(Z, {(0, 1): 1}), {DIFF12: 2})
+    assert r.poles == s.poles
+    assert not ratfun_eq(r, s) and not ratfun_eq(s, r)
+    # the same numerator over a wider variable universe is equal
+    assert ratfun_eq(r, RatFun(lp(VARS3, {(1, 0, 0): 1}), {DIFF12: 2}))
+    assert not seen
+
+
+def test_eq_on_unequal_poles_subtracts_over_common_poles(monkeypatch):
+    seen = counted_parts_eq(monkeypatch)
+    assert not ratfun_eq(one_over_diff(1), one_over_diff(2))
+    assert not ratfun_eq(one_over_diff(2), one_over_diff(1))
+    assert not ratfun_eq(RatFun.zero(), one_over_diff(1))
+    # (z1 - z2)/(z1 - z2)^2 canonicalizes to 1/(z1 - z2): equal poles again
+    assert ratfun_eq(RatFun(lp(Z, {(1, 0): 1, (0, 1): -1}), {DIFF12: 2}), one_over_diff(1))
+    assert len(seen) == 3
+
+
+def test_a_lone_part_is_its_canonical_form():
+    # the numerator z1 (z1 - z2) shares one factor with (z1 - z2)^2
+    part = ({DIFF12: 2}, lp(Z, {(2, 0): 1, (1, 1): -1}))
+    lone = ratfun_sum([part])
+    assert (lone.numer, lone.poles) == (lp(Z, {(1, 0): 1}), {DIFF12: 1})
+    assert ratfun_sum(iter([part])) == lone
+    assert ratfun_sum([]).is_zero()
 
 
 def test_parts_eq_ignores_how_poles_are_split():
@@ -573,3 +617,39 @@ def test_property_parts_eq_agrees_with_canonical_eq(pair):
     assert parts_eq(lhs, rhs) == ratfun_eq(a, b)
     # canonical data are unique, which pins both tests independently
     assert parts_eq(lhs, rhs) == (a.poles == b.poles and a.numer == b.numer)
+
+
+@st.composite
+def equal_pole_pairs(draw):
+    """Two canonical rational functions over equal poles: one numerator again,
+    over a wider variable universe or scaled, or another numerator."""
+    r = draw(ratfuns())
+    kind = draw(st.sampled_from(["same", "wider", "scaled", "other"]))
+    numer = r.numer
+    if kind == "wider":
+        numer = numer.align(VARS3)
+    elif kind == "scaled":
+        numer = numer * LaurentPoly.const(draw(st.sampled_from([-1, 2])))
+    elif kind == "other":
+        numer = draw(ratfuns()).numer
+    s = RatFun(numer, r.poles)
+    assume(s.poles == r.poles)
+    return r, s
+
+
+@settings(max_examples=100, deadline=None)
+@given(equal_pole_pairs())
+def test_property_eq_on_equal_poles_agrees_with_parts_eq(pair):
+    r, s = pair
+    assert ratfun_eq(r, s) == parts_eq([(r.poles, r.numer)], [(s.poles, s.numer)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts())
+def test_property_a_lone_part_sums_as_over_common(part):
+    # ratfun_sum skips the common-denominator pass for one part, numerators
+    # a pole factor divides included
+    lone, common = ratfun_sum([part]), RatFun(*_over_common([part]))
+    assert (lone.numer.vars, lone.numer.terms, lone.poles) == (
+        common.numer.vars, common.numer.terms, common.poles,
+    )

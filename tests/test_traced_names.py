@@ -1,13 +1,20 @@
-"""The benchmark tracer's names resolve on the package.
+"""The benchmark tracer's names resolve on the package, and its counts mean
+what they say.
 
 `benchmark/layers.py` names library functions as strings; a name that no
 longer resolves is reported absent and its metric reads 0.  This test makes
-a refactor that renames or deletes a traced function fail instead.
+a refactor that renames or deletes a traced function fail instead.  The
+tracer counts canonicalizations as `RatFun.__init__` calls, so a sum or a
+query that built its result around the constructor would undercount.
 """
 
 import importlib
 import importlib.util
 import os
+
+from mosva import HSpace, ModulePresentation, dual_term, matrix_coeff_product, vacuum_state, word_elem
+from mosva.laurent import LaurentPoly
+from mosva.ratfun import RatFun, pole_diff, ratfun_sum
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,3 +46,29 @@ def test_every_traced_name_resolves_on_the_package():
     missing = {f"{layer}.{name}" for layer, name in wanted if (layer, name) not in known}
     assert ("wick", "reduce_blocks") in wanted
     assert missing <= KNOWN_ABSENT, sorted(missing - KNOWN_ABSENT)
+
+
+def test_each_sum_and_product_query_canonicalizes_once(monkeypatch):
+    inits = []
+    real = RatFun.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFun, "__init__", counting)
+
+    def canonicalizations(call):
+        inits.clear()
+        call()
+        return len(inits)
+
+    diff = pole_diff("z1", "z2")[0]
+    one, z1 = LaurentPoly.const(1, ("z1",)), LaurentPoly(("z1",), {(1,): 1})
+    for parts in ([], [({diff: 2}, one)], [({diff: 2}, one), ({}, z1)]):
+        assert canonicalizations(lambda: ratfun_sum(parts)) == 1
+    h, mod, a = HSpace.identity(2), ModulePresentation.trivial(2), word_elem(((0, 1),))
+    # no part, one part, and parts of two pole monomials
+    duals = [dual_term(((1, 3),)), dual_term(), {((), 0): 1, (((0, 1), (0, 1)), 0): 1}]
+    for f in duals:
+        assert canonicalizations(lambda: matrix_coeff_product(h, mod, [a, a], f, vacuum_state())) == 1

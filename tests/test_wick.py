@@ -9,8 +9,8 @@ import pytest
 
 import mosva.fields
 import mosva.wick
-from mosva.halgebra import HSpace, add_into, add_terms, basis_words_up_to, vacuum_elem, word_elem
-from mosva.laurent import LaurentPoly, sort_vars
+from mosva.halgebra import HSpace, add_into, basis_words_up_to, vacuum_elem, word_elem
+from mosva.laurent import LaurentPoly
 from mosva.fields import iterate_series_bruteforce, product_series_bruteforce
 from mosva.modules import (
     ModulePresentation,
@@ -64,19 +64,10 @@ NONCOMMUTING4 = ModulePresentation.build(
 )
 
 
-def paired_residual(h, mod, residual, f, w):
-    """<f, :residual: w> as one Laurent polynomial in the residual's variables:
-    the dual fill's entries for the bare residual, weighted by f."""
-    terms = {}
-    for key, poly in _dual_fill(h, mod, residual, w, f):
-        add_terms(terms, poly.terms.items(), f[key])
-    return LaurentPoly(sort_vars(v for v, _, _ in residual), terms)
-
-
 def bulk_fill(h, mod, w, cap):
     """The bulk tables' fill step: every pair up to the cap the residual reaches."""
     w_items = tuple(sorted(w.items()))
-    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap).items()
+    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap)
 
 
 def canonical_table(raw):
@@ -233,9 +224,8 @@ def test_property_the_fold_is_multilinear_in_its_operands(fresh_elem_terms):
             assert {(t.poles, t.residual): t.scalar for t in terms} == expected
             assert len(terms) == len(expected) and all(t.scalar for t in terms)
         for _ in range(2):
-            entries = _table_entries(h, us, lambda r: [(r, None)])
-            expected_entries = [(t.residual, t.poles, t.scalar) for t in warm]
-            assert [(key, poles, s) for key, poles, _, s in entries] == expected_entries
+            entries = _table_entries(h, us, lambda r: r)
+            assert list(entries) == [(t.poles, t.residual, t.scalar) for t in warm]
 
 
 def counted_charges(monkeypatch):
@@ -290,19 +280,55 @@ def test_a_word_of_coefficient_zero_is_never_filled(monkeypatch):
     assert MODE_TERMS not in used
 
 
+def test_the_dual_fill_is_paired_with_f_key_by_key(monkeypatch):
+    # on the open residual (a1 a2 at z1, a1 at z2) the keys a1(-1)a2(-1)e1
+    # and a1(-2)e2 fill equal numerators, so f's 1 and -1 cancel them; the
+    # vacuum key fills two residuals, but its coefficient is 0
+    h, mod, w = RATIONAL_FORM, NONCOMMUTING4, state((), 1)
+    us = [word_elem(((0, 1), (1, 1))), word_elem(((0, 1),))]
+    f = {(((0, 1), (1, 1)), 0): 1, (((0, 2),), 1): -1, ((), 0): 0}
+    used = counted_charges(monkeypatch)
+
+    def with_units(call, dual):
+        used.clear()
+        return call(dual), used.get(MODE_TERMS, 0)
+
+    def paired_and_single(call):
+        """call(f), and call({key: 1}) per key of f; f's units are the
+        single-key units of its nonzero keys, once the memos are warm."""
+        call(f)
+        paired, units = with_units(call, f)
+        single = {key: with_units(call, {key: 1}) for key in f}
+        assert units == sum(n for key, (_, n) in single.items() if f[key])
+        return paired, {key: out for key, (out, _) in single.items()}, single[(), 0][1]
+
+    open_residual = (("z1", 0, 1), ("z1", 1, 1), ("z2", 0, 1))
+    residuals = [t.residual for t in reduce_blocks(h, us)]
+    assert open_residual in residuals
+    for residual in residuals:
+        paired, single, _ = paired_and_single(lambda dual: _dual_fill(h, mod, residual, w, dual))
+        terms = [poly * LaurentPoly.const(f[key]) for key, poly in single.items()]
+        assert paired == sum(terms, LaurentPoly.zero())
+        if residual == open_residual:
+            assert paired.is_zero() and not any(poly.is_zero() for poly in single.values())
+    rf, single, vacuum_units = paired_and_single(lambda dual: matrix_coeff_product(h, mod, us, dual, w))
+    assert rf == ratfun_sum((r.poles, r.numer * LaurentPoly.const(f[key])) for key, r in single.items())
+    assert not rf.is_zero() and vacuum_units > 0
+
+
 # -- matrix coefficients of residuals ----------------------------------------------
 
 
 def test_residual_empty_is_constant_pairing():
     f = dual_term(((0, 2),))
     w = state(((0, 2),))
-    out = paired_residual(H1, TRIV1, (), f, w)
+    out = _dual_fill(H1, TRIV1, (), w, f)
     assert out == LaurentPoly.const(1)
 
 
 def test_residual_single_creation():
     f = dual_term(((0, 1),))
-    out = paired_residual(H1, TRIV1, (("z1", 0, 1),), f, vacuum_state())
+    out = _dual_fill(H1, TRIV1, (("z1", 0, 1),), vacuum_state(), f)
     assert out == LaurentPoly(("z1",), {(0,): Fraction(1)})
 
 
@@ -340,7 +366,7 @@ def test_annihilation_memo_entries_are_read_only():
 
 def test_residual_creation_against_vacuum_dual():
     residual = (("z1", 0, 1), ("z2", 1, 1))
-    out = paired_residual(H2, TRIV2, residual, dual_term(), vacuum_state())
+    out = _dual_fill(H2, TRIV2, residual, vacuum_state(), dual_term())
     assert out.is_zero()
 
 
@@ -451,7 +477,8 @@ def test_two_parts_of_one_signature_over_different_variables():
     u2 = word_elem(((0, 1), (0, 1), (0, 3)))
     w = state(((0, 1),))
     entries = _table_entries(H1, [u1, u2], bulk_fill(H1, TRIV1, w, 6))
-    shapes = {(poles, poly.vars) for key, poles, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
+    key = (((0, 5), (0, 1)), 0)
+    shapes = {(poles, table[key].vars) for poles, table, _ in entries if key in table}
     assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
     region = ("z1", "z2")
     window = uniform_window(region, -10, 4)
@@ -696,6 +723,6 @@ def test_zero_mode_routing_through_module():
     # zero modes of the residual act through the matrices: pair the module legs
     f = {((), 0): Fraction(1)}
     w = {((), 1): Fraction(1)}
-    out = paired_residual(H2, mod, (("z1", 0, 1),), f, w)
+    out = _dual_fill(H2, mod, (("z1", 0, 1),), w, f)
     # a1's zero mode sends e2 to e1: coefficient of z1^-1
     assert out == LaurentPoly(("z1",), {(-1,): Fraction(1)})
