@@ -196,11 +196,9 @@ def parts_eq(lhs: Iterable[Part], rhs: Iterable[Part]) -> bool:
 
 
 def ratfun_eq(lhs: RatFun, rhs: RatFun) -> bool:
-    """Exact equality: canonical forms over equal poles compare numerators;
-    otherwise lhs - rhs has a zero numerator over the common denominator."""
-    if lhs.poles == rhs.poles:
-        return lhs.numer == rhs.numer
-    return parts_eq([(lhs.poles, lhs.numer)], [(rhs.poles, rhs.numer)])
+    """Exact equality: canonical forms are unique, so equal poles and equal
+    numerators."""
+    return lhs.poles == rhs.poles and lhs.numer == rhs.numer
 
 
 # -- region expansion ------------------------------------------------------

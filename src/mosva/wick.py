@@ -238,24 +238,23 @@ def _annihilated(
 
 def _dual_fill(
     h: HSpace, mod: ModulePresentation, residual: Tuple[TaggedFactor, ...], w: WElem, f: DualFunctional
-) -> LaurentPoly:
-    """<f, :residual: w> as one numerator in the residual's variables, read
-    off f's words.
+) -> List[Tuple[Tuple[Tuple, int], LaurentPoly]]:
+    """The residual's pairing table on w at f's keys alone, read off f's words.
 
     Creation slots only prepend their letters, in slot order, so a dual pair
     (D, k) takes a split of c slots only if D's first c letters carry the
     slots' basis indices with orders at least theirs, and (D[c:], k) is a
     pair the split leaves; those orders fix the creation modes.  Each
-    matched entry adds coeff * wcoeff * f[key] and charges one unit; keys of
-    coefficient 0 are skipped.
+    matched entry charges one unit.
     """
-    terms: Dict[Tuple[int, ...], Fraction] = {}
+    table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
     variables = ()
     for pair, wcoeff in w.items():
         variables, counts, index = _annihilated(h, mod, residual, pair)
-        for (word, k), fcoeff in f.items():
+        for key, fcoeff in f.items():
             if not fcoeff:
                 continue
+            word, k = key
             for c in counts:
                 if c > len(word):
                     break
@@ -268,17 +267,19 @@ def _dual_fill(
                         coeff *= field_coefficient(m, -d)
                     else:
                         charge(1, MODE_TERMS)
-                        add_into(terms, tuple(exps), coeff * wcoeff * fcoeff)
-    return LaurentPoly._raw(variables, terms)
+                        add_into(table.setdefault(key, {}), tuple(exps), coeff * wcoeff)
+    return [(key, LaurentPoly._raw(variables, terms)) for key, terms in table.items() if terms]
 
 
 def _table_entries(h: HSpace, us: Sequence[FreeElem], fill: Callable) -> Iterator[Tuple]:
     """The one builder behind every product and iterate entry point: it pairs
-    each contraction term's residual with w once and yields (poles,
-    fill(residual), scalar).  Callers keep the entries they need, one part
-    per (poles, variables)."""
+    each contraction term's residual with w once, through `fill(residual)`'s
+    (basis pair, numerator) items, and yields (basis pair, poles, numerator,
+    scalar).  Callers keep the entries they need, one part per (poles,
+    variables)."""
     for scalar, poles, residual in _elem_terms(h, tuple(tuple(sorted(u.items())) for u in us)):
-        yield poles, fill(residual), scalar
+        for key, poly in fill(residual):
+            yield key, poles, poly, scalar
 
 
 def _add_part(acc: Dict, poles: Tuple, poly: LaurentPoly, scale):
@@ -307,14 +308,13 @@ def matrix_coeff_product(
 
     The region expansion of the result in |z1| > ... > |zn| > 0 agrees with
     the series-level evaluation; poles sit only at z_i = 0 and z_i = z_j.
-    Each residual's creation fills are read off f's words and paired with f
-    (_dual_fill), so the work grows with f's keys, not with the fills at f's
-    weights, and each contraction term adds one numerator.
+    Each residual's creation fills are read off f's words (_dual_fill), so
+    the work grows with f's keys, not with the fills at f's weights.
     """
     check_exact(*us, f, w)
     acc: Dict = {}
-    for poles, poly, scalar in _table_entries(h, us, lambda r: _dual_fill(h, mod, r, w, f)):
-        _add_part(acc, poles, poly, scalar)
+    for key, poles, poly, scalar in _table_entries(h, us, lambda r: _dual_fill(h, mod, r, w, f)):
+        _add_part(acc, poles, poly, scalar * f[key])
     return ratfun_sum(_parts(acc))
 
 
@@ -353,11 +353,10 @@ def product_table_raw(
     """
     check_exact(*us, w)
     cap, w_items = q(weight_cap), tuple(sorted(w.items()))
-    entries = _table_entries(h, us, lambda r: _pairing_table_cached(h, mod, r, w_items, cap))
+    entries = _table_entries(h, us, lambda r: _pairing_table_cached(h, mod, r, w_items, cap).items())
     accs: Dict[Tuple[Tuple, int], Dict] = {}
-    for poles, table, scalar in entries:
-        for key, poly in table.items():
-            _add_part(accs.setdefault(key, {}), poles, poly, scalar)
+    for key, poles, poly, scalar in entries:
+        _add_part(accs.setdefault(key, {}), poles, poly, scalar)
     return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
 
 

@@ -9,8 +9,8 @@ import pytest
 
 import mosva.fields
 import mosva.wick
-from mosva.halgebra import HSpace, add_into, basis_words_up_to, vacuum_elem, word_elem
-from mosva.laurent import LaurentPoly
+from mosva.halgebra import HSpace, add_into, add_terms, basis_words_up_to, vacuum_elem, word_elem
+from mosva.laurent import LaurentPoly, sort_vars
 from mosva.fields import iterate_series_bruteforce, product_series_bruteforce
 from mosva.modules import (
     ModulePresentation,
@@ -64,10 +64,19 @@ NONCOMMUTING4 = ModulePresentation.build(
 )
 
 
+def paired_residual(h, mod, residual, f, w):
+    """<f, :residual: w> as one Laurent polynomial in the residual's variables:
+    the dual fill's entries for the bare residual, weighted by f."""
+    terms = {}
+    for key, poly in _dual_fill(h, mod, residual, w, f):
+        add_terms(terms, poly.terms.items(), f[key])
+    return LaurentPoly(sort_vars(v for v, _, _ in residual), terms)
+
+
 def bulk_fill(h, mod, w, cap):
     """The bulk tables' fill step: every pair up to the cap the residual reaches."""
     w_items = tuple(sorted(w.items()))
-    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap)
+    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap).items()
 
 
 def canonical_table(raw):
@@ -224,8 +233,9 @@ def test_property_the_fold_is_multilinear_in_its_operands(fresh_elem_terms):
             assert {(t.poles, t.residual): t.scalar for t in terms} == expected
             assert len(terms) == len(expected) and all(t.scalar for t in terms)
         for _ in range(2):
-            entries = _table_entries(h, us, lambda r: r)
-            assert list(entries) == [(t.poles, t.residual, t.scalar) for t in warm]
+            entries = _table_entries(h, us, lambda r: [(r, None)])
+            expected_entries = [(t.residual, t.poles, t.scalar) for t in warm]
+            assert [(key, poles, s) for key, poles, _, s in entries] == expected_entries
 
 
 def counted_charges(monkeypatch):
@@ -306,7 +316,7 @@ def test_the_dual_fill_is_paired_with_f_key_by_key(monkeypatch):
     residuals = [t.residual for t in reduce_blocks(h, us)]
     assert open_residual in residuals
     for residual in residuals:
-        paired, single, _ = paired_and_single(lambda dual: _dual_fill(h, mod, residual, w, dual))
+        paired, single, _ = paired_and_single(lambda dual: paired_residual(h, mod, residual, dual, w))
         terms = [poly * LaurentPoly.const(f[key]) for key, poly in single.items()]
         assert paired == sum(terms, LaurentPoly.zero())
         if residual == open_residual:
@@ -322,13 +332,13 @@ def test_the_dual_fill_is_paired_with_f_key_by_key(monkeypatch):
 def test_residual_empty_is_constant_pairing():
     f = dual_term(((0, 2),))
     w = state(((0, 2),))
-    out = _dual_fill(H1, TRIV1, (), w, f)
+    out = paired_residual(H1, TRIV1, (), f, w)
     assert out == LaurentPoly.const(1)
 
 
 def test_residual_single_creation():
     f = dual_term(((0, 1),))
-    out = _dual_fill(H1, TRIV1, (("z1", 0, 1),), vacuum_state(), f)
+    out = paired_residual(H1, TRIV1, (("z1", 0, 1),), f, vacuum_state())
     assert out == LaurentPoly(("z1",), {(0,): Fraction(1)})
 
 
@@ -366,7 +376,7 @@ def test_annihilation_memo_entries_are_read_only():
 
 def test_residual_creation_against_vacuum_dual():
     residual = (("z1", 0, 1), ("z2", 1, 1))
-    out = _dual_fill(H2, TRIV2, residual, vacuum_state(), dual_term())
+    out = paired_residual(H2, TRIV2, residual, dual_term(), vacuum_state())
     assert out.is_zero()
 
 
@@ -477,8 +487,7 @@ def test_two_parts_of_one_signature_over_different_variables():
     u2 = word_elem(((0, 1), (0, 1), (0, 3)))
     w = state(((0, 1),))
     entries = _table_entries(H1, [u1, u2], bulk_fill(H1, TRIV1, w, 6))
-    key = (((0, 5), (0, 1)), 0)
-    shapes = {(poles, table[key].vars) for poles, table, _ in entries if key in table}
+    shapes = {(poles, poly.vars) for key, poles, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
     assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
     region = ("z1", "z2")
     window = uniform_window(region, -10, 4)
@@ -723,6 +732,6 @@ def test_zero_mode_routing_through_module():
     # zero modes of the residual act through the matrices: pair the module legs
     f = {((), 0): Fraction(1)}
     w = {((), 1): Fraction(1)}
-    out = _dual_fill(H2, mod, (("z1", 0, 1),), w, f)
+    out = paired_residual(H2, mod, (("z1", 0, 1),), f, w)
     # a1's zero mode sends e2 to e1: coefficient of z1^-1
     assert out == LaurentPoly(("z1",), {(-1,): Fraction(1)})
