@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -352,8 +352,6 @@ def project_to_sym(u: FreeElem) -> Dict[SymWord, Fraction]:
 
 
 def _word_permutations(word: NegWord) -> List[NegWord]:
-    from itertools import permutations
-
     return sorted(set(permutations(word)))
 
 

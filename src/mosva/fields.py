@@ -20,11 +20,11 @@ element of its right part, so splits sharing a right part share its action
 and a step that kills the pair ends every split that extends it.  Creation
 modes only prepend letters to a word, so every creation fill of a split's
 slots is one prepend and one scaling of its element, and a dual basis pair's
-leading letters fix the one fill that can reach it.  One memo,
-_creation_fills, holds each slot profile's fills at a total with the letters
-they prepend; the oracle's series and the engine's bulk tables both read it,
-and the series scales a split's element once and adds each fill straight
-into its coefficient.
+leading letters fix the one fill that can reach it.  One memo, _mode_tuples,
+keyed by the slots' (basis index, order) pairs, holds each slot profile's
+fills at a total with the letters they prepend; the oracle's series and the
+engine's bulk tables both read it, and the series scales a split's element
+once and adds each fill straight into its coefficient.
 Everything here is the direct, series-level evaluation; the closed-form
 contraction engine is checked against it.  The product and iterate series
 enumerate no exponent that cannot reach the interval between the dual's
@@ -73,39 +73,28 @@ def field_coefficient(m: int, n: int) -> int:
 
 
 @lru_cache(maxsize=120000)
-def _mode_tuples(orders: Tuple[int, ...], total: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Creation fills of the derivative orders m_j: each n_j <= -m_j, total sum.
-
-    Returns (modes, integer coefficient prod binom(-n_j-1, m_j-1)) pairs; no
-    coefficient of a creation mode vanishes.  Every later n_j is at most
-    -m_j, so the first mode is at least total + sum of the later orders.
-    Memoized: the same slot profiles recur across words and pairs.
-    """
-    if not orders:
-        return (((), 1),) if total == 0 else ()
-    m, rest = orders[0], orders[1:]
-    if not rest:  # the last slot takes the whole remaining total
-        return (((total,), field_coefficient(m, total)),) if total <= -m else ()
-    out = []
-    for n in range(total + sum(rest), -m + 1):
-        c = field_coefficient(m, n)
-        for tail, tc in _mode_tuples(rest, total - n):
-            out.append(((n,) + tail, c * tc))
-    return tuple(out)
-
-
-@lru_cache(maxsize=65536)
-def _creation_fills(
+def _mode_tuples(
     slots: Tuple[Tuple[int, int], ...], total: int
 ) -> Tuple[Tuple[Tuple[int, ...], NegWord, int], ...]:
-    """Creation fills of the slots' (basis index, derivative order) pairs at
-    `total`: per fill of _mode_tuples, (modes, the letters it prepends, its
-    integer coefficient).  Both fill steps read it: the oracle's, through
-    apply_modes, and the contraction engine's bulk tables."""
-    return tuple(
-        (fill, tuple((i, -n) for (i, _), n in zip(slots, fill)), c)
-        for fill, c in _mode_tuples(tuple(m for _, m in slots), total)
-    )
+    """Creation fills of the slots' (basis index i_j, order m_j) pairs at
+    `total`: per way to take each n_j <= -m_j summing to it, (modes, the
+    letters (i_j, -n_j) they prepend, integer coefficient
+    prod binom(-n_j-1, m_j-1)), which never vanishes.  Every later n_j is at
+    most -m_j, so the first mode is at least total + sum of the later orders.
+    Memoized: slot profiles recur across words and pairs, and both fill steps
+    read it, the oracle's through apply_modes and the engine's bulk tables.
+    """
+    if not slots:
+        return (((), (), 1),) if total == 0 else ()
+    (i, m), rest = slots[0], slots[1:]
+    if not rest:  # the last slot takes the whole remaining total
+        return (((total,), ((i, -total),), field_coefficient(m, total)),) if total <= -m else ()
+    out = []
+    for n in range(total + sum(r for _, r in rest), -m + 1):
+        c = field_coefficient(m, n)
+        for tail, letters, tc in _mode_tuples(rest, total - n):
+            out.append(((n,) + tail, ((i, -n),) + letters, c * tc))
+    return tuple(out)
 
 
 def annihilation_splits(
@@ -164,8 +153,9 @@ def apply_modes(
     (split, total, c, element, fills) once per split of annihilation_splits
     and admissible total: the split holds None per creation slot, c is its
     modes' prod binom(-n_j-1, m_j-1) and the element its modes applied to
-    the basis pair (word, index).  Each fill (modes, letters, coefficient)
-    of _creation_fills puts its modes in the slots, and its tuple's
+    the basis pair (word, index).  The fills are _mode_tuples of the split's
+    slots at the total less the split's annihilation total: each (modes,
+    letters, coefficient) puts its modes in the slots, and its tuple's
     monomial on the pair is the element with the letters prepended, times c
     and the coefficient.
     """
@@ -181,7 +171,7 @@ def apply_modes(
                 break
             # one fill per way to spread top - t over the slots, counted unbuilt
             charge(binomial(top - t + len(slots) - 1, top - t) * len(applied), MODE_TERMS)
-            yield split, t, c, applied, _creation_fills(slots, t - p_total)
+            yield split, t, c, applied, _mode_tuples(slots, t - p_total)
 
 
 def vertex_series(

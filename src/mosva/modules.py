@@ -151,10 +151,7 @@ def render_pairs(elem: WElem) -> str:
 
 
 def key_weight(mod: ModulePresentation, key: WKey) -> Fraction:
-    base = mod.weights[key[1]]
-    if not base:
-        return word_weight(key[0])
-    return word_weight(key[0]) + base
+    return word_weight(key[0]) + mod.weights[key[1]]
 
 
 def apply_mode_term(
@@ -175,8 +172,7 @@ def apply_mode_term(
         if m == n:
             pair = h.pairing(i, j)
             if pair:
-                c = n if pair == 1 else n * pair
-                out.append((word[:p] + word[p + 1:], index, c))
+                out.append((word[:p] + word[p + 1:], index, n * pair))
     return out
 
 

@@ -1,8 +1,10 @@
 """Exact rational scalars: normalization, and parsing and rendering of p/q
 strings and sums; and the work meter that bounds the library's loops.
 
-A coefficient is an int when it is integral and a Fraction otherwise; the two
-compare and hash equal, and int arithmetic skips Fraction's gcd work.
+Constructors normalize each coefficient through q: an int when integral, a
+Fraction otherwise.  Results are not normalized again, so fractional inputs
+can give an integral Fraction, equal in value and hash to its int; integral
+inputs stay on int throughout, whose arithmetic skips Fraction's gcd work.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ It depends only on the form and the operands, not on the state, dual or
 module they are later paired with, so each tuple of operands is contracted
 once, in a bounded memo.  Pairing a term's residual with a state splits the
 same way: its annihilation steps on one basis pair are memoized apart from
-any dual, and both fill steps read that one memo: the bulk tables enumerate
-each split's creation fills up to a weight cap, and a single dual reads them
-off its words.
+any dual, and both fill steps read that one memo: the bulk tables take each
+split's creation fills up to a weight cap from the oracle's fill memo,
+fields._mode_tuples, and a single dual reads them off its words.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .modules import (
     WElem,
     key_weight,
 )
-from .fields import _creation_fills, annihilation_splits, binomial, field_coefficient
+from .fields import _mode_tuples, annihilation_splits, binomial, field_coefficient
 from .ratfun import Part, PoleFactor, RatFun, ratfun_sum
 from .scalars import MODE_TERMS, PATTERNS, charge, check_exact, q
 
@@ -174,10 +174,10 @@ def _pairing_table_cached(
 
     The bulk tables' fill step, over the same annihilation memo as
     _dual_fill: `w_items` is w's sorted items, and each split a pair of w
-    leaves takes every creation fill (from _creation_fills, the oracle's fill
-    memo) whose letters keep its weight within `cap`.  Returns, per resulting
-    basis pair, the Laurent polynomial in the residual's variables that
-    multiplies it.
+    leaves takes every creation fill whose letters keep its weight within
+    `cap`, from _mode_tuples of its slots' (basis index, order) pairs, the
+    oracle's fill memo.  Returns, per resulting basis pair, the Laurent
+    polynomial in the residual's variables that multiplies it.
     """
     # residual signatures recur heavily across operator pairs, so the shared
     # tables are read-only views; no metered command reaches the bulk tables
@@ -190,9 +190,9 @@ def _pairing_table_cached(
         for (_, (word, k)), entries in index.items():
             room = floor(cap - key_weight(mod, (word, k)))
             for slots, evec, coeff in entries:
-                letters = tuple((i, m) for _, i, m in slots)
-                for d in range(sum(m for _, m in letters), room + 1):
-                    for fill, prefix, fc in _creation_fills(letters, -d):
+                profile = tuple((i, m) for _, i, m in slots)
+                for d in range(sum(m for _, m in profile), room + 1):
+                    for fill, prefix, fc in _mode_tuples(profile, -d):
                         exps = list(evec)
                         for (t, _, _), n in zip(slots, fill):
                             exps[t] -= n

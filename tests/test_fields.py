@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import comb, prod
 
 from hypothesis import given, settings, strategies as st
 
@@ -310,16 +310,43 @@ def test_series_identity_only_constant():
 def test_pattern_without_creation_slots_asks_one_total(monkeypatch):
     # Y(1, x) has one pattern and no slot: a wide window costs no fill per exponent
     calls = []
-    real = mosva.fields._creation_fills
+    real = mosva.fields._mode_tuples
 
     def counted(slots, total):
         calls.append((slots, total))
         return real(slots, total)
 
-    monkeypatch.setattr(mosva.fields, "_creation_fills", counted)
+    monkeypatch.setattr(mosva.fields, "_mode_tuples", counted)
     out = vertex_series(H1, TRIV1, vacuum_elem(), vacuum_state(), -10**5, 10**5)
     assert out == {0: vacuum_state()}
     assert calls == [((), 0)]
+
+
+def brute_force_fills(slots, total):
+    """Every n_j <= -m_j summing to total, with its letters (i_j, -n_j) and
+    prod binom(-n_j-1, m_j-1), modes ascending lexicographically.  The slots
+    reach at most top = -sum m_j, so no n_j lies below -m_j - (top - total)."""
+    spare = -sum(m for _, m in slots) - total
+    ranges = [range(-m - spare, -m + 1) for _, m in slots]
+    out = []
+    for modes in product(*ranges):
+        if sum(modes) == total:
+            pairs = list(zip(slots, modes))
+            letters = tuple((i, -n) for (i, _), n in pairs)
+            out.append((modes, letters, prod(comb(-n - 1, m - 1) for (_, m), n in pairs)))
+    return out
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), max_size=4),
+    st.integers(-7, 2),
+)
+def test_mode_tuples_match_brute_force_enumeration(slots, offset):
+    # offset 1 and 2 ask above the slots' top total, where no fill exists
+    slots = tuple(slots)
+    total = -sum(m for _, m in slots) + offset
+    assert list(mosva.fields._mode_tuples(slots, total)) == brute_force_fills(slots, total)
 
 
 def test_series_with_annihilation():

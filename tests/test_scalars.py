@@ -9,7 +9,7 @@ from mosva.fields import product_series_bruteforce, vertex_series
 from mosva.halgebra import HSpace, free_add, free_mul, free_scale, mode, pbw_normal_form, word_elem
 from mosva.laurent import LaurentPoly
 from mosva.modules import (
-    ModulePresentation, apply_D, apply_d, apply_mode, dual_term, pairing, vacuum_state,
+    ModulePresentation, apply_D, apply_d, apply_mode, dual_term, pairing, state, vacuum_state,
 )
 from mosva.ratfun import ratfun_sum
 from mosva.scalars import LETTERS, WorkLimit, charge, parse_rational, q, work_budget
@@ -171,6 +171,23 @@ def test_rational_form_keeps_fractions_exact():
     us = [word_elem(((0, 1),)), word_elem(((1, 1),))]
     rf = matrix_coeff_product(h, TRIV, us, vacuum_state(), vacuum_state())
     assert rf.numer.terms == {(0, 0): Fraction(1, 2)} and rf.poles == {("z1", "z2"): 2}
+
+
+def test_fractional_inputs_give_values_equal_to_their_ints():
+    # constructors normalize through q and results are not renormalized, so
+    # fractional inputs can give an integral Fraction; it compares and hashes
+    # as its int
+    h1, triv1, half = HSpace.identity(1), ModulePresentation.trivial(1), Fraction(1, 2)
+    a1 = word_elem(((0, 1),))
+    values = [free_scale({((0, 1),): half}, 2)[((0, 1),)], pairing({((), 0): half}, {((), 0): 2})]
+    series = vertex_series(h1, triv1, word_elem(((0, 1),), 2), state((), 0, half), 0, 2)
+    assert series == {e: {(((0, e + 1),), 0): 1} for e in range(3)}
+    values += [elem[(((0, e + 1),), 0)] for e, elem in series.items()]
+    rf = matrix_coeff_product(h1, triv1, [a1, a1], {(((0, 1), (0, 1)), 0): 2}, state((), 0, half))
+    assert rf.render() == "1" and rf.poles == {} and list(rf.numer.terms) == [(0, 0)]
+    values.append(rf.numer.terms[(0, 0)])
+    for value in values:
+        assert value == 1 and hash(value) == hash(1)
 
 
 def test_work_budget_admits_its_budget_and_refuses_past_it():

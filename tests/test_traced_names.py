@@ -2,9 +2,10 @@
 what they say.
 
 `benchmark/layers.py` names library functions as strings; a name that no
-longer resolves is reported absent and its metric reads 0.  This test makes
-a refactor that renames or deletes a traced function fail instead.  The
-tracer counts canonicalizations as `RatFun.__init__` calls, so a sum or a
+longer resolves is reported absent and its metric reads 0, and so does a
+traced cache that is no longer memoized.  These tests make a refactor that
+renames or deletes a traced function, or drops a traced memo, fail instead.
+The tracer counts canonicalizations as `RatFun.__init__` calls, so a sum or a
 query that built its result around the constructor would undercount.
 """
 
@@ -46,6 +47,18 @@ def test_every_traced_name_resolves_on_the_package():
     missing = {f"{layer}.{name}" for layer, name in wanted if (layer, name) not in known}
     assert ("wick", "reduce_blocks") in wanted
     assert missing <= KNOWN_ABSENT, sorted(missing - KNOWN_ABSENT)
+
+
+def test_every_traced_cache_is_a_memo():
+    # the tracer reads hits and misses off cache_info and reports 0 without it
+    layers = load_layers()
+    plain = [
+        f"{layer}.{name}"
+        for layer, name in layers.CACHES.values()
+        if f"{layer}.{name}" not in KNOWN_ABSENT
+        and not hasattr(getattr(importlib.import_module(f"mosva.{layer}"), name, None), "cache_info")
+    ]
+    assert not plain, plain
 
 
 def test_each_sum_and_product_query_canonicalizes_once(monkeypatch):
