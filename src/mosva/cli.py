@@ -2,14 +2,16 @@
 
 Element grammar (shared by every command):
 
-    elem := term (('+'|'-') term)*
-    term := [rational '*']? word ['@' INT]
+    elem := ['-'] term (('+'|'-') term)*
+    term := [rational '*']? word ['@' INT] | '0'
     word := gen* '1'
     gen  := 'a' INDEX '(' '-'? INT ')'
 
 with rationals written p/q or as integers, e.g. ``1/2*a1(-1)a2(-2)1 + a2(-1)1``.
-Only --state and --dual take '@k': the term sits on the module's k-th basis
-vector, 1-based, and on the first without it.
+A leading '-' is the first term's sign, so ``-a1(-1)1`` and ``-1`` (minus
+the vacuum) parse, and ``0`` is the zero element: every printed element
+reads back.  Only --state and --dual take '@k': the term sits on the
+module's k-th basis vector, 1-based, and on the first without it.
 The normalform command instead takes a bare generator word over the full
 algebra: modes of any sign plus the central symbol ``k``, e.g. ``a1(1)a1(-1)``.
 
@@ -146,7 +148,8 @@ def parse_state(text: str, dim: int, mdim: int) -> WElem:
     left off (mdim 0 takes no '@k'); raises ElemParseError with offset."""
     sc = _Scanner(text)
     out: WElem = {}
-    sign = 1
+    sc.skip_ws()
+    sign = _next_sign(sc) if sc.peek() == "-" else 1
     while sign is not None:
         sc.skip_ws()
         coeff, word = sign, None
@@ -163,8 +166,11 @@ def parse_state(text: str, dim: int, mdim: int) -> WElem:
                 sc.skip_ws()
             elif rat == "1":
                 word = ()
+            elif rat == "0":  # the zero term
+                sign = _next_sign(sc)
+                continue
             else:
-                raise ElemParseError(text, at, "number must be a coefficient (p/q*) or the word '1'")
+                raise ElemParseError(text, at, "number must be a coefficient (p/q*), the word '1' or 0")
         if word is None:
             factors = []
             while sc.peek() == "a":
@@ -362,8 +368,18 @@ def _add_common(p: argparse.ArgumentParser, run) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse takes a value that starts with '-', such as -u "-a1(-1)1",
+        # for an option of its own and reports the flag's value missing
+        if message.startswith("argument ") and message.endswith(": expected one argument"):
+            flag = message[len("argument "):message.index(":")].split("/")[-1]
+            message += f"; a value that starts with '-' must be attached with '=' ({flag}=VALUE)"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mosva",
         description="Exact vertex-operator computations on the free boson tensor algebra",
     )

@@ -123,9 +123,6 @@ class LaurentPoly:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self._together(other)
         terms = dict(a.terms)
@@ -173,28 +170,31 @@ class LaurentPoly:
         """Exact quotient of a nonzero self by (a - b), a RatFun's difference
         factor; None when not divisible.
 
-        Synthetic division of self viewed as a polynomial in `a` with Laurent
-        coefficients in the remaining variables, from the lowest power lo of
-        `a` up: a^lo is a unit, so negative exponents divide as any others.
+        self = (a - b) * quot + r, and the remainder r is self at a = b: one
+        pass adds each term's a and b exponents into one slot, and any
+        coefficient left means None.  Only a divisible self goes on to the
+        synthetic division, viewed as a polynomial in `a` with Laurent
+        coefficients in the remaining variables, from the lowest power of `a`
+        up: that power is a unit, so negative exponents divide as any others.
         """
         ia = self.vars.index(a)
         ib = self.vars.index(b)
+        lo, hi = sorted((ia, ib))
+        rem: Dict[Exponents, Fraction] = {}
+        add_terms(rem, ((e[:lo] + (e[lo] + e[hi],) + e[lo + 1:hi] + e[hi + 1:], c)
+                        for e, c in self.terms.items()))
+        if rem:
+            return None
         coeffs: Dict[int, Dict[Exponents, Fraction]] = {}
         for e, c in self.terms.items():
             rest = e[:ia] + (0,) + e[ia + 1:]
             coeffs.setdefault(e[ia], {})[rest] = c
-        lo = min(coeffs)
-
-        # self = (a - b) * quot + r with r = self evaluated at a = b
         quot: Dict[int, Dict[Exponents, Fraction]] = {}
         carry: Dict[Exponents, Fraction] = {}
-        for k in range(max(coeffs), lo, -1):
+        for k in range(max(coeffs), min(coeffs), -1):
             add_terms(carry, coeffs.get(k, {}).items())
             quot[k - 1] = carry
             carry = {e[:ib] + (e[ib] + 1,) + e[ib + 1:]: c for e, c in carry.items()}
-        add_terms(carry, coeffs[lo].items())
-        if carry:
-            return None
         terms: Dict[Exponents, Fraction] = {}
         for k, d in quot.items():
             for e, c in d.items():

@@ -6,8 +6,12 @@ first in canonical order (pole_diff writes any difference so).  Over Laurent
 polynomials every z_i is a unit, so a pole at z_i = 0 is a negative exponent
 of the numerator.  The canonical form divides every difference factor out of
 the numerator as often as it goes; with that, two RatFuns represent the same
-function iff their canonical data are equal.  Printing shows each variable's
-most negative exponent as a z_i^k pole.
+function iff their canonical data are equal.  (a - b) divides the numerator
+iff the numerator vanishes at a = b, which one pass over its terms decides
+before any division is done.  A sum of parts reaches its least common poles
+by multiplying each numerator, in place, by the binomial row of every factor
+it lacks.  Printing shows each variable's most negative exponent as a z_i^k
+pole.
 
 Region expansion turns a RatFun into the iterated Laurent series valid when
 |z_{s(1)}| > ... > |z_{s(n)}| > 0, truncated to a finite exponent window:
@@ -49,19 +53,6 @@ def pole_diff(a: str, b: str) -> Tuple[PoleFactor, int]:
 
 def pole_sort_key(f: PoleFactor):
     return var_sort_key(f[0]), var_sort_key(f[1])
-
-
-def pole_poly(f: PoleFactor, k: int, variables: Sequence[str]) -> LaurentPoly:
-    """The polynomial (a - b)**k of the factor f = (a, b) over the given variables."""
-    universe = sort_vars(tuple(variables) + f)
-    a, b = f
-    terms = {}
-    c = 1  # (-1)^t binom(k, t), one row step per term
-    for t in range(k + 1):
-        exps = {a: k - t, b: t}
-        terms[tuple(exps.get(v, 0) for v in universe)] = c
-        c = -c * (k - t) // (t + 1)
-    return LaurentPoly(universe, terms)
 
 
 class RatFun:
@@ -159,7 +150,13 @@ def ratfun_arith(lhs: RatFun, rhs: RatFun) -> RatFun:
 
 
 def _over_common(parts: Iterable[Part], minus: Iterable[Part] = ()) -> Tuple[LaurentPoly, Dict]:
-    """sum(numer / poles) over parts less over minus, as one numerator over the least common poles."""
+    """sum(numer / poles) over parts less over minus, as one numerator over the least common poles.
+
+    Each numerator moves into the universe's exponent slots once; every pole
+    factor (a - b)^k it lacks is then multiplied in place, term by term, with
+    the signed binomial row (-1)^t C(k, t) at a^(k-t) b^t, and merged.  The
+    part's last factor adds, signed, straight into the shared sum.
+    """
     signed = [(part, 1) for part in parts] + [(part, -1) for part in minus]
     common: Dict[PoleFactor, int] = {}
     names = []
@@ -169,21 +166,35 @@ def _over_common(parts: Iterable[Part], minus: Iterable[Part] = ()) -> Tuple[Lau
             if k > common.get(f, 0):
                 common[f] = k
     universe = sort_vars(names + [v for f in common for v in f])
+    slot = {v: i for i, v in enumerate(universe)}
     terms: Dict[Tuple[int, ...], Fraction] = {}
     for (poles, numer), sign in signed:
-        numer = numer.align(universe)
-        for f, k in common.items():
-            if (k := k - poles.get(f, 0)) > 0:
-                charge(len(numer.terms) * (k + 1), NUMERATOR_TERMS)
-                numer = numer * pole_poly(f, k, universe)
-        add_terms(terms, numer.terms.items(), sign)
+        cur = numer.align(universe).terms
+        missing = [(f, k - poles.get(f, 0)) for f, k in common.items() if k > poles.get(f, 0)]
+        if not missing:
+            add_terms(terms, cur.items(), sign)
+        for n, ((a, b), k) in enumerate(missing, 1):
+            charge(len(cur) * (k + 1), NUMERATOR_TERMS)
+            last = n == len(missing)
+            row, r = [], sign if last else 1  # r = ±(-1)^t binom(k, t), one row step per term
+            for t in range(k + 1):
+                row.append((t, r))
+                r = -r * (k - t) // (t + 1)
+            acc = terms if last else {}
+            ia, ib = slot[a], slot[b]  # ia < ib: a comes first in canonical order
+            for e, c in cur.items():
+                head, ea, mid, eb, tail = e[:ia], e[ia] + k, e[ia + 1:ib], e[ib], e[ib + 1:]
+                add_terms(acc, (((*head, ea - t, *mid, eb + t, *tail), c * r) for t, r in row))
+            cur = acc
     return LaurentPoly._raw(universe, terms), common
 
 
 def ratfun_sum(parts: Iterable[Part]) -> RatFun:
-    """The canonical sum of (poles, numerator) parts, canonicalized once; a
-    lone part is already over its own poles."""
+    """The canonical sum of (poles, numerator) parts, canonicalized once; the
+    empty sum is zero, and a lone part is already over its own poles."""
     parts = list(parts)
+    if not parts:
+        return RatFun.zero()
     if len(parts) == 1:
         return RatFun(parts[0][1], parts[0][0])
     return RatFun(*_over_common(parts))

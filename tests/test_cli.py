@@ -114,6 +114,49 @@ def test_state_parse_inverts_render(mdim, elem):
     assert parse_state(render_pairs(elem), 2, mdim) == elem
 
 
+# every sign, integral and fractional coefficients, the vacuum word and the
+# zero element (the empty dict, printed "0")
+COEFFS = st.fractions(-3, 3, max_denominator=4).filter(bool)
+WORDS = st.lists(st.tuples(st.integers(0, 1), st.integers(1, 3)), max_size=3).map(tuple)
+
+
+@given(st.dictionaries(WORDS, COEFFS, max_size=4))
+def test_element_parse_inverts_render(elem):
+    assert parse_elem(render_free_elem(elem), 2) == elem
+
+
+@given(st.integers(1, 4), st.dictionaries(st.tuples(WORDS, st.integers(0, 3)), COEFFS, max_size=4))
+def test_state_and_dual_parse_inverts_render(mdim, elem):
+    # states and duals print and parse alike, as word@k
+    elem = {(word, s % mdim): c for (word, s), c in elem.items()}
+    assert parse_state(render_pairs(elem), 2, mdim) == elem
+
+
+@pytest.mark.parametrize("text, elem", [
+    ("-a1(-1)1", {((0, 1),): -1}),
+    ("- a1(-1)1", {((0, 1),): -1}),
+    ("-1", {(): -1}),
+    ("-1/2*1 + a1(-1)1", {(): Fraction(-1, 2), ((0, 1),): 1}),
+    ("0", {}),
+    (" 0 ", {}),
+])
+def test_a_leading_minus_is_a_sign_and_0_is_zero(text, elem):
+    assert parse_elem(text, 1) == elem
+
+
+def test_a_value_after_a_space_that_starts_with_minus_is_told_to_attach(capsys):
+    assert main(["quotient", "-c", '{"dim": 1}', "-u", "-1*a1(-1)1"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "argument -u: expected one argument; a value that starts with '-' must be attached with '=' (-u=VALUE)\n"
+    )
+    # attached, the printed element reads back
+    assert main(["quotient", "-c", '{"dim": 1}', "-u=-1*a1(-1)1"]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert printed == "-a1(-1)1"
+    assert main(["quotient", "-c", '{"dim": 1}', f"-u={printed}"]) == 0
+    assert capsys.readouterr().out.strip() == printed
+
+
 def test_parse_hat_word_mixed_modes():
     gens = parse_hat_word("a1(1)a1(-1)", 1)
     assert gens == [mode(0, 1), mode(0, -1)]

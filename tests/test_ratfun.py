@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mosva.ratfun
-from mosva.laurent import LaurentPoly
+from mosva.laurent import LaurentPoly, sort_vars
 from mosva.ratfun import (
     RatFun,
     _expand_monomial,
@@ -19,11 +19,11 @@ from mosva.ratfun import (
     expand_raw,
     parts_eq,
     pole_diff,
-    pole_poly,
     ratfun_eq,
     ratfun_sum,
     uniform_window,
 )
+from mosva.scalars import NUMERATOR_TERMS
 
 Z = ("z1", "z2")
 X = ("x0", "x2")
@@ -38,6 +38,19 @@ def lp(variables, terms):
 
 def one_over_diff(k=1):
     return RatFun(LaurentPoly.const(1, Z), {DIFF12: k})
+
+
+def pole_poly(f, k, variables):
+    """The polynomial (a - b)**k of the factor f = (a, b) over the given variables."""
+    universe = sort_vars(tuple(variables) + f)
+    a, b = f
+    terms = {}
+    c = 1  # (-1)^t binom(k, t), one row step per term
+    for t in range(k + 1):
+        exps = {a: k - t, b: t}
+        terms[tuple(exps.get(v, 0) for v in universe)] = c
+        c = -c * (k - t) // (t + 1)
+    return LaurentPoly(universe, terms)
 
 
 # -- Laurent polynomials -----------------------------------------------------
@@ -66,7 +79,7 @@ def test_laurent_rejects_repeated_variables():
 
 
 def minus(r, s):
-    return ratfun_sum([(r.poles, r.numer), (s.poles, -s.numer)])
+    return ratfun_sum([(r.poles, r.numer), (s.poles, s.numer * LaurentPoly.const(-1))])
 
 
 def times(r, s):
@@ -630,3 +643,110 @@ def test_property_a_lone_part_sums_as_over_common(part):
     assert (lone.numer.vars, lone.numer.terms, lone.poles) == (
         common.numer.vars, common.numer.terms, common.poles,
     )
+
+
+# -- the common-denominator pass and exact division -----------------------------
+
+VARS4 = ("z1", "z2", "z3", "z4")
+
+
+def over_common_reference(parts, minus, charge):
+    """_over_common as products of polynomials: each part's numerator, moved
+    into the universe, times pole_poly of every factor its poles lack, with
+    the same charge made before each product."""
+    signed = [(part, 1) for part in parts] + [(part, -1) for part in minus]
+    common, names = {}, []
+    for (poles, numer), _ in signed:
+        names += numer.vars
+        for f, k in poles.items():
+            common[f] = max(k, common.get(f, 0))
+    universe = sort_vars(names + [v for f in common for v in f])
+    total = LaurentPoly.zero(universe)
+    for (poles, numer), sign in signed:
+        numer = numer.align(universe)
+        for f, k in common.items():
+            if (k := k - poles.get(f, 0)) > 0:
+                charge(len(numer.terms) * (k + 1), NUMERATOR_TERMS)
+                numer = numer * pole_poly(f, k, universe)
+        total = total + numer * LaurentPoly.const(sign)
+    return total, common
+
+
+def laurent_polys(draw, names):
+    """A nonzero Laurent polynomial over names: exponents down to -2,
+    fractional coefficients."""
+    terms = {
+        tuple(draw(st.integers(-2, 2)) for _ in names): draw(nonzero_rationals)
+        for _ in range(draw(st.integers(1, 3)))
+    }
+    return LaurentPoly(names, terms)
+
+
+@st.composite
+def signed_part_lists(draw):
+    """Parts and parts to subtract, over 2-4 variables: each numerator over
+    a subset of them, and up to 3 pole factors of exponent 1-4 per part."""
+    names = VARS4[:draw(st.integers(2, 4))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+
+    def part():
+        own = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+        factors = draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))
+        return {f: draw(st.integers(1, 4)) for f in factors}, laurent_polys(draw, sort_vars(own))
+
+    total = draw(st.integers(1, 4))
+    parts = [part() for _ in range(total)]
+    cut = draw(st.integers(0, total))
+    return parts[:cut], parts[cut:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_part_lists())
+def test_property_over_common_matches_products_of_pole_polys(lists):
+    parts, minus_parts = lists
+    charged, expected_charges = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mosva.ratfun, "charge", lambda units, stage: charged.append((units, stage)))
+        numer, common = _over_common(parts, minus_parts)
+    expected, expected_common = over_common_reference(
+        parts, minus_parts, lambda units, stage: expected_charges.append((units, stage))
+    )
+    assert (numer.vars, numer.terms) == (expected.vars, expected.terms)
+    assert common == expected_common
+    assert charged == expected_charges
+
+
+def at_equal(p, a, b):
+    """p with a replaced by b, over p's other variables."""
+    rest = tuple(v for v in p.vars if v != a)
+    out = LaurentPoly.zero(rest)
+    for e, c in p.terms.items():
+        exps = dict(zip(p.vars, e))
+        exps[b] += exps.pop(a)
+        out = out + LaurentPoly(rest, {tuple(exps[v] for v in rest): c})
+    return out
+
+
+@st.composite
+def division_cases(draw):
+    """A Laurent polynomial over 2-3 variables, times (a - b)^m for m = 0-2,
+    and the canonical factor (a, b)."""
+    names = VARS3[:draw(st.integers(2, 3))]
+    f = draw(st.sampled_from([(a, b) for i, a in enumerate(names) for b in names[i + 1:]]))
+    p = laurent_polys(draw, names)
+    return p * pole_poly(f, draw(st.integers(0, 2)), names), f
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_property_div_linear_is_exact_division(case):
+    p, (a, b) = case
+    assume(not p.is_zero())
+    quot = p._div_linear(a, b)
+    assert (quot is None) == (not at_equal(p, a, b).is_zero())
+    if quot is not None:
+        assert quot * pole_poly((a, b), 1, p.vars) == p
+    # a multiple of (a - b) always divides, and multiplies back
+    times = p * pole_poly((a, b), 1, p.vars)
+    again = times._div_linear(a, b)
+    assert again is not None and again * pole_poly((a, b), 1, p.vars) == times
