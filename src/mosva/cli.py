@@ -13,7 +13,8 @@ the vacuum) parse, and ``0`` is the zero element: every printed element
 reads back.  Only --state and --dual take '@k': the term sits on the
 module's k-th basis vector, 1-based, and on the first without it.
 The normalform command instead takes a bare generator word over the full
-algebra: modes of any sign plus the central symbol ``k``, e.g. ``a1(1)a1(-1)``.
+algebra: modes of any sign plus the central symbol ``k``, and ``k^c`` for c
+of them, e.g. ``a1(1)a1(-1)k^2``: every printed normal form reads back.
 
 Configs are JSON with every number carried as an exact "p/q" string; see the
 README for the schema.  Exit codes: 0 success, 1 check failure, 2 usage error.
@@ -205,7 +206,8 @@ def _next_sign(sc: _Scanner) -> Optional[int]:
 
 
 def parse_hat_word(text: str, dim: int) -> List[HatGen]:
-    """Parse a generator word over the full algebra: any modes, plus 'k'."""
+    """Parse a generator word over the full algebra: any modes, plus 'k' and
+    'k^c', c copies of it for an integer c from 1 to the normalform budget."""
     sc = _Scanner(text)
     gens: List[HatGen] = []
     while True:
@@ -215,7 +217,13 @@ def parse_hat_word(text: str, dim: int) -> List[HatGen]:
             return gens
         if ch == "k":
             sc.pos += 1
-            gens.append(CENTRAL)
+            power = 1
+            if sc.peek() == "^":
+                sc.pos += 1
+                at, power, most = sc.pos, sc.scan_int(), WORK_BUDGETS["normalform"]
+                if not 1 <= power <= most:  # normalform rewrites at most that many letters
+                    raise ElemParseError(text, at, f"power of k must be from 1 to {most}")
+            gens += [CENTRAL] * power
         elif ch == "a":
             i, n = _parse_gen(sc, dim, require_negative=False)
             gens.append(mode(i, n))

@@ -22,9 +22,9 @@ modes only prepend letters to a word, so every creation fill of a split's
 slots is one prepend and one scaling of its element, and a dual basis pair's
 leading letters fix the one fill that can reach it.  One memo, _mode_tuples,
 keyed by the slots' (basis index, order) pairs, holds each slot profile's
-fills at a total with the letters they prepend; the oracle's series and the
-engine's bulk tables both read it, and the series scales a split's element
-once and adds each fill straight into its coefficient.
+fills at a total as prepended letters and a coefficient; the oracle's series
+and the engine's bulk tables both read it, and the series scales a split's
+element once and adds each fill straight into its coefficient.
 Everything here is the direct, series-level evaluation; the closed-form
 contraction engine is checked against it.  The product and iterate series
 enumerate no exponent that cannot reach the interval between the dual's
@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import ceil, comb, floor
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms, word_weight
 from .laurent import LaurentPoly, Window
@@ -73,27 +73,25 @@ def field_coefficient(m: int, n: int) -> int:
 
 
 @lru_cache(maxsize=120000)
-def _mode_tuples(
-    slots: Tuple[Tuple[int, int], ...], total: int
-) -> Tuple[Tuple[Tuple[int, ...], NegWord, int], ...]:
+def _mode_tuples(slots: Tuple[Tuple[int, int], ...], total: int) -> Tuple[Tuple[NegWord, int], ...]:
     """Creation fills of the slots' (basis index i_j, order m_j) pairs at
-    `total`: per way to take each n_j <= -m_j summing to it, (modes, the
-    letters (i_j, -n_j) they prepend, integer coefficient
-    prod binom(-n_j-1, m_j-1)), which never vanishes.  Every later n_j is at
-    most -m_j, so the first mode is at least total + sum of the later orders.
-    Memoized: slot profiles recur across words and pairs, and both fill steps
-    read it, the oracle's through apply_modes and the engine's bulk tables.
+    `total`: per way to take each n_j <= -m_j summing to it, (the letters
+    (i_j, -n_j) it prepends, integer coefficient prod binom(-n_j-1, m_j-1)),
+    which never vanishes.  Every later n_j is at most -m_j, so the first mode
+    is at least total + sum of the later orders.  Memoized: slot profiles
+    recur across words and pairs, and both fill steps read it, the oracle's
+    series and the engine's bulk tables.
     """
     if not slots:
-        return (((), (), 1),) if total == 0 else ()
+        return (((), 1),) if total == 0 else ()
     (i, m), rest = slots[0], slots[1:]
     if not rest:  # the last slot takes the whole remaining total
-        return (((total,), ((i, -total),), field_coefficient(m, total)),) if total <= -m else ()
+        return ((((i, -total),), field_coefficient(m, total)),) if total <= -m else ()
     out = []
     for n in range(total + sum(r for _, r in rest), -m + 1):
         c = field_coefficient(m, n)
-        for tail, letters, tc in _mode_tuples(rest, total - n):
-            out.append(((n,) + tail, ((i, -n),) + letters, c * tc))
+        for letters, tc in _mode_tuples(rest, total - n):
+            out.append((((i, -n),) + letters, c * tc))
     return tuple(out)
 
 
@@ -135,54 +133,17 @@ def annihilation_splits(
     return splits
 
 
-def apply_modes(
-    h: HSpace,
-    mod: ModulePresentation,
-    factors: Sequence[Tuple[int, int]],
-    totals: Sequence[int],
-    word: NegWord,
-    index: int,
-) -> Iterator[Tuple[Tuple, int, int, WElem, Tuple]]:
-    """Every mode tuple of the fields `factors` with total in `totals`, applied
-    with its creation fills left unbuilt.
-
-    `factors` lists (basis index, derivative order) per position and
-    `totals` is sorted ascending.  The tuples are those with no vanishing
-    field coefficient, positive part at most the pair's height above the
-    module's weight floor, and zero modes only when they act.  Yields
-    (split, total, c, element, fills) once per split of annihilation_splits
-    and admissible total: the split holds None per creation slot, c is its
-    modes' prod binom(-n_j-1, m_j-1) and the element its modes applied to
-    the basis pair (word, index).  The fills are _mode_tuples of the split's
-    slots at the total less the split's annihilation total: each (modes,
-    letters, coefficient) puts its modes in the slots, and its tuple's
-    monomial on the pair is the element with the letters prepended, times c
-    and the coefficient.
-    """
-    if not totals:
-        return
-    for split, p_total, s, c, applied in annihilation_splits(h, mod, factors, word, index):
-        top = p_total - s  # largest total the slots can reach
-        if totals[0] > top or (not s and p_total not in totals):
-            continue
-        slots = tuple(f for f, n in zip(factors, split) if n is None)
-        for t in totals if slots else (p_total,):
-            if t > top:
-                break
-            # one fill per way to spread top - t over the slots, counted unbuilt
-            charge(binomial(top - t + len(slots) - 1, top - t) * len(applied), MODE_TERMS)
-            yield split, t, c, applied, _mode_tuples(slots, t - p_total)
-
-
 def vertex_series(
     h: HSpace, mod: ModulePresentation, u: FreeElem, w: WElem, lo: int, hi: int
 ) -> Dict[int, WElem]:
     """Coefficients of Y(u, x)w for x-exponents in [lo, hi] (exact, possibly zero).
 
-    One apply_modes pass per (word of u, term of w): the x-exponent of a mode
-    tuple is -(sum of n_j + m_j), so the range pins an interval of totals.
-    Each split's element is scaled once, and each creation fill adds it
-    straight into its exponent's coefficient, one prepend per fill.
+    The x-exponent of a mode tuple is -(sum of n_j + m_j), so the range pins
+    an interval of totals.  Per (word of u, term of w), each split of
+    annihilation_splits is scaled once, and its slots' creation fills at each
+    total they reach, _mode_tuples at the total less the split's
+    annihilation total, add it straight into the exponent's coefficient,
+    one prepend per fill.
     """
     if lo > hi:
         raise ValueError("empty exponent range")
@@ -190,16 +151,25 @@ def vertex_series(
     out: Dict[int, WElem] = {}
     for uword, ucoeff in u.items():
         wt_u = word_weight(uword)
-        totals = range(-hi - wt_u, -lo - wt_u + 1)
+        t_lo, t_hi = -hi - wt_u, -lo - wt_u
         for (word, idx), wcoeff in w.items():
             base = ucoeff * wcoeff
-            for _, t, c, applied, fills in apply_modes(h, mod, uword, totals, word, idx):
+            for split, p_total, s, c, applied in annihilation_splits(h, mod, uword, word, idx):
+                slots = tuple(f for f, n in zip(uword, split) if n is None)
+                # slots reach every total up to top; a split with no slot, top alone
+                top = p_total - s
+                reached = range(t_lo if slots else max(top, t_lo), min(top, t_hi) + 1)
+                if not reached:
+                    continue
                 scale = c * base
                 scaled = [(w2, s2, v * scale) for (w2, s2), v in applied.items()]
-                slot = out.setdefault(-(t + wt_u), {})
-                for _, prefix, fc in fills:
-                    for w2, s2, v in scaled:
-                        add_into(slot, (prefix + w2, s2), v if fc == 1 else v * fc)
+                for t in reached:
+                    # one fill per way to spread top - t over the slots, counted unbuilt
+                    charge(binomial(top - t + len(slots) - 1, top - t) * len(applied), MODE_TERMS)
+                    coeff = out.setdefault(-(t + wt_u), {})
+                    for prefix, fc in _mode_tuples(slots, t - p_total):
+                        for w2, s2, v in scaled:
+                            add_into(coeff, (prefix + w2, s2), v if fc == 1 else v * fc)
     return {e: elem for e, elem in out.items() if elem}
 
 

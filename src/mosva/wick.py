@@ -176,8 +176,8 @@ def _pairing_table_cached(
     _dual_fill: `w_items` is w's sorted items, and each split a pair of w
     leaves takes every creation fill whose letters keep its weight within
     `cap`, from _mode_tuples of its slots' (basis index, order) pairs, the
-    oracle's fill memo.  Returns, per resulting basis pair, the Laurent
-    polynomial in the residual's variables that multiplies it.
+    oracle's fill memo; each slot's exponent gains its letter's order.
+    Returns, per basis pair, the Laurent polynomial that multiplies it.
     """
     # residual signatures recur heavily across operator pairs, so the shared
     # tables are read-only views; no metered command reaches the bulk tables
@@ -191,11 +191,12 @@ def _pairing_table_cached(
             room = floor(cap - key_weight(mod, (word, k)))
             for slots, evec, coeff in entries:
                 profile = tuple((i, m) for _, i, m in slots)
+                positions = [t for t, _, _ in slots]
                 for d in range(sum(m for _, m in profile), room + 1):
-                    for fill, prefix, fc in _mode_tuples(profile, -d):
+                    for prefix, fc in _mode_tuples(profile, -d):
                         exps = list(evec)
-                        for (t, _, _), n in zip(slots, fill):
-                            exps[t] -= n
+                        for t, (_, order) in zip(positions, prefix):
+                            exps[t] += order
                         key = (prefix + word, k)
                         add_into(table.setdefault(key, {}), tuple(exps), coeff * fc * wcoeff)
     return MappingProxyType(

@@ -28,7 +28,7 @@ from mosva.cli import (
     parse_hat_word,
     parse_state,
 )
-from mosva.halgebra import CENTRAL, HSpace, mode, pbw_normal_form, render_free_elem
+from mosva.halgebra import CENTRAL, HSpace, mode, pbw_normal_form, render_free_elem, render_pbw_word
 from mosva.modules import render_pairs
 from mosva.scalars import charge
 
@@ -162,6 +162,31 @@ def test_parse_hat_word_mixed_modes():
     assert gens == [mode(0, 1), mode(0, -1)]
     gens = parse_hat_word("k a1(0) a2(0)", 2)
     assert gens == [CENTRAL, mode(0, 0), mode(1, 0)]
+    assert parse_hat_word("k^3 a1(0) k", 1) == [CENTRAL] * 3 + [mode(0, 0), CENTRAL]
+
+
+def test_a_power_of_k_past_the_budget_is_refused_before_it_is_built(capsys):
+    start = time.perf_counter()
+    code = main(["normalform", *DIM1, "k^1000000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and capsys.readouterr().err.startswith("error: expr: ")
+
+
+PBW_WORDS = st.tuples(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(-4, -1)), max_size=3).map(tuple),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4)), max_size=3).map(tuple),
+    st.lists(st.integers(0, 1), max_size=2).map(tuple),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=100)
+@given(PBW_WORDS)
+def test_hat_word_parse_inverts_render(word):
+    neg, pos, zero, c = word
+    gens = parse_hat_word(render_pbw_word(word), 2)
+    assert gens == [mode(i, n) for i, n in neg + pos] + [mode(i, 0) for i in zero] + [CENTRAL] * c
+    assert pbw_normal_form(gens, HSpace.from_rows([[1, Fraction(1, 2)], [Fraction(1, 3), 2]])) == {word: 1}
 
 
 # -- config -------------------------------------------------------------------------
@@ -252,6 +277,8 @@ def test_cmd_normalform(capsys):
     code, out = run_cli(capsys, "normalform", "-c", '{"dim": 1}', "a1(1)a1(-1)")
     assert code == 0
     assert out.strip() == "a1(-1)a1(1) + 1*k"
+    code, out = run_cli(capsys, "normalform", "-c", '{"dim": 1}', "k^2")
+    assert (code, out.strip()) == (0, "1*k^2")
 
 
 # a1(1)^6 a1(-1)^6 rewrites 417,705 letters in about 0.3 s, and
@@ -662,6 +689,11 @@ FLAG_ERRORS = {
     "series-u-index-above-dim": (["series", *DIM1, "-u", "a3(-1)1"], "-u"),
     "quotient-u-positive-mode": (["quotient", *DIM1, "-u", "a1(1)1"], "-u"),
     "normalform-malformed-mode": (["normalform", *DIM1, "a1(x)"], "expr"),
+    "normalform-k-power-missing": (["normalform", *DIM1, "k^"], "expr"),
+    "normalform-k-power-zero": (["normalform", *DIM1, "k^0"], "expr"),
+    "normalform-k-power-negative": (["normalform", *DIM1, "k^-1"], "expr"),
+    "normalform-k-power-fraction": (["normalform", *DIM1, "k^1/2"], "expr"),
+    "normalform-k-power-above-budget": (["normalform", *DIM1, "k^500001"], "expr"),
 }
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mosva.fields
@@ -19,7 +20,8 @@ from mosva.halgebra import (
 )
 from mosva.laurent import LaurentPoly
 from mosva.fields import (
-    apply_modes,
+    _mode_tuples,
+    annihilation_splits,
     field_coefficient,
     iterate_series_bruteforce,
     product_series_bruteforce,
@@ -38,6 +40,7 @@ from mosva.modules import (
     welem_add,
     welem_scale,
 )
+from mosva.scalars import MODE_TERMS
 
 H1 = HSpace.identity(1)
 H2 = HSpace.identity(2)
@@ -107,7 +110,7 @@ def reference_mode_tuples(mod, factors, totals, allow_zero, word, index):
             yield modes, c
 
 
-def reference_apply_modes(h, mod, factors, totals, allow_zero, word, index):
+def reference_monomials(h, mod, factors, totals, allow_zero, word, index):
     """Mode tuple -> its normal-ordered monomial applied mode by mode."""
     out = {}
     for modes, c in reference_mode_tuples(mod, factors, totals, allow_zero, word, index):
@@ -122,15 +125,19 @@ def reference_apply_modes(h, mod, factors, totals, allow_zero, word, index):
     return out
 
 
-def expand(yielded):
-    """apply_modes' splits with their fills built: mode tuple -> element."""
+def expand(h, mod, factors, totals, word, index):
+    """annihilation_splits with each split's slots filled from _mode_tuples
+    at every total in `totals`: mode tuple -> element."""
     out = {}
-    for split, total, c, applied, fills in yielded:
-        for fill, prefix, fc in fills:
-            modes = iter(fill)
-            key = tuple(next(modes) if n is None else n for n in split)
-            assert sum(key) == total and key not in out
-            out[key] = {(prefix + w2, s2): v * c * fc for (w2, s2), v in applied.items()}
+    for split, p_total, _, c, applied in annihilation_splits(h, mod, factors, word, index):
+        slots = tuple(f for f, n in zip(factors, split) if n is None)
+        for total in totals:
+            for letters, fc in _mode_tuples(slots, total - p_total):
+                assert [i for i, _ in letters] == [i for i, _ in slots]
+                modes = iter(-d for _, d in letters)
+                key = tuple(next(modes) if n is None else n for n in split)
+                assert sum(key) == total and key not in out
+                out[key] = {(letters + w2, s2): v * c * fc for (w2, s2), v in applied.items()}
     return out
 
 
@@ -153,12 +160,12 @@ def mode_applications(draw):
 
 @settings(max_examples=150)
 @given(mode_applications())
-def test_apply_modes_matches_tuple_by_tuple_reference(case):
+def test_splits_and_fills_match_tuple_by_tuple_reference(case):
     mod, factors, totals, word, index = case
-    got = expand(apply_modes(RATIONAL_FORM, mod, factors, totals, word, index))
+    got = expand(RATIONAL_FORM, mod, factors, totals, word, index)
     assert all(got.values())
     allow_zero = mod.has_zero_mode_action()
-    expected = reference_apply_modes(RATIONAL_FORM, mod, factors, totals, allow_zero, word, index)
+    expected = reference_monomials(RATIONAL_FORM, mod, factors, totals, allow_zero, word, index)
     assert per_total(got) == per_total(expected)
     assert got == expected
 
@@ -189,7 +196,7 @@ def test_vertex_series_matches_the_tuple_by_tuple_reference(case):
         wt_u = word_weight(uword)
         totals = range(-hi - wt_u, -lo - wt_u + 1)
         for (word, k), wc in w.items():
-            applied = reference_apply_modes(
+            applied = reference_monomials(
                 RATIONAL_FORM, mod, uword, totals, mod.has_zero_mode_action(), word, k
             )
             for t, elem in per_total(applied).items():
@@ -197,6 +204,37 @@ def test_vertex_series_matches_the_tuple_by_tuple_reference(case):
                 expected[e] = welem_add(expected.get(e, {}), welem_scale(elem, uc * wc))
     expected = {e: elem for e, elem in expected.items() if elem}
     assert vertex_series(RATIONAL_FORM, mod, u, w, lo, hi) == expected
+
+
+@settings(max_examples=100)
+@given(series_cases())
+def test_vertex_series_charges_the_terms_it_builds(case):
+    # the applied terms of each annihilation step, then per split and total
+    # the split's fills times its element's terms: the fills are counted by
+    # a binomial, not built, so the count is checked against the memo
+    mod, u, w, lo, hi = case
+    expected = 0
+    for uword in u:
+        wt_u = word_weight(uword)
+        for (word, k) in w:
+            for split, p_total, _, _, applied in annihilation_splits(RATIONAL_FORM, mod, uword, word, k):
+                slots = tuple(f for f, n in zip(uword, split) if n is None)
+                for t in range(-hi - wt_u, -lo - wt_u + 1):
+                    expected += len(_mode_tuples(slots, t - p_total)) * len(applied)
+    charges, steps = [], []
+    real_apply = mosva.fields._apply_mode
+
+    def applied_terms(*args):
+        out = real_apply(*args)
+        steps.append(len(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mosva.fields, "charge", lambda units, stage: charges.append((units, stage)))
+        mp.setattr(mosva.fields, "_apply_mode", applied_terms)
+        vertex_series(RATIONAL_FORM, mod, u, w, lo, hi)
+    assert {stage for _, stage in charges} <= {MODE_TERMS}
+    assert sum(units for units, _ in charges) == sum(steps) + expected
 
 
 @settings(max_examples=150)
@@ -241,8 +279,8 @@ def test_each_right_part_meets_each_mode_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(mosva.fields, "_apply_mode", counted)
-    got = expand(apply_modes(H2, TRIV2, factors, range(-6, 4), word, 0))
-    assert got == reference_apply_modes(H2, TRIV2, factors, range(-6, 4), False, word, 0)
+    got = expand(H2, TRIV2, factors, range(-6, 4), word, 0)
+    assert got == reference_monomials(H2, TRIV2, factors, range(-6, 4), False, word, 0)
     assert {tuple(n if n >= 0 else None for n in modes) for modes in got} == set(product([None, 1], repeat=3))
     assert len(calls) <= 1 + 2 + 4
 
@@ -323,7 +361,7 @@ def test_pattern_without_creation_slots_asks_one_total(monkeypatch):
 
 
 def brute_force_fills(slots, total):
-    """Every n_j <= -m_j summing to total, with its letters (i_j, -n_j) and
+    """Every n_j <= -m_j summing to total, as its letters (i_j, -n_j) and
     prod binom(-n_j-1, m_j-1), modes ascending lexicographically.  The slots
     reach at most top = -sum m_j, so no n_j lies below -m_j - (top - total)."""
     spare = -sum(m for _, m in slots) - total
@@ -333,7 +371,7 @@ def brute_force_fills(slots, total):
         if sum(modes) == total:
             pairs = list(zip(slots, modes))
             letters = tuple((i, -n) for (i, _), n in pairs)
-            out.append((modes, letters, prod(comb(-n - 1, m - 1) for (_, m), n in pairs)))
+            out.append((letters, prod(comb(-n - 1, m - 1) for (_, m), n in pairs)))
     return out
 
 
@@ -346,7 +384,7 @@ def test_mode_tuples_match_brute_force_enumeration(slots, offset):
     # offset 1 and 2 ask above the slots' top total, where no fill exists
     slots = tuple(slots)
     total = -sum(m for _, m in slots) + offset
-    assert list(mosva.fields._mode_tuples(slots, total)) == brute_force_fills(slots, total)
+    assert list(_mode_tuples(slots, total)) == brute_force_fills(slots, total)
 
 
 def test_series_with_annihilation():
