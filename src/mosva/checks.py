@@ -99,9 +99,9 @@ class CheckReport:
         return f"{status}  {self.name}{extra}"
 
 
-# the oracle's mode enumeration grows steeply with the sampled words' weight:
-# on dim 2 the default suite peaks at 236 MB with max_weight 5 and runs out of
-# a 2 GB address space with max_weight 6
+# the sampled words' weight, kept at 5 until weight and dim are bounded together:
+# the dim-2 default suite, seeds 0-3, 2-core host, peaks at 21-23 MB in 0.3-0.5 s
+# with max_weight 5 and 23-25 MB in 0.4-0.5 s with 6; dim 4 at 5 takes 78 MB
 MAX_SUITE_WEIGHT = 5
 # a config's dim x dim form is built before anything else is checked; a dim
 # of 1,200 alone takes 2.7 s and 93 MB
@@ -121,15 +121,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# (lowest, highest) value of each integer field, None where unbounded; a
-# count of 0 would let its checks pass without checking anything
+# (lowest, highest) of each bounded integer field, with the dim-2 default
+# suite's time at the highest, 2-core host; a count of 0 checks nothing
 _INT_BOUNDS = {
     "max_weight": (1, MAX_SUITE_WEIGHT),
-    # associativity alone, dim 2, 2-core host: 2.2 s at 12, doubling every 2 above
+    # associativity alone: 2.2 s at 12, doubling every 2 above
     "dual_weight_cap": (0, 12),
-    "seed": (None, None),
-    "pbw_words": (1, None),
-    "sample_pairs": (1, None),
+    "pbw_words": (1, 100_000),  # 1.5 s
+    # 3.0 s, 4.4 s with max_weight 5; every pair is drawn up front
+    "sample_pairs": (1, 1_000),
 }
 # the lowest lo and highest hi of the window: the suite's cost grows at both
 # ends, at the low one only through the series that reach it.  The dim-2
@@ -158,11 +158,10 @@ class SuiteConfig:
             raise ConfigError("module", f"needs {self.h.dim} action matrices, got {len(self.module.action)}")
         for name, (lo, hi) in _INT_BOUNDS.items():
             value = getattr(self, name)
-            if not _is_int(value) or (lo is not None and value < lo) or (hi is not None and value > hi):
-                bound = "an integer" if lo is None else f"an integer >= {lo}"
-                if hi is not None:
-                    bound += f" and <= {hi}"
-                raise ConfigError(name, f"must be {bound}, got {value!r}")
+            if not _is_int(value) or not lo <= value <= hi:
+                raise ConfigError(name, f"must be an integer >= {lo} and <= {hi}, got {value!r}")
+        if not _is_int(self.seed):
+            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         window = self.window
         if (
             not isinstance(window, (list, tuple))

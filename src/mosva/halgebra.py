@@ -33,10 +33,18 @@ CENTRAL: HatGen = ("k",)
 # (negative modes, positive modes, zero-mode indices, central power)
 PBWWord = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], Tuple[int, ...], int]
 PBWElem = Dict[PBWWord, Fraction]
+Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 
 def mode(i: int, n: int) -> HatGen:
     return ("m", i, n)
+
+
+def square_matrix(rows: Sequence[Sequence], dim: int, name: str) -> Matrix:
+    """rows as a dim x dim tuple of exact rationals; ValueError naming `name` otherwise."""
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise ValueError(f"{name} is not {dim}x{dim}")
+    return tuple(tuple(q(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -44,14 +52,12 @@ class HSpace:
     """Base vector space of dimension dim with bilinear form entries (a_i, a_j)."""
 
     dim: int
-    form: Tuple[Tuple[Fraction, ...], ...]
+    form: Matrix
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        if len(self.form) != self.dim or any(len(row) != self.dim for row in self.form):
-            raise ValueError("form matrix must be dim x dim")
-        object.__setattr__(self, "form", tuple(tuple(q(x) for x in row) for row in self.form))
+        object.__setattr__(self, "form", square_matrix(self.form, self.dim, "form"))
         # every memo keyed by the space would otherwise rehash each entry
         object.__setattr__(self, "_hash", hash((self.dim, self.form)))
 

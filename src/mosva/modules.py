@@ -22,24 +22,20 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .halgebra import (
-    FreeElem, HSpace, NegWord, add_into, derivative_elem, free_add, free_scale, render_word,
-    word_sort_key, word_weight,
+    FreeElem, HSpace, Matrix, NegWord, add_into, derivative_elem, free_add, free_scale, render_word,
+    square_matrix, word_sort_key, word_weight,
 )
 from .scalars import check_exact, q, render_signed_sum
 
-Matrix = Tuple[Tuple[Fraction, ...], ...]
 WKey = Tuple[NegWord, int]
 WElem = Dict[WKey, Fraction]
 DualFunctional = Dict[WKey, Fraction]
 
 
-def _matrix(rows) -> Matrix:
-    return tuple(tuple(q(x) for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class ModulePresentation:
-    """A graded module over the zero modes with a compatible weight-one operator."""
+    """A graded module over the zero modes with a compatible weight-one operator;
+    construction raises ValueError naming a part whose size does not fit dim."""
 
     dim: int
     weights: Tuple[Fraction, ...]
@@ -47,9 +43,13 @@ class ModulePresentation:
     dm: Matrix
 
     def __post_init__(self):
+        r = self.dim
+        if r < 1 or len(self.weights) != r:
+            raise ValueError(f"weights: {len(self.weights)} for dim {r}, need one per dim and dim >= 1")
         object.__setattr__(self, "weights", tuple(q(w) for w in self.weights))
-        object.__setattr__(self, "action", tuple(_matrix(m) for m in self.action))
-        object.__setattr__(self, "dm", _matrix(self.dm))
+        action = tuple(square_matrix(m, r, f"action[{i}]") for i, m in enumerate(self.action))
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "dm", square_matrix(self.dm, r, "Dm"))
         # every memo keyed by the module would otherwise rehash each entry
         object.__setattr__(self, "_hash", hash((self.dim, self.weights, self.action, self.dm)))
 
@@ -75,32 +75,20 @@ class ModulePresentation:
 
 
 def validate_module(mod: ModulePresentation) -> List[str]:
-    """Exact invariant check; each violated entry is reported by name."""
+    """The module axioms, checked exactly; each violated entry is reported by
+    name.  The shapes hold by construction."""
     problems = []
     r = mod.dim
-    if len(mod.weights) != r:
-        problems.append("weights length differs from dim")
-        return problems
     for idx, m in enumerate(mod.action):
-        if len(m) != r or any(len(row) != r for row in m):
-            problems.append(f"action[{idx}] is not {r}x{r}")
-            continue
         for s in range(r):
             for t in range(r):
                 if m[s][t] and mod.weights[s] != mod.weights[t]:
-                    problems.append(
-                        f"action[{idx}][{s}][{t}] does not preserve the grading"
-                    )
-    if len(mod.dm) != r or any(len(row) != r for row in mod.dm):
-        problems.append(f"Dm is not {r}x{r}")
-        return problems
+                    problems.append(f"action[{idx}][{s}][{t}] does not preserve the grading")
     for s in range(r):
         for t in range(r):
             if mod.dm[s][t] and mod.weights[s] != mod.weights[t] + 1:
                 problems.append(f"Dm[{s}][{t}] is not of weight 1")
     for idx, m in enumerate(mod.action):
-        if len(m) != r or any(len(row) != r for row in m):
-            continue
         for s in range(r):
             for t in range(r):
                 lhs = sum(mod.dm[s][u] * m[u][t] for u in range(r))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mosva.checks
 import mosva.ratfun
@@ -10,6 +11,7 @@ import mosva.wick
 from mosva.cli import parse_elem, parse_state
 from mosva.halgebra import HSpace, basis_words_up_to, render_free_elem, vacuum_elem, word_elem
 from mosva.checks import (
+    CHECKS,
     ConfigError,
     SuiteConfig,
     noncommutativity_witness,
@@ -531,16 +533,54 @@ def test_run_suite_symmetric_form_cross_check():
     assert not failing, failing
 
 
+ENTRY = st.sampled_from(["0", "1", "1/2"])
+
+
+@st.composite
+def raw_presentations(draw):
+    """(form dim, module args): the module's dim, its weight count, its
+    number of action matrices and every matrix's row count and row lengths
+    are drawn apart, each the declared size seven times in eight."""
+    hdim, dim = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+
+    def size(declared):
+        return declared if draw(st.integers(0, 7)) else draw(st.integers(0, 3))
+
+    def matrix():
+        return [[draw(ENTRY) for _ in range(size(dim))] for _ in range(size(dim))]
+
+    weights = [draw(ENTRY) for _ in range(size(dim))]
+    return hdim, (dim, weights, [matrix() for _ in range(size(hdim))], matrix())
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_presentations())
+def test_property_a_presentation_either_refuses_construction_or_gets_every_report(raw):
+    # entries from 0, 1 and 1/2 break the module axioms often; those are for
+    # module-invariants to report, and no check may crash on them
+    hdim, args = raw
+    try:
+        config = SuiteConfig(
+            h=HSpace.identity(hdim), module=ModulePresentation(*args),
+            max_weight=1, window=(-2, 1), sample_pairs=1, pbw_words=5,
+        )
+    except ValueError:
+        return
+    assert [r.name for r in run_suite(config)] == list(CHECKS)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("max_weight", 6), ("max_weight", 0), ("sample_pairs", 0), ("pbw_words", 0),
      ("seed", 1.5), ("window", (3, 1)), ("checks", ("asociativity",)),
-     ("window", (-6, 17)), ("window", (-1001, 2))],
+     ("window", (-6, 17)), ("window", (-1001, 2)),
+     ("sample_pairs", 1_001), ("pbw_words", 100_001), ("sample_pairs", 10**9)],
 )
 def test_suite_config_rejects_out_of_domain_values(field, value):
     # library callers get the same bounds as the CLI: max_weight 6 would
-    # exhaust memory in the oracle, a count of 0 checks nothing, and the
-    # suite's cost grows at both ends of the window
+    # exhaust memory in the oracle, a count of 0 checks nothing, the pairs
+    # are all drawn before any check runs, and the suite's cost grows at
+    # both ends of the window
     with pytest.raises(ConfigError) as err:
         SuiteConfig(h=H2, module=TRIV2, **{field: value})
     assert err.value.path == field

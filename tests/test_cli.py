@@ -582,6 +582,21 @@ def test_dual_weight_cap_bound_is_inclusive():
     assert parse_config('{"dim": 2, "suite": {"dual_weight_cap": 12}}').dual_weight_cap == 12
 
 
+@pytest.mark.parametrize("key", ["sample_pairs", "pbw_words"])
+def test_a_count_of_a_billion_exits_2_before_any_work(capsys, key):
+    # 10**9 pairs would all be drawn before the first check, and 10**9 words
+    # would run for hours
+    start = time.perf_counter()
+    code = main(["check", "-c", json.dumps({"dim": 2, "suite": {key: 10**9}})])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and capsys.readouterr().err.startswith(f"error: suite.{key}: ")
+
+
+def test_count_bounds_are_inclusive():
+    config = parse_config('{"dim": 2, "suite": {"sample_pairs": 1000, "pbw_words": 100000}}')
+    assert (config.sample_pairs, config.pbw_words) == (1000, 100000)
+
+
 def test_window_bounds_are_inclusive():
     lo, hi = WINDOW_BOUNDS
     assert parse_config(json.dumps({"dim": 1, "suite": {"window": [lo, hi]}})).window == (lo, hi)

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mosva.halgebra import (
@@ -47,6 +48,13 @@ def test_replace_rehashes_the_space():
     rational = HSpace.from_rows([[1, Fraction(1, 2)], [Fraction(1, 3), 2]])
     h = replace(H2, form=rational.form)
     assert h == rational and hash(h) == hash(rational) and hash(h) != hash(H2)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0]], [[1, 0], [0]], [[1, 0], [0, 1, 0]]])
+def test_a_form_that_is_not_square_raises_naming_it(rows):
+    # the check ModulePresentation runs on each action matrix and Dm
+    with pytest.raises(ValueError, match=r"^form is not 2x2$"):
+        HSpace(2, rows)
 
 
 def test_validate_degenerate_form():

@@ -52,6 +52,31 @@ def test_replace_rehashes_the_module():
     assert mod == rebuilt and hash(mod) == hash(rebuilt) and hash(mod) != hash(graded)
 
 
+ZERO2 = [["0", "0"], ["0", "0"]]
+# (dim, weights, action, Dm) and the start of the message
+MALFORMED = {
+    "action-one-row-short": ((2, ["0", "0"], [[["0", "1"]]], ZERO2), "action[0] is not 2x2"),
+    "action-ragged-row": ((2, ["0", "0"], [[["0", "1"], ["0"]]], ZERO2), "action[0] is not 2x2"),
+    "action-second": ((2, ["0", "0"], [ZERO2, [["0"]]], ZERO2), "action[1] is not 2x2"),
+    "dm-1x1": ((2, ["0", "0"], [ZERO2], [["0"]]), "Dm is not 2x2"),
+    "dim-above-weights": ((3, ["0", "0"], [ZERO2], ZERO2), "weights: 2 for dim 3"),
+    "dim-0": ((0, [], [], []), "weights: 0 for dim 0"),
+}
+
+
+@pytest.mark.parametrize("args, message", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_a_malformed_presentation_raises_naming_the_part(args, message):
+    with pytest.raises(ValueError) as err:
+        ModulePresentation(*args)
+    assert str(err.value).startswith(message)
+
+
+def test_replace_with_a_ragged_dm_raises():
+    graded = ModulePresentation.build([0, 1], [[[0, 0], [0, 0]]], [[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match=r"^Dm is not 2x2"):
+        replace(graded, dm=((1, 0), (0,)))
+
+
 def test_validate_trivial_module():
     assert validate_module(TRIV2) == []
 
