@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -547,16 +548,15 @@ def verify_sym_crosscheck(h: HSpace, max_weight: int, span: Tuple[int, int]) -> 
 
 @dataclass
 class _Samples:
-    """The exhaustive-plus-seeded sample grid every check draws from."""
+    """The exhaustive-plus-seeded sample grid the checks draw from, drawn on
+    the first read of its words, elements, states or pairs: six checks read
+    only the config, and a suite of them draws none of it."""
 
     config: SuiteConfig
-    words: List[NegWord]
-    elems: List[FreeElem]
-    states: List[WElem]
-    pairs: List[Tuple[NegWord, NegWord]]
 
-    @classmethod
-    def draw(cls, config: SuiteConfig) -> "_Samples":
+    @cached_property
+    def _grid(self) -> Tuple[List[NegWord], List[FreeElem], List[WElem], List[Tuple[NegWord, NegWord]]]:
+        config = self.config
         h, mod = config.h, config.module
         rng = random.Random(config.seed)
         words = basis_words_up_to(h.dim, min(config.max_weight, 3))
@@ -568,7 +568,12 @@ class _Samples:
         states += [vacuum_state(s) for s in range(1, min(mod.dim, 3))]
         nonvac = [wd for wd in words if wd]
         pairs = [(rng.choice(nonvac), rng.choice(nonvac)) for _ in range(config.sample_pairs)]
-        return cls(config, words, [word_elem(wd) for wd in words], states, pairs)
+        return words, [word_elem(wd) for wd in words], states, pairs
+
+    words = property(lambda self: self._grid[0])
+    elems = property(lambda self: self._grid[1])
+    states = property(lambda self: self._grid[2])
+    pairs = property(lambda self: self._grid[3])
 
 
 # a check's outcome: its params, whether it passed, and its detail
@@ -707,6 +712,6 @@ CHECKS: Dict[str, Callable[[_Samples], Outcome]] = {
 
 def run_suite(config: SuiteConfig) -> List[CheckReport]:
     """Run every configured check over an exhaustive-plus-seeded sample grid."""
-    samples = _Samples.draw(config)
+    samples = _Samples(config)
     wanted = CHECKS if config.checks is None else {"module-invariants", *config.checks}
     return [CheckReport(name, *check(samples)) for name, check in CHECKS.items() if name in wanted]

@@ -25,9 +25,11 @@ It depends only on the form and the operands, not on the state, dual or
 module they are later paired with, so each tuple of operands is contracted
 once, in a bounded memo.  Pairing a term's residual with a state splits the
 same way: its annihilation steps on one basis pair are memoized apart from
-any dual, and both fill steps read that one memo: the bulk tables take each
+any dual, and both fill steps read that one memo.  The bulk tables take each
 split's creation fills up to a weight cap from the oracle's fill memo,
-fields._mode_tuples, and a single dual reads them off its words.
+fields._mode_tuples; a product query reads them off its dual's words and
+adds each matched fill, times the dual's and the term's coefficients,
+straight into one fresh numerator per residual.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, floor
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .halgebra import FreeElem, HSpace, NegWord, add_into, add_terms
 from .laurent import LaurentPoly, sort_vars
@@ -181,8 +183,8 @@ def _pairing_table_cached(
     """
     # residual signatures recur heavily across operator pairs, so the shared
     # tables are read-only views; no metered command reaches the bulk tables
-    # (check runs unmetered, product and iterate pair through _dual_fill), so
-    # their fills charge nothing
+    # (check runs unmetered; product and iterate read f's words through
+    # _dual_fill, which charges per matched entry), so their fills charge nothing
     table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
     variables = ()
     for pair, wcoeff in w_items:
@@ -215,8 +217,9 @@ def _annihilated(
     Each entry holds, per split that leaves that pair, its slots' (variable
     slot, basis index, order) left to right, its exponent vector less each
     slot's letter order, and its coefficient.  Keyed by form, module,
-    residual and pair, never by a dual or a cap, and shared by both fill
-    steps (_pairing_table_cached and _dual_fill), so a read-only view.
+    residual and pair, never by a dual, a cap or a scalar, and read by both
+    fill steps: _pairing_table_cached, and _dual_fill, which scales what it
+    matches into a numerator of its own; so a read-only view.
     """
     variables = sort_vars([v for v, _, _ in residual])
     vslot = [variables.index(v) for v, _, _ in residual]
@@ -238,24 +241,26 @@ def _annihilated(
 
 
 def _dual_fill(
-    h: HSpace, mod: ModulePresentation, residual: Tuple[TaggedFactor, ...], w: WElem, f: DualFunctional
-) -> List[Tuple[Tuple[Tuple, int], LaurentPoly]]:
-    """The residual's pairing table on w at f's keys alone, read off f's words.
+    h: HSpace, mod: ModulePresentation, residual: Tuple[TaggedFactor, ...], w: WElem, f: DualFunctional,
+    scale: Fraction,
+) -> Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Fraction]]:
+    """scale * <f, :residual: w> read off f's words: the residual's sorted
+    variables and a fresh numerator dict, keyed by exponent vector.
 
     Creation slots only prepend their letters, in slot order, so a dual pair
     (D, k) takes a split of c slots only if D's first c letters carry the
     slots' basis indices with orders at least theirs, and (D[c:], k) is a
     pair the split leaves; those orders fix the creation modes.  Each
-    matched entry charges one unit.
+    matched entry charges one unit and adds coeff * w's coefficient * f's
+    coefficient * scale; a key of coefficient 0 is never filled.
     """
-    table: Dict[Tuple[Tuple, int], Dict[Tuple[int, ...], Fraction]] = {}
+    terms: Dict[Tuple[int, ...], Fraction] = {}
     variables = ()
     for pair, wcoeff in w.items():
         variables, counts, index = _annihilated(h, mod, residual, pair)
-        for key, fcoeff in f.items():
+        for (word, k), fcoeff in f.items():
             if not fcoeff:
                 continue
-            word, k = key
             for c in counts:
                 if c > len(word):
                     break
@@ -268,34 +273,15 @@ def _dual_fill(
                         coeff *= field_coefficient(m, -d)
                     else:
                         charge(1, MODE_TERMS)
-                        add_into(table.setdefault(key, {}), tuple(exps), coeff * wcoeff)
-    return [(key, LaurentPoly._raw(variables, terms)) for key, terms in table.items() if terms]
-
-
-def _table_entries(h: HSpace, us: Sequence[FreeElem], fill: Callable) -> Iterator[Tuple]:
-    """The one builder behind every product and iterate entry point: it pairs
-    each contraction term's residual with w once, through `fill(residual)`'s
-    (basis pair, numerator) items, and yields (basis pair, poles, numerator,
-    scalar).  Callers keep the entries they need, one part per (poles,
-    variables)."""
-    for scalar, poles, residual in _elem_terms(h, tuple(tuple(sorted(u.items())) for u in us)):
-        for key, poly in fill(residual):
-            yield key, poles, poly, scalar
-
-
-def _add_part(acc: Dict, poles: Tuple, poly: LaurentPoly, scale):
-    """Add scale * poly / poles into acc, one numerator per (poles, variables)."""
-    slot = acc.get((poles, poly.vars))
-    if slot is None:
-        slot = acc[poles, poly.vars] = {}
-    add_terms(slot, poly.terms.items(), scale)
+                        add_into(terms, tuple(exps), coeff * wcoeff * fcoeff * scale)
+    return variables, terms
 
 
 def _parts(acc: Dict) -> List[Part]:
     return [(dict(poles), LaurentPoly._raw(vs, terms)) for (poles, vs), terms in acc.items() if terms]
 
 
-# -- matrix coefficients: each residual's table at f's keys, paired with f -------
+# -- matrix coefficients: each residual filled at f's keys, paired with f ----------
 
 
 def matrix_coeff_product(
@@ -309,13 +295,19 @@ def matrix_coeff_product(
 
     The region expansion of the result in |z1| > ... > |zn| > 0 agrees with
     the series-level evaluation; poles sit only at z_i = 0 and z_i = z_j.
-    Each residual's creation fills are read off f's words (_dual_fill), so
-    the work grows with f's keys, not with the fills at f's weights.
+    Each contraction term's residual is filled off f's words (_dual_fill),
+    paired with f and scaled by the term's scalar as it matches, so the work
+    grows with f's keys, not with the fills at f's weights.  Its fresh
+    numerator becomes the part of its (poles, variables), or is added into
+    the part already there.
     """
     check_exact(*us, f, w)
     acc: Dict = {}
-    for key, poles, poly, scalar in _table_entries(h, us, lambda r: _dual_fill(h, mod, r, w, f)):
-        _add_part(acc, poles, poly, scalar * f[key])
+    for scalar, poles, residual in _elem_terms(h, tuple(tuple(sorted(u.items())) for u in us)):
+        variables, terms = _dual_fill(h, mod, residual, w, f, scalar)
+        slot = acc.setdefault((poles, variables), terms)
+        if slot is not terms:
+            add_terms(slot, terms.items())
     return ratfun_sum(_parts(acc))
 
 
@@ -354,10 +346,11 @@ def product_table_raw(
     """
     check_exact(*us, w)
     cap, w_items = q(weight_cap), tuple(sorted(w.items()))
-    entries = _table_entries(h, us, lambda r: _pairing_table_cached(h, mod, r, w_items, cap).items())
     accs: Dict[Tuple[Tuple, int], Dict] = {}
-    for key, poles, poly, scalar in entries:
-        _add_part(accs.setdefault(key, {}), poles, poly, scalar)
+    for scalar, poles, residual in _elem_terms(h, tuple(tuple(sorted(u.items())) for u in us)):
+        for key, poly in _pairing_table_cached(h, mod, residual, w_items, cap).items():
+            acc = accs.setdefault(key, {})
+            add_terms(acc.setdefault((poles, poly.vars), {}), poly.terms.items(), scalar)
     return {key: parts for key, acc in accs.items() if (parts := _parts(acc))}
 
 

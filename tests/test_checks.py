@@ -1,5 +1,6 @@
 """The verification suite: per-check behavior and fault injection."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import mosva.checks
 import mosva.ratfun
 import mosva.wick
-from mosva.cli import parse_elem, parse_state
+from mosva.cli import parse_config, parse_elem, parse_state
 from mosva.halgebra import HSpace, basis_words_up_to, render_free_elem, vacuum_elem, word_elem
 from mosva.checks import (
     CHECKS,
@@ -517,6 +518,22 @@ def test_run_suite_default_passes():
     assert reports, "suite must produce reports"
     failing = [r.name for r in reports if not r.passed]
     assert not failing, failing
+
+
+def test_a_suite_of_checks_that_read_only_the_config_draws_no_sample_grid():
+    # pbw-confluence and module-invariants read only the config.  On dim 100
+    # the grid (every word up to weight 3, with its element) peaked at 362 MB
+    # traced when it was drawn up front; drawn only when read, the suite
+    # peaks at 7 KB (both measured on Python 3.11)
+    config = parse_config('{"dim": 100, "suite": {"checks": ["pbw-confluence"]}}')
+    tracemalloc.start()
+    try:
+        reports = run_suite(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.name, r.passed) for r in reports] == [("module-invariants", True), ("pbw-confluence", True)]
+    assert peak < 2**20, peak
 
 
 def test_run_suite_deterministic():

@@ -1,6 +1,7 @@
 """Closed-form contraction engine against the series-level oracle."""
 
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import prod
@@ -9,8 +10,8 @@ import pytest
 
 import mosva.fields
 import mosva.wick
-from mosva.halgebra import HSpace, add_into, add_terms, basis_words_up_to, vacuum_elem, word_elem
-from mosva.laurent import LaurentPoly, sort_vars
+from mosva.halgebra import HSpace, add_into, basis_words_up_to, vacuum_elem, word_elem
+from mosva.laurent import LaurentPoly
 from mosva.fields import iterate_series_bruteforce, product_series_bruteforce
 from mosva.modules import (
     ModulePresentation,
@@ -36,7 +37,6 @@ from mosva.wick import (
     _dual_fill,
     _elem_terms,
     _pairing_table_cached,
-    _table_entries,
     commutator_pm,
     iterate_table_raw,
     matrix_coeff_iterate,
@@ -66,17 +66,8 @@ NONCOMMUTING4 = ModulePresentation.build(
 
 def paired_residual(h, mod, residual, f, w):
     """<f, :residual: w> as one Laurent polynomial in the residual's variables:
-    the dual fill's entries for the bare residual, weighted by f."""
-    terms = {}
-    for key, poly in _dual_fill(h, mod, residual, w, f):
-        add_terms(terms, poly.terms.items(), f[key])
-    return LaurentPoly(sort_vars(v for v, _, _ in residual), terms)
-
-
-def bulk_fill(h, mod, w, cap):
-    """The bulk tables' fill step: every pair up to the cap the residual reaches."""
-    w_items = tuple(sorted(w.items()))
-    return lambda residual: _pairing_table_cached(h, mod, residual, w_items, cap).items()
+    the dual fill of the bare residual, paired with f at scale 1."""
+    return LaurentPoly(*_dual_fill(h, mod, residual, w, f, 1))
 
 
 def canonical_table(raw):
@@ -213,12 +204,19 @@ def test_a_group_summing_to_zero_is_no_memo_entry(fresh_elem_terms):
     assert matrix_coeff_product(CANCELLING_FORM, TRIV2, [u, u], dual_term(), vacuum_state()).is_zero()
 
 
-def test_property_the_fold_is_multilinear_in_its_operands(fresh_elem_terms):
+def test_property_the_fold_is_multilinear_in_its_operands(monkeypatch, fresh_elem_terms):
     # reduce_blocks on elements is the sum, over their word tuples, of each
     # tuple's fold scaled by the product of its coefficients, summed per
     # (poles, residual): no zero entry, no duplicate and no missing group.
-    # Cold or warm, the memo entry holds that fold, and the builder yields
-    # the memo's terms in order, one per residual it fills
+    # Cold or warm, the memo entry holds that fold, and a product query
+    # fills the memo's residuals in order, each once, scaled by its scalar
+    filled = []
+
+    def recording_fill(h, mod, residual, w, f, scale):
+        filled.append((residual, scale))
+        return (), {}
+
+    monkeypatch.setattr(mosva.wick, "_dual_fill", recording_fill)
     rng = random.Random(37)
     for _ in range(20):
         h = rng.choice([RATIONAL_FORM, CANCELLING_FORM])
@@ -233,9 +231,9 @@ def test_property_the_fold_is_multilinear_in_its_operands(fresh_elem_terms):
             assert {(t.poles, t.residual): t.scalar for t in terms} == expected
             assert len(terms) == len(expected) and all(t.scalar for t in terms)
         for _ in range(2):
-            entries = _table_entries(h, us, lambda r: [(r, None)])
-            expected_entries = [(t.residual, t.poles, t.scalar) for t in warm]
-            assert [(key, poles, s) for key, poles, _, s in entries] == expected_entries
+            filled.clear()
+            assert matrix_coeff_product(h, TRIV2, us, dual_term(), vacuum_state()).is_zero()
+            assert filled == [(t.residual, t.scalar) for t in warm]
 
 
 def counted_charges(monkeypatch):
@@ -486,8 +484,12 @@ def test_two_parts_of_one_signature_over_different_variables():
     u1 = word_elem(((0, 1), (0, 1)))
     u2 = word_elem(((0, 1), (0, 1), (0, 3)))
     w = state(((0, 1),))
-    entries = _table_entries(H1, [u1, u2], bulk_fill(H1, TRIV1, w, 6))
-    shapes = {(poles, poly.vars) for key, poles, poly, _ in entries if key == (((0, 5), (0, 1)), 0)}
+    key, w_items = (((0, 5), (0, 1)), 0), tuple(sorted(w.items()))
+    shapes = set()
+    for t in _elem_terms(H1, elem_key(u1, u2)):
+        table = _pairing_table_cached(H1, TRIV1, t.residual, w_items, 6)
+        if key in table:
+            shapes.add((t.poles, table[key].vars))
     assert {(((DIFF12, 4),), ("z1", "z2")), (((DIFF12, 4),), ("z2",))} <= shapes
     region = ("z1", "z2")
     window = uniform_window(region, -10, 4)
@@ -509,10 +511,19 @@ COMMUTATOR_FORM = HSpace.from_rows([[0, 1], [-1, 0]])
 SWAP2 = ModulePresentation.build([0, 0], [[[0, 1], [1, 0]], [[0, 1], [1, 0]]], [[0, 0], [0, 0]])
 
 
-def test_dual_read_matches_the_bulk_table_key_by_key():
+def test_dual_read_matches_the_bulk_table_key_by_key(monkeypatch):
     # matrix_coeff_product reads each fill off f's words; product_table_raw
     # enumerates every fill up to the cap.  They agree on every key of f, on
-    # its keys alone and on f whole, keys the table lacks included
+    # its keys alone and on f whole, keys the table lacks included.  The
+    # units charged for f whole are the sum of its keys' single charges, and
+    # a key of coefficient 0 charges nothing, alone or within f
+    used = counted_charges(monkeypatch)
+
+    def with_units(*args):
+        used.clear()
+        return matrix_coeff_product(*args), used.get(MODE_TERMS, 0)
+
+    live_zero_keys = 0
     rng = random.Random(29)
     words, light = basis_words_up_to(2, 4), basis_words_up_to(2, 2)
     cap = 4
@@ -530,10 +541,18 @@ def test_dual_read_matches_the_bulk_table_key_by_key():
         f = {}
         for key in rng.sample(list(raw), min(3, len(raw))) + rng.sample(pairs, 2):
             f[key] = rng.choice([1, -2, Fraction(1, 3)])
+        single = {}
         for key in f:
-            assert matrix_coeff_product(h, mod, us, {key: 1}, w) == ratfun_sum(raw.get(key, [])), key
+            rf, single[key] = with_units(h, mod, us, {key: 1}, w)
+            assert rf == ratfun_sum(raw.get(key, [])), key
         parts = [(poles, numer * LaurentPoly.const(c)) for key, c in f.items() for poles, numer in raw.get(key, [])]
-        assert matrix_coeff_product(h, mod, us, f, w) == ratfun_sum(parts)
+        assert with_units(h, mod, us, f, w) == (ratfun_sum(parts), sum(single.values()))
+        # a fill the table holds if there is one, so that its coefficient 0 is what stops it
+        zero_key = next(key for key in list(raw) + pairs if key not in f)
+        live_zero_keys += with_units(h, mod, us, {zero_key: 1}, w)[1] > 0
+        assert with_units(h, mod, us, {zero_key: 0}, w) == (RatFun.zero(), 0)
+        assert with_units(h, mod, us, {**f, zero_key: 0}, w) == (ratfun_sum(parts), sum(single.values()))
+    assert live_zero_keys >= 50
 
 
 def test_a_bulk_table_fills_the_annihilation_memo_the_dual_read_uses():
@@ -578,6 +597,37 @@ def test_sums_and_equality_of_table_parts_write_into_no_memo(fresh_elem_terms):
         assert parts_eq(parts, parts) and parts_eq(parts, [(total.poles, total.numer)])
         assert parts_eq([(total.poles, total.numer)], parts)
     assert snapshot() == before
+
+
+def test_a_product_query_that_merges_parts_writes_into_no_memo(fresh_elem_terms):
+    # a1 and a2 at z1 against a1 at z2 leave two open residuals over the same
+    # poles and variables; the query stores the first one's fill as the part
+    # and adds the second's into it.  Every memo entry stays as it was, and
+    # the query reads the same on every call
+    us = [{((0, 1),): 1, ((1, 1),): Fraction(1, 2)}, {((0, 1),): 1}]
+    f = {(((0, 1), (0, 1)), 0): 1, (((1, 1), (0, 1)), 0): 2, ((), 0): -1}
+    w = vacuum_state()
+
+    def snapshot():
+        entries = fresh_elem_terms(RATIONAL_FORM, elem_key(*us))
+        seen = {"terms": deepcopy(list(entries))}
+        for t in entries:
+            for pair in w:
+                variables, counts, index = _annihilated(RATIONAL_FORM, TRIV2, t.residual, pair)
+                seen[t.residual, pair] = deepcopy((variables, counts, dict(index)))
+        return seen
+
+    before = snapshot()
+    opened = [t for t in fresh_elem_terms(RATIONAL_FORM, elem_key(*us)) if t.residual]
+    assert len(opened) == 2 and opened[0].poles == opened[1].poles == ()
+    fills = [_dual_fill(RATIONAL_FORM, TRIV2, t.residual, w, f, t.scalar) for t in opened]
+    assert fills[0][0] == fills[1][0] == ("z1", "z2") and all(terms for _, terms in fills)
+    rf = matrix_coeff_product(RATIONAL_FORM, TRIV2, us, f, w)
+    assert snapshot() == before
+    assert matrix_coeff_product(RATIONAL_FORM, TRIV2, us, f, w) == rf
+    assert snapshot() == before
+    single = [matrix_coeff_product(RATIONAL_FORM, TRIV2, us, {key: c}, w) for key, c in f.items()]
+    assert rf == ratfun_sum((r.poles, r.numer) for r in single) and not rf.is_zero()
 
 
 def test_associativity_on_samples():
